@@ -176,6 +176,25 @@ def backfit_iterative(
     )
 
 
+def lu_condition(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """LU factors of a square system and its 1-norm condition estimate.
+
+    Returns ``(lu, piv, cond)`` with ``cond = 1 / rcond`` from LAPACK
+    ``gecon`` on the factors (infinite when ``rcond`` is 0), which costs
+    O(n^2) beyond the factorization.  Raises :class:`SingularSystemError`
+    when ``gecon`` reports failure.
+    """
+    anorm = float(np.linalg.norm(system, 1))
+    lu, piv = lu_factor(system)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, info = gecon(lu, anorm, norm="1")
+    if info != 0:
+        raise SingularSystemError(
+            f"condition estimation failed (LAPACK info={info})", float("inf")
+        )
+    return lu, piv, 1.0 / rcond if rcond > 0.0 else float("inf")
+
+
 def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
     """Solve the normal equations by one dense LU factorization.
 
@@ -185,17 +204,7 @@ def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
     1e12 raise :class:`SingularSystemError` instead of returning noise.
     """
     y = _check_y(pair, y)
-    n = pair.n
-    system = np.eye(n) - pair.s2_star @ pair.s1_star
-    anorm = float(np.linalg.norm(system, 1))
-    lu, piv = lu_factor(system)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0:
-        raise SingularSystemError(
-            f"condition estimation failed (LAPACK info={info})", float("inf")
-        )
-    cond = 1.0 / rcond if rcond > 0.0 else float("inf")
+    lu, piv, cond = lu_condition(np.eye(pair.n) - pair.s2_star @ pair.s1_star)
     if cond > CONDITION_LIMIT:
         raise SingularSystemError(
             f"(I - S2* S1*) is singular or near-singular "

@@ -7,8 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from nwbackfit.kernels import ConstantBandwidth, Kernel, PerPointBandwidth
-from nwbackfit.simulate import IndependentUniform, SimSpec, generate
+from nwbackfit import spectral
+from nwbackfit.kernels import (
+    ConstantBandwidth,
+    Kernel,
+    KNearestBandwidth,
+    PerPointBandwidth,
+    RateBandwidth,
+)
+from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 from nwbackfit.spectral import (
     PowerIterationNonConvergence,
@@ -19,6 +26,7 @@ from nwbackfit.spectral import (
     power_iteration_radius,
     spectral_radius,
 )
+from nwbackfit.spectral import _smoother_spectrum, _symmetrized
 
 from conftest import ALL_KERNELS, gap_passing_constant
 
@@ -347,3 +355,96 @@ class TestCertify:
         pair = build_pair(data, kernel, bw_u, bw_v)
         with pytest.raises(ValueError):
             certify(pair, kernel, bw_u, bw_v, data, method="qr")
+
+
+def matched_distance(got, want):
+    """Largest distance between two spectra under optimal matching."""
+    cost = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
+    r, c = linear_sum_assignment(cost)
+    return cost[r, c].max()
+
+
+class TestSpectralRoutes:
+    def test_symmetric_route_matches_eigvals(self):
+        rng = np.random.default_rng(61)
+        for kernel in ALL_KERNELS:
+            x = rng.normal(size=40)
+            for bw in (gap_passing_constant(x, rng), RateBandwidth(0.2)):
+                s = build_smoother(x, kernel, bw)
+                assert _symmetrized(s) is not None
+                eigs = _smoother_spectrum(s)
+                assert eigs.dtype == float
+                assert matched_distance(eigs, np.linalg.eigvals(s)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["dense", "power"])
+    def test_centered_radii_match_centered_matrices(self, method):
+        rng = np.random.default_rng(62)
+        for trial, kernel in enumerate(ALL_KERNELS):
+            data = generate(SimSpec(n=35, design=BivariateNormal(rho=0.5), seed=62 + trial))
+            for bw_u, bw_v in (
+                (gap_passing_constant(data.u, rng), gap_passing_constant(data.v, rng)),
+                (RateBandwidth(0.2), RateBandwidth(0.2)),
+            ):
+                pair = build_pair(data, kernel, bw_u, bw_v)
+                cert = certify(pair, kernel, bw_u, bw_v, data, method=method)
+                assert cert.spectral.rho_s1_star == pytest.approx(
+                    spectral_radius(center(pair.s1)), abs=1e-12
+                )
+                assert cert.spectral.rho_s2_star == pytest.approx(
+                    spectral_radius(center(pair.s2)), abs=1e-12
+                )
+
+    def test_knn_and_per_point_take_general_route(self):
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=40)
+        for kernel in ALL_KERNELS:
+            for bw in (
+                KNearestBandwidth(8),
+                PerPointBandwidth(rng.uniform(1.0, 3.0, 40)),
+            ):
+                s = build_smoother(x, kernel, bw)
+                assert _symmetrized(s) is None
+                assert np.array_equal(_smoother_spectrum(s), np.linalg.eigvals(s))
+
+    @pytest.mark.parametrize("method", ["dense", "power"])
+    def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, method):
+        # two closed classes: S keeps a second unit eigenvalue after the
+        # constant vector's is deflated, so rho(S*) stays at 1
+        data, kernel, bw = uniform_cluster_problem
+        pair = build_pair(data, kernel, bw, bw)
+        assert _symmetrized(pair.s1) is not None
+        cert = certify(pair, kernel, bw, bw, data, method=method)
+        assert not cert.spectral.top_eigenvalue_simple
+        assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
+        assert cert.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-6)
+
+    def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
+        # a reversible pair needs no nonsymmetric work beyond the product;
+        # this fails if the route test stops admitting ordinary smoothers
+        data = generate(SimSpec(n=60, design=BivariateNormal(rho=0.5), seed=64))
+        bw = RateBandwidth(0.2)
+        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
+        calls = {"eigvals": 0, "power": 0, "components": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(
+            spectral, "power_iteration_radius", counting("power", power_iteration_radius)
+        )
+        monkeypatch.setattr(
+            spectral,
+            "connected_components",
+            counting("components", spectral.connected_components),
+        )
+        dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
+        assert calls == {"eigvals": 1, "power": 0, "components": 0}
+        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
+        assert power.spectral.method == "power"
+        assert calls == {"eigvals": 1, "power": 1, "components": 0}
+        assert dense.regular_s1 and dense.regular_s2
