@@ -45,7 +45,6 @@ from .spectral import (
     certify,
     check_gap_conditions,
     check_regularity,
-    power_iteration_radius,
     spectral_radius,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "check_gap_conditions",
     "check_regularity",
     "spectral_radius",
-    "power_iteration_radius",
     "certify",
     "FitResult",
     "BackfitNonConvergenceError",

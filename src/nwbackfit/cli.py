@@ -57,6 +57,12 @@ EXIT_SINGULAR = 5
 
 KERNEL_CHOICES = ["uniform", "epanechnikov", "triangular", "gaussian"]
 
+METHOD_HELP = (
+    "how rho(S2* S1*) is computed: power runs ARPACK on the product "
+    "without forming it and falls back to dense if ARPACK fails; dense "
+    "forms the product and takes all its eigenvalues (default: power)"
+)
+
 
 class NotCertifiedError(RuntimeError):
     """Raised when --require-certificate is set and certification fails."""
@@ -270,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--method",
-        choices=["dense", "power"],
-        default="dense",
-        help="spectral radius computation for the certificate",
+        choices=["power", "dense"],
+        default="power",
+        help=METHOD_HELP,
     )
     p_fit.add_argument(
         "--require-certificate",
@@ -286,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_cert)
     p_cert.add_argument(
         "--method",
-        choices=["dense", "power"],
-        default="dense",
-        help="spectral radius computation",
+        choices=["power", "dense"],
+        default="power",
+        help=METHOD_HELP,
     )
     p_cert.add_argument(
         "--require-certificate",
@@ -327,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--method",
-        choices=["dense", "power"],
+        choices=["power", "dense"],
         default="power",
-        help="spectral radius computation per replicate",
+        help=METHOD_HELP,
     )
     p_sim.set_defaults(func=_cmd_simulate)
 

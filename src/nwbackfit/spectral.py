@@ -30,8 +30,10 @@ eigendecomposition.  The spectrum gives the top eigenvalue of S1, its
 simplicity, and rho(S*) exactly: S* = S - 1 (1^T S / n) is a rank-one
 (Brauer) deflation of the unit eigenvalue, so the spectrum of S* is that
 of S with one eigenvalue 1 replaced by 0.  Only the product S2* S1* needs
-a nonsymmetric solver: a dense eigendecomposition, or power iteration
-that falls back to it.
+a nonsymmetric solver: a dense eigendecomposition of the formed product,
+or ARPACK on the operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), which
+never forms it (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).
+ARPACK falls back to the dense route when it fails or n < 3.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    aslinearoperator,
+    eigs,
+)
 
 from .fitting import SingularSystemError, lu_condition
 from .kernels import BandwidthSpec, Kernel
@@ -54,10 +63,8 @@ __all__ = [
     "Verdict",
     "ConvergenceCertificate",
     "PowerIterationNonConvergence",
-    "PowerIterationResult",
     "check_gap_conditions",
     "check_regularity",
-    "power_iteration_radius",
     "spectral_radius",
     "certify",
 ]
@@ -106,9 +113,10 @@ class SpectralReport:
     ``rho_s2_star`` come from the full spectra of S1 and S2: symmetric
     (``eigvalsh``) for reversible smoothers, dense nonsymmetric
     (``eigvals``) otherwise, whatever ``method``.  ``method`` records how
-    ``rho_product`` was obtained ("power" when power iteration converged,
-    "dense" for the dense eigendecomposition, including after a power
-    failure), and ``iterations`` counts the product's power iterations
+    ``rho_product`` was obtained ("power" when ARPACK converged on the
+    matrix-free product, "dense" for the dense eigendecomposition of the
+    formed product, including after an ARPACK failure or for n < 3), and
+    ``iterations`` counts ARPACK's applications of the product operator
     (0 for "dense").  ``perron_vector_check`` is the residual
     ||S1 theta - theta|| for the unit constant vector theta = 1/sqrt(n).
     """
@@ -257,98 +265,74 @@ def check_regularity(s: np.ndarray) -> bool:
 
 
 class PowerIterationNonConvergence(RuntimeError):
-    """Power iteration hit its iteration cap without meeting tolerance."""
-
-    def __init__(self, message: str, result: "PowerIterationResult"):
-        super().__init__(message)
-        self.result = result
+    """ARPACK did not converge within its restart cap."""
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    """Outcome of a power-iteration spectral radius estimate."""
+def _radius(op: LinearOperator, max_iter: int | None = None) -> tuple[float, int]:
+    """Largest eigenvalue modulus of ``op`` and how many times ``op`` was applied.
 
-    radius: float
-    iterations: int
-    converged: bool
-
-
-def power_iteration_radius(
-    m: np.ndarray, tol: float = 1e-10, max_iter: int = 5000, seed: int = 0
-) -> PowerIterationResult:
-    """Estimate the spectral radius of ``m`` by power iteration.
-
-    Each step applies ``m`` twice and fits the iterates first to a
-    one-term recurrence (real dominant eigenvalue) and then to a two-term
-    recurrence over the Krylov block span{x, m x}, which also resolves a
-    dominant complex-conjugate (or +/-) pair.  Convergence is declared
-    when a fit residual drops below ``tol``; if the cap is reached the
-    result is flagged non-converged rather than guessed.
+    ARPACK (``eigs``) computes the six eigenvalues of largest modulus to
+    machine precision (``tol=0``).  Its starting vector, and the vectors it
+    draws after finding an invariant subspace, come from a generator
+    seeded here, so reruns are bit-identical.  ``max_iter`` caps the
+    implicit restarts (ARPACK's default is 10n).  Needs n >= 3, since
+    ARPACK needs k <= n - 2.  Raises ``ArpackError``, and its subclass
+    ``ArpackNoConvergence`` when the cap is reached.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if not m.any():
-        return PowerIterationResult(radius=0.0, iterations=0, converged=True)
+    n = op.shape[0]
+    applications = 0
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    estimate = 0.0
-    for it in range(1, max_iter + 1):
-        y = m @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:  # x fell in the nullspace; restart
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            continue
-        lam = float(x @ y)
-        estimate = abs(lam)
-        if np.linalg.norm(y - lam * x) <= tol * max(1.0, ny):
-            return PowerIterationResult(radius=estimate, iterations=it, converged=True)
-        z = m @ y
-        basis = np.column_stack([y, x])
-        coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-        roots = np.roots([1.0, -coef[0], -coef[1]])
-        estimate = float(np.abs(roots).max())
-        if np.linalg.norm(z - basis @ coef) <= tol * max(1.0, np.linalg.norm(z)):
-            return PowerIterationResult(radius=estimate, iterations=it, converged=True)
-        nz = np.linalg.norm(z)
-        x = z / nz if nz > 0.0 else y / ny
-    return PowerIterationResult(radius=estimate, iterations=max_iter, converged=False)
+    def matvec(x):
+        nonlocal applications
+        applications += 1
+        return op.matvec(x)
+
+    counted = LinearOperator(op.shape, matvec=matvec, dtype=float)
+    rng = np.random.default_rng(0)
+    vals = eigs(
+        counted,
+        k=min(6, n - 2),
+        which="LM",
+        tol=0,
+        v0=rng.standard_normal(n),
+        maxiter=max_iter,
+        return_eigenvectors=False,
+        rng=rng,
+    )
+    return float(np.abs(vals).max()), applications
 
 
-def spectral_radius(
-    m: np.ndarray,
-    method: str = "dense",
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    seed: int = 0,
-) -> float:
+def _dense_radius(m: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
+def spectral_radius(m: np.ndarray, method: str = "dense", max_iter: int | None = None) -> float:
     """Spectral radius of a square matrix.
 
     ``method='dense'`` takes the maximum modulus over the full eigenvalue
-    set (authoritative at desk scale).  ``method='power'`` runs
-    :func:`power_iteration_radius` and raises
-    :class:`PowerIterationNonConvergence` when the cap is exceeded, so
-    callers can fall back to the dense route explicitly.
+    set (authoritative at desk scale).  ``method='power'`` asks ARPACK for
+    the eigenvalues of largest modulus, with ``max_iter`` capping its
+    restarts, and raises :class:`PowerIterationNonConvergence` when the
+    cap is exceeded, so callers can fall back to the dense route
+    explicitly.  Matrices below 3 x 3, and operators ARPACK cannot
+    iterate on (such as the zero matrix, which annihilates every starting
+    vector), take the dense route under either method.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if method == "dense":
-        return float(np.abs(np.linalg.eigvals(m)).max())
-    if method == "power":
-        res = power_iteration_radius(m, tol=tol, max_iter=max_iter, seed=seed)
-        if not res.converged:
+    if method not in ("dense", "power"):
+        raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
+    if method == "power" and m.shape[0] >= 3:
+        try:
+            return _radius(aslinearoperator(m), max_iter)[0]
+        except ArpackNoConvergence as exc:
             raise PowerIterationNonConvergence(
-                f"power iteration did not reach tolerance {tol:g} "
-                f"within {max_iter} iterations (last estimate {res.radius:.6e})",
-                res,
-            )
-        return res.radius
-    raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
+                f"ARPACK did not converge within {max_iter} restarts: {exc}"
+            ) from exc
+        except ArpackError:
+            pass
+    return _dense_radius(m)
 
 
 def _asymmetry(a: np.ndarray) -> float:
@@ -405,8 +389,26 @@ def _centered_radius(eigs: np.ndarray) -> float:
     return float(np.abs(rest).max(initial=0.0))
 
 
-def _spectral_report(pair: SmootherPair, method: str) -> tuple[SpectralReport, np.ndarray]:
-    """The spectral report and the product S2* S1* it was computed from."""
+def _product_operator(pair: SmootherPair) -> LinearOperator:
+    """S2* S1* as x -> c(S2 c(S1 x)) with c(z) = z - mean(z), never formed."""
+    s1, s2 = pair.s1, pair.s2
+
+    def matvec(x):
+        z = s1 @ x
+        z = s2 @ (z - z.mean())
+        return z - z.mean()
+
+    return LinearOperator((pair.n, pair.n), matvec=matvec, dtype=float)
+
+
+def _spectral_report(
+    pair: SmootherPair, method: str
+) -> tuple[SpectralReport, np.ndarray | None]:
+    """The spectral report, and the product S2* S1* if it was formed.
+
+    The product is formed only on the dense route: for ``method="dense"``,
+    for n < 3, and when ARPACK fails on the matrix-free product.
+    """
     eigs_s1 = _smoother_spectrum(pair.s1)
     top = eigs_s1[np.argmax(np.abs(eigs_s1))]
     simple = int(np.sum(np.abs(eigs_s1 - top) <= 1e-8)) == 1
@@ -415,17 +417,17 @@ def _spectral_report(pair: SmootherPair, method: str) -> tuple[SpectralReport, n
     rho_s1_star = _centered_radius(eigs_s1)
     rho_s2_star = _centered_radius(_smoother_spectrum(pair.s2))
 
-    product = pair.s2_star @ pair.s1_star
-    used = method
-    iterations = 0
-    if method == "power":
-        res = power_iteration_radius(product)
-        if res.converged:
-            rho_product, iterations = res.radius, res.iterations
-        else:
-            used = "dense"
+    product = None
+    used, iterations = "dense", 0
+    if method == "power" and pair.n >= 3:
+        try:
+            rho_product, iterations = _radius(_product_operator(pair))
+            used = "power"
+        except ArpackError:  # including ArpackNoConvergence
+            pass
     if used == "dense":
-        rho_product = float(np.abs(np.linalg.eigvals(product)).max())
+        product = pair.s2_star @ pair.s1_star
+        rho_product = _dense_radius(product)
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
@@ -481,6 +483,8 @@ def certify(
             )
     else:
         verdict = Verdict.NOT_CERTIFIED
+        if product is None:
+            product = pair.s2_star @ pair.s1_star
         system = np.negative(product, out=product)  # I - S2* S1*, in place
         system[np.diag_indices(pair.n)] += 1.0
         try:

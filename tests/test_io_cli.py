@@ -279,6 +279,9 @@ class TestCliCertify:
         assert cert["regular_s1"] and cert["regular_s2"]
         assert cert["spectral"]["rho_product"] < 1.0
         assert cert["spectral"]["top_eigenvalue_s1"]["simple"] is True
+        # the CLI defaults to the matrix-free ARPACK route
+        assert report["provenance"]["config"]["options"]["method"] == "power"
+        assert cert["spectral"]["method"] == "power"
 
 
 class TestCliSimulate:

@@ -1,11 +1,13 @@
 """Gap conditions, chain regularity, spectral radii, certification."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from nwbackfit import spectral
 from nwbackfit.kernels import (
@@ -15,7 +17,7 @@ from nwbackfit.kernels import (
     PerPointBandwidth,
     RateBandwidth,
 )
-from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate
+from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 from nwbackfit.spectral import (
     PowerIterationNonConvergence,
@@ -23,12 +25,11 @@ from nwbackfit.spectral import (
     certify,
     check_gap_conditions,
     check_regularity,
-    power_iteration_radius,
     spectral_radius,
 )
 from nwbackfit.spectral import _smoother_spectrum, _symmetrized
 
-from conftest import ALL_KERNELS, gap_passing_constant
+from conftest import ALL_KERNELS, gap_passing_constant, two_cluster_dataset
 
 
 def random_stochastic(rng, n, style):
@@ -202,17 +203,12 @@ class TestSpectralRadius:
             )
 
     def test_power_reports_non_convergence(self):
-        # three eigenvalues of equal modulus defeat the two-term recurrence
-        m = np.zeros((3, 3))
-        m[0, 1] = m[1, 2] = m[2, 0] = 1.0
+        # a clustered spectrum needs more than one ARPACK restart
+        m = np.diag(np.linspace(0.9, 1.0, 60))
         with pytest.raises(PowerIterationNonConvergence) as exc:
-            spectral_radius(m, method="power", max_iter=200)
-        assert not exc.value.result.converged
-        assert exc.value.result.iterations == 200
-
-    def test_power_iteration_result_fields(self):
-        res = power_iteration_radius(np.zeros((2, 2)))
-        assert res.converged and res.radius == 0.0 and res.iterations == 0
+            spectral_radius(m, method="power", max_iter=1)
+        assert isinstance(exc.value.__cause__, ArpackNoConvergence)
+        assert spectral_radius(m, method="power") == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -290,9 +286,11 @@ class TestCertify:
         data = generate(spec)
         bw = ConstantBandwidth(1e6)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
-        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
-        assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
-        assert cert.spectral.rho_product <= 1e-14
+        for method in ("dense", "power"):
+            cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method=method)
+            assert cert.spectral.method == method
+            assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
+            assert cert.spectral.rho_product <= 1e-14
 
     def test_spectral_route_when_gaps_fail(self):
         # u splits into two clusters at its bandwidth, but a huge v
@@ -311,16 +309,21 @@ class TestCertify:
         assert cert.verdict is Verdict.CERTIFIED_BY_SPECTRAL_RADIUS
         assert cert.spectral.rho_product < 1e-8
 
-    def test_two_cluster_not_certified(self, uniform_cluster_problem):
+    @pytest.mark.parametrize("method", ["dense", "power"])
+    def test_two_cluster_not_certified(self, uniform_cluster_problem, method):
+        # under "power" the note's condition estimate needs the product,
+        # which is formed only on this path
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
-        cert = certify(pair, kernel, bw, bw, data)
+        cert = certify(pair, kernel, bw, bw, data, method=method)
+        assert cert.spectral.method == method
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert not cert.certified
         assert not cert.regular_s1 and not cert.regular_s2
         assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
         assert cert.spectral.rho_product >= 1.0 - 1e-8
         assert "condition estimate" in cert.notes
+        assert float(cert.notes.split(" is ")[1].split(";")[0]) > 1e12
 
     def test_verdict_invariants_sweep(self):
         for seed in range(12):
@@ -419,12 +422,14 @@ class TestSpectralRoutes:
         assert cert.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-6)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
-        # a reversible pair needs no nonsymmetric work beyond the product;
-        # this fails if the route test stops admitting ordinary smoothers
+        # a reversible pair needs no nonsymmetric work beyond the product
+        # (this fails if the route test stops admitting ordinary
+        # smoothers), and under "power" the product is never formed: the
+        # pair handed to the power route has no centered matrices
         data = generate(SimSpec(n=60, design=BivariateNormal(rho=0.5), seed=64))
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
-        calls = {"eigvals": 0, "power": 0, "components": 0}
+        calls = {"eigvals": 0, "eigs": 0, "components": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -434,17 +439,93 @@ class TestSpectralRoutes:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
-        monkeypatch.setattr(
-            spectral, "power_iteration_radius", counting("power", power_iteration_radius)
-        )
+        monkeypatch.setattr(spectral, "eigs", counting("eigs", spectral.eigs))
         monkeypatch.setattr(
             spectral,
             "connected_components",
             counting("components", spectral.connected_components),
         )
         dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
-        assert calls == {"eigvals": 1, "power": 0, "components": 0}
-        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
+        assert calls == {"eigvals": 1, "eigs": 0, "components": 0}
+        bare = dataclasses.replace(pair, s1_star=None, s2_star=None)
+        power = certify(bare, Kernel.GAUSSIAN, bw, bw, data, method="power")
         assert power.spectral.method == "power"
-        assert calls == {"eigvals": 1, "power": 1, "components": 0}
+        assert power.certified
+        assert power.spectral.iterations > 0
+        assert calls == {"eigvals": 1, "eigs": 1, "components": 0}
         assert dense.regular_s1 and dense.regular_s2
+
+
+class TestArpackRoute:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ArpackNoConvergence("no convergence", np.array([]), np.array([])),
+            ArpackError(-9999),
+        ],
+        ids=["no-convergence", "arpack-error"],
+    )
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch, error):
+        data, kernel, bw_u, bw_v = certified_problem(6)
+        pair = build_pair(data, kernel, bw_u, bw_v)
+        dense = certify(pair, kernel, bw_u, bw_v, data, method="dense")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(spectral, "eigs", failing)
+        power = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        assert power.spectral.method == "dense"
+        assert power.spectral.iterations == 0
+        assert power.spectral.rho_product == dense.spectral.rho_product
+        assert power.verdict is dense.verdict
+
+    def test_two_points_take_dense_route(self):
+        data = Dataset(y=np.array([0.0, 1.0]), u=np.array([0.0, 1.0]), v=np.array([0.5, 0.2]))
+        bw = ConstantBandwidth(0.8)
+        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
+        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
+        dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
+        assert power.spectral.method == "dense"
+        assert power.spectral.rho_product == dense.spectral.rho_product
+        assert power.verdict is dense.verdict
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_parity_sweep(self):
+        # seeded replicates over four kernels and three bandwidth kinds,
+        # with aligned clusters (not certified) and a design correlated at
+        # 0.999 (near-critical): same verdict, radii within 1e-12, and a
+        # bit-identical rerun of the ARPACK route
+        designs = [IndependentUniform(), BivariateNormal(rho=0.5), BivariateNormal(rho=0.999)]
+        rng = np.random.default_rng(65)
+        verdicts = set()
+        near_critical = 0
+        for i in range(504):
+            kernel = ALL_KERNELS[i % 4]
+            kind = (i // 4) % 3
+            n = int(rng.integers(8, 41))
+            if kind == 0 and i % 12 >= 9:
+                data = two_cluster_dataset(
+                    rng, float(rng.uniform(0.2, 0.9)), n_a=n // 2, n_b=n - n // 2
+                )
+            else:
+                data = generate(SimSpec(n=n, design=designs[(i // 12) % 3], seed=i))
+            if kind == 0:
+                bw_u = ConstantBandwidth(max_gap(data.u) * float(rng.uniform(0.7, 2.5)))
+                bw_v = ConstantBandwidth(max_gap(data.v) * float(rng.uniform(0.7, 2.5)))
+            elif kind == 1:
+                bw_u = bw_v = RateBandwidth(float(rng.uniform(0.1, 0.9)))
+            else:
+                bw_u = bw_v = KNearestBandwidth(int(rng.integers(2, 6)))
+            pair = build_pair(data, kernel, bw_u, bw_v)
+            dense = certify(pair, kernel, bw_u, bw_v, data, method="dense")
+            power = certify(pair, kernel, bw_u, bw_v, data, method="power")
+            again = certify(pair, kernel, bw_u, bw_v, data, method="power")
+            assert power.spectral.method == "power", i
+            assert power.verdict is dense.verdict, i
+            assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
+            assert again.spectral == power.spectral, i
+            verdicts.add(dense.verdict)
+            near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
+        assert verdicts == set(Verdict)
+        assert near_critical >= 10
