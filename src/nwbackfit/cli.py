@@ -238,7 +238,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
             "sd * n^-delta with 0<delta<1, or knn:<k> (default: rate:0.2)"
         ),
     )
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p.add_argument(
         "--out", default=None, help="output directory for reports (default: current dir)"
     )
@@ -326,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--m2-fn", default="cubic", help="component function for v (default: cubic)"
     )
     p_sim.add_argument("--alpha", type=float, default=0.0, help="generator intercept")
+    p_sim.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p_sim.add_argument(
         "--gap-only",
         action="store_true",

@@ -6,19 +6,21 @@ Fits y = alpha + m1(u) + m2(v) + noise by solving the normal equations
 
 either by alternating updates (Gauss-Seidel or Jacobi sweeps) or by one
 dense linear solve of (I - S2* S1*) m2 = S2* (I - S1*) y followed by
-back-substitution into the first equation.  The centered smoothers
+back-substitution into the first equation.  The centered smoothers are
+applied and formed by :class:`~nwbackfit.smoothers.SmootherPair`; they
 annihilate constants, so the intercept separates as alpha = mean(y) and
 both component fits are mean-zero by construction.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
-from .kernels import BandwidthSpec, ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
+from .kernels import BandwidthSpec, Kernel
 from .smoothers import Dataset, SmootherPair
 
 __all__ = [
@@ -98,8 +100,8 @@ def normal_equation_residual(
 ) -> float:
     """Summed infinity-norm residual of the two normal equations."""
     y = np.asarray(y, dtype=float)
-    r1 = m1 - pair.s1_star @ (y - m2)
-    r2 = m2 - pair.s2_star @ (y - m1)
+    r1 = m1 - pair.apply_s1_star(y - m2)
+    r2 = m2 - pair.apply_s2_star(y - m1)
     return float(np.abs(r1).max() + np.abs(r2).max())
 
 
@@ -148,9 +150,9 @@ def backfit_iterative(
     m2 = np.zeros(pair.n)
     delta = np.inf
     for it in range(1, max_iter + 1):
-        m1_new = pair.s1_star @ (y - m2)
+        m1_new = pair.apply_s1_star(y - m2)
         source = m1_new if sweep == "gauss-seidel" else m1
-        m2_new = pair.s2_star @ (y - source)
+        m2_new = pair.apply_s2_star(y - source)
         delta = max(
             float(np.abs(m1_new - m1).max()),
             float(np.abs(m2_new - m2).max()),
@@ -176,16 +178,29 @@ def backfit_iterative(
     )
 
 
+def identity_minus(product: np.ndarray) -> np.ndarray:
+    """Turn ``product`` into I - product in place and return it."""
+    system = np.negative(product, out=product)
+    system[np.diag_indices(len(system))] += 1.0
+    return system
+
+
 def lu_condition(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """LU factors of a square system and its 1-norm condition estimate.
 
     Returns ``(lu, piv, cond)`` with ``cond = 1 / rcond`` from LAPACK
     ``gecon`` on the factors (infinite when ``rcond`` is 0), which costs
-    O(n^2) beyond the factorization.  Raises :class:`SingularSystemError`
+    O(n^2) beyond the factorization.  An exactly singular system factors
+    without the ``LinAlgWarning`` of ``lu_factor``, since its infinite
+    ``cond`` already reports it.  Raises :class:`SingularSystemError`
     when ``gecon`` reports failure.
     """
     anorm = float(np.linalg.norm(system, 1))
-    lu, piv = lu_factor(system)
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"Diagonal number \d+ is exactly zero", LinAlgWarning
+        )
+        lu, piv = lu_factor(system)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0:
@@ -204,7 +219,7 @@ def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
     1e12 raise :class:`SingularSystemError` instead of returning noise.
     """
     y = _check_y(pair, y)
-    lu, piv, cond = lu_condition(np.eye(pair.n) - pair.s2_star @ pair.s1_star)
+    lu, piv, cond = lu_condition(identity_minus(pair.star_product()))
     if cond > CONDITION_LIMIT:
         raise SingularSystemError(
             f"(I - S2* S1*) is singular or near-singular "
@@ -212,9 +227,9 @@ def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
             "the dataset is likely not certified",
             cond,
         )
-    rhs = pair.s2_star @ (y - pair.s1_star @ y)
+    rhs = pair.apply_s2_star(y - pair.apply_s1_star(y))
     m2 = lu_solve((lu, piv), rhs)
-    m1 = pair.s1_star @ (y - m2)
+    m1 = pair.apply_s1_star(y - m2)
     return FitResult(
         alpha_hat=float(y.mean()),
         m1_hat=m1,
@@ -224,26 +239,6 @@ def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
         iterations=0,
         final_delta=0.0,
         residual_normal_eq=normal_equation_residual(pair, y, m1, m2),
-    )
-
-
-def _query_bandwidth(bw: BandwidthSpec, x: np.ndarray, at: float) -> float:
-    """Bandwidth to use at an off-sample query point."""
-    if isinstance(bw, ConstantBandwidth):
-        return bw.h
-    if isinstance(bw, RateBandwidth):
-        return bw.realize(x).h
-    if isinstance(bw, KNearestBandwidth):
-        dists = np.sort(np.abs(x - at))
-        if bw.k > len(x):
-            raise ValueError(f"k={bw.k} exceeds the sample size {len(x)}")
-        h = float(dists[bw.k - 1])  # distance to the k-th nearest sample point
-        if h <= 0.0:
-            raise ValueError(f"k={bw.k} nearest sample points coincide with the query")
-        return h
-    raise ValueError(
-        f"bandwidth spec {type(bw).__name__} has no off-sample rule; "
-        "use a constant, rate, or k-nearest spec for prediction"
     )
 
 
@@ -269,7 +264,7 @@ def predict(
     out = fit.alpha_hat
     for x, comp, q, label in ((data.u, fit.m1_hat, u, "u"), (data.v, fit.m2_hat, v, "v")):
         bw = bw_u if label == "u" else bw_v
-        h = _query_bandwidth(bw, x, q)
+        h = bw.off_sample(x, q)
         w = kernel.evaluate((q - x) / h) / h
         total = w.sum()
         if total <= 0.0:

@@ -138,7 +138,10 @@ def weight_row(kernel: Kernel, x: np.ndarray, i: int, h_i: float) -> np.ndarray:
 # Bandwidth specifications
 # ---------------------------------------------------------------------------
 # Every spec resolves against a coordinate vector to a strictly positive
-# per-point bandwidth array of matching length.
+# per-point bandwidth array of matching length.  ``off_sample(x, at)`` gives
+# the bandwidth at a query point off the sample x (for prediction), and
+# ``known_constant(n)`` the common bandwidth when it is fixed before the
+# data are seen (for the analytic gap bound), else None.
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,12 @@ class ConstantBandwidth:
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
         return np.full(len(x), float(self.h))
+
+    def off_sample(self, x: np.ndarray, at: float) -> float:
+        return self.h
+
+    def known_constant(self, n: int) -> float | None:
+        return self.h
 
     def describe(self) -> str:
         return f"h={self.h:g}"
@@ -177,6 +186,15 @@ class PerPointBandwidth:
                 f"per-point bandwidth length {len(self.h)} does not match sample size {len(x)}"
             )
         return self.h.copy()
+
+    def off_sample(self, x: np.ndarray, at: float) -> float:
+        raise ValueError(
+            f"bandwidth spec {type(self).__name__} has no off-sample rule; "
+            "use a constant, rate, or k-nearest spec for prediction"
+        )
+
+    def known_constant(self, n: int) -> float | None:
+        return None
 
     def describe(self) -> str:
         return f"per-point (n={len(self.h)})"
@@ -213,6 +231,18 @@ class KNearestBandwidth:
             )
         return h
 
+    def off_sample(self, x: np.ndarray, at: float) -> float:
+        dists = np.sort(np.abs(x - at))
+        if self.k > len(x):
+            raise ValueError(f"k={self.k} exceeds the sample size {len(x)}")
+        h = float(dists[self.k - 1])  # distance to the k-th nearest sample point
+        if h <= 0.0:
+            raise ValueError(f"k={self.k} nearest sample points coincide with the query")
+        return h
+
+    def known_constant(self, n: int) -> float | None:
+        return None
+
     def describe(self) -> str:
         return f"knn k={self.k}"
 
@@ -247,6 +277,12 @@ class RateBandwidth:
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
         return self.realize(x).resolve(x)
+
+    def off_sample(self, x: np.ndarray, at: float) -> float:
+        return self.realize(x).h
+
+    def known_constant(self, n: int) -> float | None:
+        return None if self.sd_scale else self.scale * n ** (-self.delta)
 
     def describe(self) -> str:
         sd = " * sd" if self.sd_scale else ""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BandwidthSpec, ConstantBandwidth, Kernel, RateBandwidth
+from .kernels import BandwidthSpec, Kernel
 from .smoothers import Dataset, build_pair
 from .spectral import certify, check_gap_conditions
 
@@ -267,15 +267,6 @@ class MonteCarloReport:
         }
 
 
-def _deterministic_constant(bw: BandwidthSpec, n: int) -> float | None:
-    """Constant bandwidth value known before seeing data, else None."""
-    if isinstance(bw, ConstantBandwidth):
-        return bw.h
-    if isinstance(bw, RateBandwidth) and not bw.sd_scale:
-        return bw.scale * n ** (-bw.delta)
-    return None
-
-
 def run_monte_carlo(
     spec: SimSpec,
     kernel: Kernel,
@@ -326,8 +317,8 @@ def run_monte_carlo(
 
     analytic: float | None = None
     if isinstance(spec.design, IndependentUniform):
-        hu = _deterministic_constant(bw_u, spec.n)
-        hv = _deterministic_constant(bw_v, spec.n)
+        hu = bw_u.known_constant(spec.n)
+        hv = bw_v.known_constant(spec.n)
         if hu is not None and hv is not None:
             d = spec.design
             bu = gap_exceedance_bound(spec.n, hu / (d.u_high - d.u_low))

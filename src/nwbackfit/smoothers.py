@@ -1,10 +1,14 @@
-"""Row-stochastic smoother matrices and their mean-centered versions.
+"""Row-stochastic smoother matrices and their mean-centered action.
 
 ``build_smoother`` stacks the Nadaraya-Watson weight rows of one
 coordinate into an n x n row-stochastic matrix.  ``center`` applies the
-mean-removal projector (I - 11^T/n), which enforces the zero-mean
-identification constraint on fitted component vectors.  Rows follow the
-original sample order; the sort permutations live on the dataset.
+mean-removal projector C = I - 11^T/n, which enforces the zero-mean
+identification constraint on fitted component vectors.  The backfitting
+equations use the centered smoothers S* = C S; this module is the one
+place that knows how they are obtained from S: :class:`SmootherPair`
+stores S1 and S2 only and applies, or forms, the centered versions on
+demand.  Rows follow the original sample order; the sort permutations
+live on the dataset.
 """
 
 from __future__ import annotations
@@ -58,13 +62,49 @@ class Dataset:
 
 @dataclass
 class SmootherPair:
-    """Smoother matrices of both coordinates plus their centered versions."""
+    """Row-stochastic smoother matrices S1 (of u) and S2 (of v).
+
+    The centered smoothers S* = C S are rank-one corrections of S and are
+    not stored: the fitters apply them as S* x = S x - mean(S x), and
+    :meth:`star_product` forms S2* S1* when a dense route needs it.
+    ``s1_star`` and ``s2_star`` build a fresh centered copy on every
+    access.
+    """
 
     s1: np.ndarray
     s2: np.ndarray
-    s1_star: np.ndarray
-    s2_star: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.s1.shape[0]
+
+    @property
+    def s1_star(self) -> np.ndarray:
+        return center(self.s1)
+
+    @property
+    def s2_star(self) -> np.ndarray:
+        return center(self.s2)
+
+    def apply_s1_star(self, x: np.ndarray) -> np.ndarray:
+        """S1* x, computed as S1 x - mean(S1 x)."""
+        z = self.s1 @ x
+        return z - z.mean()
+
+    def apply_s2_star(self, x: np.ndarray) -> np.ndarray:
+        """S2* x, computed as S2 x - mean(S2 x)."""
+        z = self.s2 @ x
+        return z - z.mean()
+
+    def star_product(self) -> np.ndarray:
+        """S2* S1*, formed as C (S2 S1) in one fresh n x n array.
+
+        C S2 C = C S2 because S2 is row-stochastic (S2 1 = 1), so the
+        product needs one centering instead of two centered copies.
+        """
+        product = self.s2 @ self.s1
+        product -= product.mean(axis=0)
+        return product
 
 
 def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarray:
@@ -118,7 +158,7 @@ def build_pair(
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,
 ) -> SmootherPair:
-    """Build both coordinate smoothers and their centered versions."""
-    s1 = build_smoother(data.u, kernel, bw_u)
-    s2 = build_smoother(data.v, kernel, bw_v)
-    return SmootherPair(s1=s1, s2=s2, s1_star=center(s1), s2_star=center(s2), n=data.n)
+    """Build the smoothers of both coordinates: S1 from u, S2 from v."""
+    return SmootherPair(
+        s1=build_smoother(data.u, kernel, bw_u), s2=build_smoother(data.v, kernel, bw_v)
+    )

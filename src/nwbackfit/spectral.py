@@ -53,7 +53,7 @@ from scipy.sparse.linalg import (
     eigs,
 )
 
-from .fitting import SingularSystemError, lu_condition
+from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
 from .smoothers import Dataset, SmootherPair
 
@@ -391,14 +391,11 @@ def _centered_radius(eigs: np.ndarray) -> float:
 
 def _product_operator(pair: SmootherPair) -> LinearOperator:
     """S2* S1* as x -> c(S2 c(S1 x)) with c(z) = z - mean(z), never formed."""
-    s1, s2 = pair.s1, pair.s2
-
-    def matvec(x):
-        z = s1 @ x
-        z = s2 @ (z - z.mean())
-        return z - z.mean()
-
-    return LinearOperator((pair.n, pair.n), matvec=matvec, dtype=float)
+    return LinearOperator(
+        (pair.n, pair.n),
+        matvec=lambda x: pair.apply_s2_star(pair.apply_s1_star(x)),
+        dtype=float,
+    )
 
 
 def _spectral_report(
@@ -426,7 +423,7 @@ def _spectral_report(
         except ArpackError:  # including ArpackNoConvergence
             pass
     if used == "dense":
-        product = pair.s2_star @ pair.s1_star
+        product = pair.star_product()
         rho_product = _dense_radius(product)
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
@@ -484,11 +481,9 @@ def certify(
     else:
         verdict = Verdict.NOT_CERTIFIED
         if product is None:
-            product = pair.s2_star @ pair.s1_star
-        system = np.negative(product, out=product)  # I - S2* S1*, in place
-        system[np.diag_indices(pair.n)] += 1.0
+            product = pair.star_product()
         try:
-            cond = lu_condition(system)[2]
+            cond = lu_condition(identity_minus(product))[2]
         except SingularSystemError as exc:
             cond = exc.condition_estimate
         notes = (

@@ -1,6 +1,7 @@
 """Iterative and direct backfitting, their agreement, and prediction."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from nwbackfit.kernels import (
     PerPointBandwidth,
     RateBandwidth,
 )
-from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate
+from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, build_pair
 from nwbackfit.spectral import Verdict, certify
+
+from conftest import two_cluster_dataset
 
 
 def gaussian_problem(seed, n=60, rho=None):
@@ -99,6 +102,24 @@ class TestDirectSolve:
         pair = build_pair(data, kernel, bw, bw)
         with pytest.raises(SingularSystemError) as exc:
             backfit_direct(pair, data.y)
+        assert exc.value.condition_estimate > 1e12
+
+    @pytest.mark.parametrize("seed", [1, 20])
+    def test_exactly_singular_system_warns_nothing(self, seed):
+        # aligned clusters whose I - S2* S1* factors with an exactly zero
+        # pivot (seed 1 when the product is formed from centered copies,
+        # seed 20 when it is centered once): the infinite condition
+        # estimate reports it, so lu_factor's LinAlgWarning must not escape
+        rng = np.random.default_rng(seed)
+        data = two_cluster_dataset(rng, rng.uniform(0.2, 0.9))
+        bw = ConstantBandwidth(0.8 * max_gap(data.u))
+        pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="dense")
+            with pytest.raises(SingularSystemError) as exc:
+                backfit_direct(pair, data.y)
+        assert cert.verdict is Verdict.NOT_CERTIFIED
         assert exc.value.condition_estimate > 1e12
 
 

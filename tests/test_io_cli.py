@@ -188,7 +188,7 @@ class TestCliFit:
     def test_byte_identical_reruns(self, sample_csv, tmp_path):
         path, _ = sample_csv
         out = tmp_path / "out"
-        args = ["fit", "--input", str(path), "--out", str(out), "--seed", "3"]
+        args = ["fit", "--input", str(path), "--out", str(out)]
         assert main(args) == 0
         first = (out / "fit.json").read_bytes(), (out / "curves.csv").read_bytes()
         assert main(args) == 0
@@ -208,6 +208,14 @@ class TestCliExitCodes:
     def test_parse_error_bad_bandwidth(self, sample_csv):
         path, _ = sample_csv
         assert main(["certify", "--input", str(path), "--bandwidth", "rate:7"]) == 2
+
+    @pytest.mark.parametrize("subcommand", ["fit", "certify"])
+    def test_seed_only_on_simulate(self, sample_csv, tmp_path, subcommand):
+        # fit and certify draw nothing at random, so they take no --seed
+        path, _ = sample_csv
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--input", str(path), "--out", str(tmp_path), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_non_convergence(self, tmp_path):
         rng = np.random.default_rng(11)

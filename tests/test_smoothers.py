@@ -155,14 +155,23 @@ class TestBuildPair:
         assert np.abs(pair.s2_star).max() <= 1e-14
 
     def test_star_matrices_match_center(self):
+        # the pair stores S1 and S2 only; its centered apply and formed
+        # product agree with the explicitly centered matrices
         rng = np.random.default_rng(43)
         data = random_dataset(rng, 16)
-        pair = build_pair(
-            data, Kernel.GAUSSIAN, RateBandwidth(0.2), RateBandwidth(0.2)
-        )
-        assert_allclose(pair.s1_star, center(pair.s1), atol=0.0)
-        assert_allclose(pair.s2_star, center(pair.s2), atol=0.0)
-        assert pair.n == data.n
+        x = rng.normal(size=data.n)
+        for kernel in ALL_KERNELS:
+            for bw in (ConstantBandwidth(0.9), RateBandwidth(0.2), KNearestBandwidth(3)):
+                pair = build_pair(data, kernel, bw, bw)
+                assert set(vars(pair)) == {"s1", "s2"}
+                assert_allclose(pair.s1_star, center(pair.s1), atol=0.0)
+                assert_allclose(pair.s2_star, center(pair.s2), atol=0.0)
+                assert pair.n == data.n
+                assert_allclose(pair.apply_s1_star(x), center(pair.s1) @ x, rtol=0, atol=1e-14)
+                assert_allclose(pair.apply_s2_star(x), center(pair.s2) @ x, rtol=0, atol=1e-14)
+                assert_allclose(
+                    pair.star_product(), pair.s2_star @ pair.s1_star, rtol=0, atol=1e-14
+                )
 
     def test_mixed_bandwidth_specs(self):
         rng = np.random.default_rng(44)

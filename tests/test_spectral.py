@@ -1,6 +1,5 @@
 """Gap conditions, chain regularity, spectral radii, certification."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -425,7 +424,7 @@ class TestSpectralRoutes:
         # a reversible pair needs no nonsymmetric work beyond the product
         # (this fails if the route test stops admitting ordinary
         # smoothers), and under "power" the product is never formed: the
-        # pair handed to the power route has no centered matrices
+        # pair's product-forming method raises once the dense run is done
         data = generate(SimSpec(n=60, design=BivariateNormal(rho=0.5), seed=64))
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
@@ -447,8 +446,12 @@ class TestSpectralRoutes:
         )
         dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
         assert calls == {"eigvals": 1, "eigs": 0, "components": 0}
-        bare = dataclasses.replace(pair, s1_star=None, s2_star=None)
-        power = certify(bare, Kernel.GAUSSIAN, bw, bw, data, method="power")
+
+        def unformed():
+            raise AssertionError("the power route formed S2* S1*")
+
+        monkeypatch.setattr(pair, "star_product", unformed)
+        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
         assert power.spectral.method == "power"
         assert power.certified
         assert power.spectral.iterations > 0
@@ -490,7 +493,6 @@ class TestArpackRoute:
         assert power.spectral.rho_product == dense.spectral.rho_product
         assert power.verdict is dense.verdict
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_parity_sweep(self):
         # seeded replicates over four kernels and three bandwidth kinds,
         # with aligned clusters (not certified) and a design correlated at
