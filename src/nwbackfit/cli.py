@@ -3,7 +3,10 @@
 Subcommands: ``fit`` (read a CSV, fit the additive model, emit JSON +
 curve CSV), ``certify`` (emit a convergence certificate JSON),
 ``simulate`` (replicated Monte-Carlo study), ``bound`` (print analytic
-max-gap exceedance bounds).  All reports embed a provenance block
+max-gap exceedance bounds).  Certificates take rho(S2* S1*) from
+ARPACK on the unformed product; when ARPACK fails, or n < 3, they use the
+dense eigenvalues of the formed product and ``spectral.fallback`` in the
+report says why.  All reports embed a provenance block
 (package and library versions plus the full config echo) and carry no
 timestamps, so identical invocations produce byte-identical files.
 
@@ -57,13 +60,6 @@ EXIT_SINGULAR = 5
 
 KERNEL_CHOICES = ["uniform", "epanechnikov", "triangular", "gaussian"]
 
-METHOD_HELP = (
-    "how rho(S2* S1*) is computed: power runs ARPACK on the product "
-    "without forming it and falls back to dense if ARPACK fails; dense "
-    "forms the product and takes all its eigenvalues (default: power)"
-)
-
-
 class NotCertifiedError(RuntimeError):
     """Raised when --require-certificate is set and certification fails."""
 
@@ -115,7 +111,7 @@ def _load_problem(args: argparse.Namespace):
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     data, kernel, bw, pair = _load_problem(args)
-    cert = certify(pair, kernel, bw, bw, data, method=args.method)
+    cert = certify(pair, kernel, bw, bw, data, method="power")
     if args.require_certificate and not cert.certified:
         raise NotCertifiedError(cert.notes)
     if args.solver == "direct":
@@ -144,7 +140,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     data, kernel, bw, pair = _load_problem(args)
-    cert = certify(pair, kernel, bw, bw, data, method=args.method)
+    cert = certify(pair, kernel, bw, bw, data, method="power")
     out = _out_dir(args)
     report = {
         "provenance": _provenance(RunConfig.from_args(args)),
@@ -187,7 +183,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         bw,
         replicates=args.replicates,
         certify_replicates=not args.gap_only,
-        method=args.method,
     )
     out = _out_dir(args)
     payload = {
@@ -274,12 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterative backfitting or one dense linear solve",
     )
     p_fit.add_argument(
-        "--method",
-        choices=["power", "dense"],
-        default="power",
-        help=METHOD_HELP,
-    )
-    p_fit.add_argument(
         "--require-certificate",
         action="store_true",
         help="exit with status 4 instead of fitting when not certified",
@@ -289,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify backfitting convergence for a CSV file")
     p_cert.add_argument("--input", required=True, help="CSV file with header y,u,v")
     _add_model_flags(p_cert)
-    p_cert.add_argument(
-        "--method",
-        choices=["power", "dense"],
-        default="power",
-        help=METHOD_HELP,
-    )
     p_cert.add_argument(
         "--require-certificate",
         action="store_true",
@@ -330,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--gap-only",
         action="store_true",
         help="skip per-replicate certification; report gap conditions only",
-    )
-    p_sim.add_argument(
-        "--method",
-        choices=["power", "dense"],
-        default="power",
-        help=METHOD_HELP,
     )
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -1,6 +1,6 @@
 # kernels.py
-# Kernel shapes, scaled evaluation, and Nadaraya-Watson weight rows.
-# Conventions:
+# Kernel shapes and bandwidth specifications.
+# Conventions (the smoother rows of smoothers.build_smoother):
 #   K_h(t) = K(t / h) / h          for bandwidth h > 0
 #   weight row of point i:  w_ik = K_{h_i}(x_i - x_k) / sum_j K_{h_i}(x_i - x_j)
 # Every supported shape is symmetric with K(0) > 0, so the self-weight
@@ -21,8 +21,6 @@ __all__ = [
     "RateBandwidth",
     "BandwidthSpec",
     "parse_bandwidth",
-    "eval_scaled",
-    "weight_row",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -82,56 +80,6 @@ class Kernel(enum.Enum):
             out = np.exp(-0.5 * t * t) / _SQRT_2PI
         out = np.where(out < ZERO_THRESHOLD, 0.0, out)
         return out
-
-
-def eval_scaled(kernel: Kernel, t, h: float) -> np.ndarray:
-    """Evaluate the bandwidth-scaled kernel K_h(t) = K(t/h)/h.
-
-    Parameters
-    ----------
-    kernel : Kernel
-        Kernel shape.
-    t : array_like
-        Evaluation points.
-    h : float
-        Bandwidth, strictly positive.
-
-    Returns
-    -------
-    ndarray
-        Nonnegative values of K(t/h)/h.
-    """
-    h = float(h)
-    if not h > 0.0 or not np.isfinite(h):
-        raise ValueError(f"bandwidth must be a positive finite number, got {h}")
-    return kernel.evaluate(np.asarray(t, dtype=float) / h) / h
-
-
-def weight_row(kernel: Kernel, x: np.ndarray, i: int, h_i: float) -> np.ndarray:
-    """Normalised kernel weights of sample point i against all sample points.
-
-    Parameters
-    ----------
-    kernel : Kernel
-        Kernel shape.
-    x : ndarray, shape (n,)
-        Sample coordinates.
-    i : int
-        Index of the target point.
-    h_i : float
-        Bandwidth used at point i, strictly positive.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-        Probability vector: entries >= 0 summing to 1, with entry i > 0.
-    """
-    x = np.asarray(x, dtype=float)
-    raw = eval_scaled(kernel, x[int(i)] - x, h_i)
-    total = raw.sum()
-    if not total > 0.0:
-        raise ValueError(f"weight row {i} has zero total kernel mass (h={h_i})")
-    return raw / total
 
 
 # ---------------------------------------------------------------------------

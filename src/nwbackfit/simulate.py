@@ -274,18 +274,18 @@ def run_monte_carlo(
     bw_v: BandwidthSpec,
     replicates: int,
     certify_replicates: bool = True,
-    method: str = "power",
 ) -> MonteCarloReport:
     """Replicated gap-condition and certification study.
 
     Each replicate draws a fresh dataset from ``spec`` (replicate index
     mixed into the seed) and, unless ``certify_replicates`` is off, builds
-    the smoother pair and runs full certification, whose adjacent-gap
-    reports give the row's gap fields; a gap-only study checks the gap
-    conditions directly.  ``analytic_bound`` is the
-    two-coordinate union bound on P(some max gap >= h), available only
-    for the uniform design with bandwidths that are deterministic
-    constants (possibly above 1, in which case it is vacuous).
+    the smoother pair and runs full certification (ARPACK on the product,
+    with its dense fallback), whose adjacent-gap reports give the row's
+    gap fields; a gap-only study checks the gap conditions directly.
+    ``analytic_bound`` is the two-coordinate union bound on P(some max
+    gap >= h), available only for the uniform design with bandwidths that
+    are deterministic constants (possibly above 1, in which case it is
+    vacuous).
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -296,7 +296,7 @@ def run_monte_carlo(
         rho: float | None = None
         if certify_replicates:
             pair = build_pair(data, kernel, bw_u, bw_v)
-            cert = certify(pair, kernel, bw_u, bw_v, data, method=method)
+            cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
             report_u, report_v = cert.gap_u, cert.gap_v
             certified = cert.certified
             rho = cert.spectral.rho_product

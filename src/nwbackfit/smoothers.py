@@ -111,7 +111,8 @@ def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarr
     """Assemble the row-stochastic smoother matrix of one coordinate.
 
     Row i holds the normalised kernel weights of point i at bandwidth
-    h_i, i.e. equals ``weight_row(kernel, x, i, h_i)``.
+    h_i: w_ik = K_{h_i}(x_i - x_k) / sum_j K_{h_i}(x_i - x_j), with
+    K_h(t) = K(t / h) / h.
 
     Parameters
     ----------

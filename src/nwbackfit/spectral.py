@@ -30,10 +30,15 @@ eigendecomposition.  The spectrum gives the top eigenvalue of S1, its
 simplicity, and rho(S*) exactly: S* = S - 1 (1^T S / n) is a rank-one
 (Brauer) deflation of the unit eigenvalue, so the spectrum of S* is that
 of S with one eigenvalue 1 replaced by 0.  Only the product S2* S1* needs
-a nonsymmetric solver: a dense eigendecomposition of the formed product,
-or ARPACK on the operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), which
-never forms it (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).
-ARPACK falls back to the dense route when it fails or n < 3.
+a nonsymmetric solver.  ``certify(method="power")``, which the command
+line always uses, runs ARPACK on the operator x -> c(S2 c(S1 x)),
+c(z) = z - mean(z), which never forms the product (Lehoucq, Sorensen &
+Yang, ARPACK Users' Guide, 1998); when ARPACK fails or n < 3 it forms the
+product and takes the dense radius instead, and the report's
+``fallback`` says why.  ``method="dense"``, the library default, always
+takes the dense radius of the formed product, as does
+:func:`spectral_radius` for any square matrix; they are the reference
+the ARPACK route is tested against.
 """
 
 from __future__ import annotations
@@ -45,13 +50,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    aslinearoperator,
-    eigs,
-)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
@@ -62,7 +61,6 @@ __all__ = [
     "SpectralReport",
     "Verdict",
     "ConvergenceCertificate",
-    "PowerIterationNonConvergence",
     "check_gap_conditions",
     "check_regularity",
     "spectral_radius",
@@ -117,8 +115,11 @@ class SpectralReport:
     matrix-free product, "dense" for the dense eigendecomposition of the
     formed product, including after an ARPACK failure or for n < 3), and
     ``iterations`` counts ARPACK's applications of the product operator
-    (0 for "dense").  ``perron_vector_check`` is the residual
-    ||S1 theta - theta|| for the unit constant vector theta = 1/sqrt(n).
+    (0 for "dense").  ``fallback`` says why a power run took the dense
+    route: "n < 3", or "<exception class>: <message>" for the ARPACK
+    error; it is None when ARPACK converged and when dense was asked
+    for.  ``perron_vector_check`` is the residual ||S1 theta - theta||
+    for the unit constant vector theta = 1/sqrt(n).
     """
 
     rho_s1_star: float
@@ -129,6 +130,7 @@ class SpectralReport:
     perron_vector_check: float
     method: str
     iterations: int
+    fallback: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +146,7 @@ class SpectralReport:
             "perron_vector_check": self.perron_vector_check,
             "method": self.method,
             "iterations": self.iterations,
+            "fallback": self.fallback,
         }
 
 
@@ -264,75 +267,17 @@ def check_regularity(s: np.ndarray) -> bool:
     return _graph_period(adj) == 1
 
 
-class PowerIterationNonConvergence(RuntimeError):
-    """ARPACK did not converge within its restart cap."""
+def spectral_radius(m: np.ndarray) -> float:
+    """Spectral radius of a square matrix, from all its eigenvalues.
 
-
-def _radius(op: LinearOperator, max_iter: int | None = None) -> tuple[float, int]:
-    """Largest eigenvalue modulus of ``op`` and how many times ``op`` was applied.
-
-    ARPACK (``eigs``) computes the six eigenvalues of largest modulus to
-    machine precision (``tol=0``).  Its starting vector, and the vectors it
-    draws after finding an invariant subspace, come from a generator
-    seeded here, so reruns are bit-identical.  ``max_iter`` caps the
-    implicit restarts (ARPACK's default is 10n).  Needs n >= 3, since
-    ARPACK needs k <= n - 2.  Raises ``ArpackError``, and its subclass
-    ``ArpackNoConvergence`` when the cap is reached.
-    """
-    n = op.shape[0]
-    applications = 0
-
-    def matvec(x):
-        nonlocal applications
-        applications += 1
-        return op.matvec(x)
-
-    counted = LinearOperator(op.shape, matvec=matvec, dtype=float)
-    rng = np.random.default_rng(0)
-    vals = eigs(
-        counted,
-        k=min(6, n - 2),
-        which="LM",
-        tol=0,
-        v0=rng.standard_normal(n),
-        maxiter=max_iter,
-        return_eigenvectors=False,
-        rng=rng,
-    )
-    return float(np.abs(vals).max()), applications
-
-
-def _dense_radius(m: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvals(m)).max())
-
-
-def spectral_radius(m: np.ndarray, method: str = "dense", max_iter: int | None = None) -> float:
-    """Spectral radius of a square matrix.
-
-    ``method='dense'`` takes the maximum modulus over the full eigenvalue
-    set (authoritative at desk scale).  ``method='power'`` asks ARPACK for
-    the eigenvalues of largest modulus, with ``max_iter`` capping its
-    restarts, and raises :class:`PowerIterationNonConvergence` when the
-    cap is exceeded, so callers can fall back to the dense route
-    explicitly.  Matrices below 3 x 3, and operators ARPACK cannot
-    iterate on (such as the zero matrix, which annihilates every starting
-    vector), take the dense route under either method.
+    The largest modulus over ``numpy.linalg.eigvals(m)``: the dense
+    reference.  Certificates under ``method="power"`` take rho(S2* S1*)
+    from ARPACK and use this only as their fallback.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if method not in ("dense", "power"):
-        raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
-    if method == "power" and m.shape[0] >= 3:
-        try:
-            return _radius(aslinearoperator(m), max_iter)[0]
-        except ArpackNoConvergence as exc:
-            raise PowerIterationNonConvergence(
-                f"ARPACK did not converge within {max_iter} restarts: {exc}"
-            ) from exc
-        except ArpackError:
-            pass
-    return _dense_radius(m)
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 def _asymmetry(a: np.ndarray) -> float:
@@ -389,13 +334,52 @@ def _centered_radius(eigs: np.ndarray) -> float:
     return float(np.abs(rest).max(initial=0.0))
 
 
-def _product_operator(pair: SmootherPair) -> LinearOperator:
-    """S2* S1* as x -> c(S2 c(S1 x)) with c(z) = z - mean(z), never formed."""
-    return LinearOperator(
-        (pair.n, pair.n),
-        matvec=lambda x: pair.apply_s2_star(pair.apply_s1_star(x)),
-        dtype=float,
-    )
+def _product_radius(
+    pair: SmootherPair,
+) -> tuple[float, str, int, np.ndarray | None, str | None]:
+    """rho(S2* S1*) by ARPACK on the unformed product, densely if that fails.
+
+    ARPACK (``eigs``) computes the six eigenvalues of largest modulus of
+    x -> c(S2 c(S1 x)), c(z) = z - mean(z), to machine precision
+    (``tol=0``).  Its starting vector, and the vectors it draws after
+    finding an invariant subspace, come from a generator seeded here, so
+    reruns are bit-identical.  When ARPACK raises ``ArpackError``
+    (including ``ArpackNoConvergence``), or n < 3 (ARPACK needs
+    k <= n - 2), the product is formed and its radius taken by
+    :func:`spectral_radius`.
+
+    Returns the radius, the route ("power" or "dense"), the number of
+    operator applications (0 on the dense route), the product if it was
+    formed, and why the dense route ran (None when ARPACK converged).
+    """
+    n = pair.n
+    applications = 0
+
+    def matvec(x):
+        nonlocal applications
+        applications += 1
+        return pair.apply_s2_star(pair.apply_s1_star(x))
+
+    if n < 3:
+        fallback = "n < 3"
+    else:
+        rng = np.random.default_rng(0)
+        try:
+            vals = eigs(
+                LinearOperator((n, n), matvec=matvec, dtype=float),
+                k=min(6, n - 2),
+                which="LM",
+                tol=0,
+                v0=rng.standard_normal(n),
+                return_eigenvectors=False,
+                rng=rng,
+            )
+        except ArpackError as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
+        else:
+            return float(np.abs(vals).max()), "power", applications, None, None
+    product = pair.star_product()
+    return spectral_radius(product), "dense", 0, product, fallback
 
 
 def _spectral_report(
@@ -404,7 +388,7 @@ def _spectral_report(
     """The spectral report, and the product S2* S1* if it was formed.
 
     The product is formed only on the dense route: for ``method="dense"``,
-    for n < 3, and when ARPACK fails on the matrix-free product.
+    and when :func:`_product_radius` falls back.
     """
     eigs_s1 = _smoother_spectrum(pair.s1)
     top = eigs_s1[np.argmax(np.abs(eigs_s1))]
@@ -414,17 +398,11 @@ def _spectral_report(
     rho_s1_star = _centered_radius(eigs_s1)
     rho_s2_star = _centered_radius(_smoother_spectrum(pair.s2))
 
-    product = None
-    used, iterations = "dense", 0
-    if method == "power" and pair.n >= 3:
-        try:
-            rho_product, iterations = _radius(_product_operator(pair))
-            used = "power"
-        except ArpackError:  # including ArpackNoConvergence
-            pass
-    if used == "dense":
+    if method == "power":
+        rho_product, used, iterations, product, fallback = _product_radius(pair)
+    else:
         product = pair.star_product()
-        rho_product = _dense_radius(product)
+        rho_product, used, iterations, fallback = spectral_radius(product), "dense", 0, None
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
@@ -434,6 +412,7 @@ def _spectral_report(
         perron_vector_check=perron_check,
         method=used,
         iterations=iterations,
+        fallback=fallback,
     )
     return report, product
 

@@ -28,8 +28,7 @@ from nwbackfit.simulate import (
 from nwbackfit.smoothers import build_pair, build_smoother, center
 from nwbackfit.spectral import certify, check_gap_conditions, check_regularity, spectral_radius
 
-from conftest import ALL_KERNELS, gap_passing_constant
-from test_spectral import brute_force_regular, random_stochastic
+from conftest import ALL_KERNELS, brute_force_regular, gap_passing_constant, random_stochastic
 
 
 def report(number, ok, detail):
@@ -250,7 +249,6 @@ def test_criterion_6_density_ratio_fails_while_certificate_passes():
         bw,
         bw,
         replicates=200,
-        method="power",
     )
     ok = sup > 1.0 and mc.fraction_certified >= 0.99
     report(

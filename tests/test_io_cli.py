@@ -217,6 +217,15 @@ class TestCliExitCodes:
             main([subcommand, "--input", str(path), "--out", str(tmp_path), "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("subcommand", ["fit", "certify", "simulate"])
+    def test_no_method_flag(self, sample_csv, tmp_path, subcommand):
+        # rho(S2* S1*) always comes from ARPACK with its dense fallback
+        path, _ = sample_csv
+        source = ["--n", "30"] if subcommand == "simulate" else ["--input", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *source, "--out", str(tmp_path), "--method", "dense"])
+        assert exc.value.code == 2
+
     def test_non_convergence(self, tmp_path):
         rng = np.random.default_rng(11)
         data = two_cluster_dataset(rng, spread=0.8)
@@ -287,9 +296,10 @@ class TestCliCertify:
         assert cert["regular_s1"] and cert["regular_s2"]
         assert cert["spectral"]["rho_product"] < 1.0
         assert cert["spectral"]["top_eigenvalue_s1"]["simple"] is True
-        # the CLI defaults to the matrix-free ARPACK route
-        assert report["provenance"]["config"]["options"]["method"] == "power"
+        # the CLI always takes the matrix-free ARPACK route, with no option
+        assert "method" not in report["provenance"]["config"]["options"]
         assert cert["spectral"]["method"] == "power"
+        assert cert["spectral"]["fallback"] is None
 
 
 class TestCliSimulate:

@@ -12,12 +12,10 @@ from nwbackfit.kernels import (
     KNearestBandwidth,
     PerPointBandwidth,
     RateBandwidth,
-    eval_scaled,
     parse_bandwidth,
-    weight_row,
 )
 
-from conftest import ALL_KERNELS
+from conftest import ALL_KERNELS, eval_scaled, weight_row
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 
-from conftest import ALL_KERNELS, gap_passing_constant
+from conftest import ALL_KERNELS, gap_passing_constant, weight_row
 
 
 def random_dataset(rng, n):
@@ -91,7 +91,7 @@ class TestBuildSmoother:
 
     def test_per_point_bandwidth_rows(self):
         # each row is the normalized kernel slice at its own bandwidth
-        from nwbackfit.kernels import PerPointBandwidth, weight_row
+        from nwbackfit.kernels import PerPointBandwidth
 
         rng = np.random.default_rng(24)
         x = np.sort(rng.uniform(0.0, 1.0, 10))

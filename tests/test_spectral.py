@@ -1,6 +1,7 @@
 """Gap conditions, chain regularity, spectral radii, certification."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,49 +20,21 @@ from nwbackfit.kernels import (
 from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 from nwbackfit.spectral import (
-    PowerIterationNonConvergence,
     Verdict,
     certify,
     check_gap_conditions,
     check_regularity,
     spectral_radius,
 )
-from nwbackfit.spectral import _smoother_spectrum, _symmetrized
+from nwbackfit.spectral import _product_radius, _smoother_spectrum, _symmetrized
 
-from conftest import ALL_KERNELS, gap_passing_constant, two_cluster_dataset
-
-
-def random_stochastic(rng, n, style):
-    """Row-stochastic matrices with varied positivity patterns."""
-    if style == 0:
-        m = rng.random((n, n)) + 1e-3
-    elif style == 1:
-        m = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
-        m[np.arange(n), rng.integers(0, n, n)] += 0.5  # keep every row nonzero
-    elif style == 2:
-        m = np.zeros((n, n))
-        m[np.arange(n), (np.arange(n) + 1) % n] = 1.0  # pure cycle
-    elif style == 3:
-        m = np.zeros((n, n))
-        m[np.arange(n), (np.arange(n) + 1) % n] = 0.7
-        m[np.arange(n), rng.integers(0, n, n)] += 0.3  # cycle plus chords
-    else:
-        k = max(1, n // 2)
-        m = np.zeros((n, n))
-        m[:k, :k] = rng.random((k, k)) + 0.01
-        m[k:, k:] = rng.random((n - k, n - k)) + 0.01  # two blocks
-    return m / m.sum(axis=1, keepdims=True)
-
-
-def brute_force_regular(s):
-    """Reference oracle: some boolean power of the pattern is all-positive."""
-    b = s > 0.0
-    p = np.eye(len(s), dtype=bool)
-    for _ in range(len(s) ** 2):
-        p = p @ b
-        if p.all():
-            return True
-    return False
+from conftest import (
+    ALL_KERNELS,
+    brute_force_regular,
+    gap_passing_constant,
+    random_stochastic,
+    two_cluster_dataset,
+)
 
 
 class TestGapConditions:
@@ -173,7 +146,6 @@ class TestRegularity:
 class TestSpectralRadius:
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4))) == 0.0
-        assert spectral_radius(np.zeros((4, 4)), method="power") == 0.0
 
     def test_stochastic_has_radius_one(self):
         rng = np.random.default_rng(54)
@@ -185,33 +157,29 @@ class TestSpectralRadius:
     def test_hand_two_by_two(self):
         m = np.array([[0.2, -0.2], [-0.2, 0.2]])
         assert spectral_radius(m) == pytest.approx(0.4, abs=1e-12)
-        assert spectral_radius(m, method="power") == pytest.approx(0.4, abs=1e-8)
 
     def test_power_handles_complex_pair(self):
         rot = 0.9 * np.array([[0.0, -1.0], [1.0, 0.0]])
-        assert spectral_radius(rot, method="power") == pytest.approx(0.9, abs=1e-8)
+        assert spectral_radius(rot) == pytest.approx(0.9, abs=1e-8)
 
     def test_power_agrees_with_dense(self):
+        # general nonsymmetric matrices, often with a complex dominant
+        # pair, as the product operator of a stand-in pair
         rng = np.random.default_rng(55)
         for _ in range(25):
             n = int(rng.integers(2, 25))
             m = rng.normal(size=(n, n))
             m *= float(rng.uniform(0.1, 1.5)) / max(np.abs(np.linalg.eigvals(m)).max(), 1e-12)
-            assert spectral_radius(m, method="power") == pytest.approx(
-                spectral_radius(m, method="dense"), abs=1e-7
+            pair = SimpleNamespace(
+                n=n,
+                apply_s1_star=lambda x: x,
+                apply_s2_star=lambda x, m=m: m @ x,
+                star_product=m.copy,
             )
-
-    def test_power_reports_non_convergence(self):
-        # a clustered spectrum needs more than one ARPACK restart
-        m = np.diag(np.linspace(0.9, 1.0, 60))
-        with pytest.raises(PowerIterationNonConvergence) as exc:
-            spectral_radius(m, method="power", max_iter=1)
-        assert isinstance(exc.value.__cause__, ArpackNoConvergence)
-        assert spectral_radius(m, method="power") == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.eye(2), method="qr")
+            rho, used, _, _, fallback = _product_radius(pair)
+            assert used == ("power" if n >= 3 else "dense")
+            assert fallback == (None if n >= 3 else "n < 3")
+            assert rho == pytest.approx(spectral_radius(m), abs=1e-7)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -480,6 +448,8 @@ class TestArpackRoute:
         power = certify(pair, kernel, bw_u, bw_v, data, method="power")
         assert power.spectral.method == "dense"
         assert power.spectral.iterations == 0
+        assert power.spectral.fallback == f"{type(error).__name__}: {error}"
+        assert dense.spectral.fallback is None
         assert power.spectral.rho_product == dense.spectral.rho_product
         assert power.verdict is dense.verdict
 
@@ -490,6 +460,8 @@ class TestArpackRoute:
         power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
         dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
         assert power.spectral.method == "dense"
+        assert power.spectral.fallback == "n < 3"
+        assert power.to_dict()["spectral"]["fallback"] == "n < 3"
         assert power.spectral.rho_product == dense.spectral.rho_product
         assert power.verdict is dense.verdict
 
