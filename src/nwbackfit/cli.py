@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=["iterative", "direct"],
         default="iterative",
-        help="iterative backfitting or one dense linear solve",
+        help="iterative backfitting, or a direct solve of the normal equations "
+        "(GMRES, with a dense LU fallback)",
     )
     p_fit.add_argument(
         "--require-certificate",

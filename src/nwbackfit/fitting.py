@@ -4,9 +4,12 @@ Fits y = alpha + m1(u) + m2(v) + noise by solving the normal equations
 
     m1 = S1* (y - m2),    m2 = S2* (y - m1)
 
-either by alternating updates (Gauss-Seidel or Jacobi sweeps) or by one
-dense linear solve of (I - S2* S1*) m2 = S2* (I - S1*) y followed by
-back-substitution into the first equation.  The centered smoothers are
+either by alternating updates (Gauss-Seidel or Jacobi sweeps) or by a
+direct solve of the reduced system (I - S2* S1*) m2 = S2* (I - S1*) y
+followed by back-substitution into the first equation.  The direct solve
+runs restarted GMRES on the unformed system and falls back to a dense LU
+factorization, with its condition estimate, only when GMRES cannot show
+that the system has a unique solution.  The centered smoothers are
 applied and formed by :class:`~nwbackfit.smoothers.SmootherPair`; they
 annihilate constants, so the intercept separates as alpha = mean(y) and
 both component fits are mean-zero by construction.
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import BandwidthSpec, Kernel
 from .smoothers import Dataset, SmootherPair
@@ -35,6 +39,13 @@ __all__ = [
 
 # Direct solves refuse systems with a 1-norm condition estimate above this.
 CONDITION_LIMIT = 1e12
+
+# GMRES on the reduced system: Krylov vectors per restart cycle, restart
+# cycles, and the target for the true residual relative to the right-hand
+# side (2-norms, about 45 machine epsilons).
+GMRES_RESTART = 100
+GMRES_CYCLES = 2
+GMRES_RTOL = 1e-14
 
 
 class BackfitNonConvergenceError(RuntimeError):
@@ -186,23 +197,28 @@ def identity_minus(product: np.ndarray) -> np.ndarray:
 
 
 def lu_condition(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU factors of a square system and its 1-norm condition estimate.
+    """LU factors of a square system's transpose and its 1-norm condition estimate.
 
-    Returns ``(lu, piv, cond)`` with ``cond = 1 / rcond`` from LAPACK
-    ``gecon`` on the factors (infinite when ``rcond`` is 0), which costs
-    O(n^2) beyond the factorization.  An exactly singular system factors
-    without the ``LinAlgWarning`` of ``lu_factor``, since its infinite
-    ``cond`` already reports it.  Raises :class:`SingularSystemError`
-    when ``gecon`` reports failure.
+    Works on ``system.T``: for the C-ordered arrays the callers pass,
+    that view is Fortran-ordered, so LAPACK ``lange`` takes its norm and
+    ``getrf`` (``overwrite_a=True``) overwrites it in place, with no n x n
+    copy.  Returns ``(lu, piv, cond)``; solve ``system @ x = b`` with
+    ``lu_solve((lu, piv), b, trans=1)``.  ``cond = 1 / rcond`` comes from
+    LAPACK ``gecon`` with the infinity norm on the factors of the
+    transpose, which is the 1-norm estimate for ``system`` itself
+    (infinite when ``rcond`` is 0), at O(n^2) beyond the factorization.
+    An exactly singular system factors without the ``LinAlgWarning`` of
+    ``lu_factor``, since its infinite ``cond`` already reports it.  Raises
+    :class:`SingularSystemError` when ``gecon`` reports failure.
     """
-    anorm = float(np.linalg.norm(system, 1))
+    lange, gecon = get_lapack_funcs(("lange", "gecon"), (system,))
+    anorm = lange("I", system.T)
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"Diagonal number \d+ is exactly zero", LinAlgWarning
         )
-        lu, piv = lu_factor(system)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
+        lu, piv = lu_factor(system.T, overwrite_a=True)
+    rcond, info = gecon(lu, anorm, norm="I")
     if info != 0:
         raise SingularSystemError(
             f"condition estimation failed (LAPACK info={info})", float("inf")
@@ -210,15 +226,34 @@ def lu_condition(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return lu, piv, 1.0 / rcond if rcond > 0.0 else float("inf")
 
 
-def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
-    """Solve the normal equations by one dense LU factorization.
+def _reduced_system(pair: SmootherPair) -> LinearOperator:
+    """The unformed operator x -> (I - S2* S1*) x of the direct solve."""
+    n = pair.n
+    return LinearOperator(
+        (n, n), matvec=lambda x: x - pair.apply_s2_star(pair.apply_s1_star(x)), dtype=float
+    )
 
-    m2 solves (I - S2* S1*) m2 = S2* (I - S1*) y; m1 = S1* (y - m2) then
-    satisfies the first normal equation exactly.  A reciprocal condition
-    estimate of the factored system guards the solve: estimates above
-    1e12 raise :class:`SingularSystemError` instead of returning noise.
+
+def _gmres(system: LinearOperator, rhs: np.ndarray) -> np.ndarray | None:
+    """Solution of ``system @ x = rhs`` by restarted GMRES, or None.
+
+    scipy's ``gmres`` reports success only after recomputing the true
+    residual rhs - system @ x, so a returned x meets
+    ||rhs - system @ x||_2 <= GMRES_RTOL ||rhs||_2.
     """
-    y = _check_y(pair, y)
+    x, info = gmres(
+        system,
+        rhs,
+        rtol=GMRES_RTOL,
+        atol=0.0,
+        restart=min(system.shape[0], GMRES_RESTART),
+        maxiter=GMRES_CYCLES,
+    )
+    return x if info == 0 else None
+
+
+def _lu_direct(pair: SmootherPair, rhs: np.ndarray) -> np.ndarray:
+    """Solve the formed reduced system by LU, refusing near-singular ones."""
     lu, piv, cond = lu_condition(identity_minus(pair.star_product()))
     if cond > CONDITION_LIMIT:
         raise SingularSystemError(
@@ -227,8 +262,31 @@ def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
             "the dataset is likely not certified",
             cond,
         )
+    return lu_solve((lu, piv), rhs, trans=1)
+
+
+def backfit_direct(pair: SmootherPair, y: np.ndarray) -> FitResult:
+    """Solve the normal equations directly, by matrix-free GMRES.
+
+    m2 solves (I - S2* S1*) m2 = S2* (I - S1*) y; m1 = S1* (y - m2) then
+    satisfies the first normal equation exactly.  Restarted GMRES (Saad &
+    Schultz, 1986) solves the reduced system through the centered
+    smoother applications, never forming I - S2* S1*, and its answer is
+    kept only when the true residual meets the GMRES_RTOL target.  A
+    second GMRES solve, on a right-hand side drawn from
+    ``default_rng(0)``, probes uniqueness: a singular system is
+    inconsistent for almost every right-hand side, so that solve stalls,
+    even when the data's own right-hand side happens to be consistent.
+    When either solve misses its target, the system is formed and
+    LU-factored instead; a 1-norm condition estimate above 1e12 then
+    raises :class:`SingularSystemError` instead of returning noise.
+    """
+    y = _check_y(pair, y)
+    system = _reduced_system(pair)
     rhs = pair.apply_s2_star(y - pair.apply_s1_star(y))
-    m2 = lu_solve((lu, piv), rhs)
+    m2 = _gmres(system, rhs)
+    if m2 is None or _gmres(system, np.random.default_rng(0).standard_normal(pair.n)) is None:
+        m2 = _lu_direct(pair, rhs)
     m1 = pair.apply_s1_star(y - m2)
     return FitResult(
         alpha_hat=float(y.mean()),

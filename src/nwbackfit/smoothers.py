@@ -21,6 +21,10 @@ from .kernels import BandwidthSpec, Kernel
 
 __all__ = ["Dataset", "SmootherPair", "build_smoother", "center", "build_pair"]
 
+# Rows per block of build_smoother: the temporaries of one block are a few
+# BUILD_BLOCK x n arrays, beside the one n x n result.
+BUILD_BLOCK = 256
+
 
 @dataclass
 class Dataset:
@@ -112,7 +116,10 @@ def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarr
 
     Row i holds the normalised kernel weights of point i at bandwidth
     h_i: w_ik = K_{h_i}(x_i - x_k) / sum_j K_{h_i}(x_i - x_j), with
-    K_h(t) = K(t / h) / h.
+    K_h(t) = K(t / h) / h.  The rows are computed in blocks of
+    ``BUILD_BLOCK`` straight into the preallocated result; each row's
+    arithmetic is the same as in one whole-matrix expression, so the
+    matrix is bit-identical to it.
 
     Parameters
     ----------
@@ -133,12 +140,20 @@ def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarr
     if n < 2:
         raise ValueError(f"need at least 2 points to build a smoother, got {n}")
     h = bw.resolve(x)
-    raw = kernel.evaluate((x[:, None] - x[None, :]) / h[:, None]) / h[:, None]
-    total = raw.sum(axis=1)
-    bad = np.flatnonzero(total <= 0.0)
-    if bad.size:
-        raise ValueError(f"row {bad[0]} has zero total kernel mass")
-    return raw / total[:, None]
+    for lo in range(0, n, BUILD_BLOCK):
+        rows = slice(lo, lo + BUILD_BLOCK)
+        h_rows = h[rows, None]
+        raw = kernel.evaluate((x[rows, None] - x[None, :]) / h_rows) / h_rows
+        total = raw.sum(axis=1)
+        bad = np.flatnonzero(total <= 0.0)
+        if bad.size:
+            raise ValueError(f"row {lo + bad[0]} has zero total kernel mass")
+        if lo == 0:
+            # allocated after the first block's kernel temporaries are freed,
+            # so a one-block build peaks no higher than a one-shot one
+            s = np.empty((n, n))
+        np.divide(raw, total[:, None], out=s[rows])
+    return s
 
 
 def center(s: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from nwbackfit.kernels import ConstantBandwidth, Kernel
 from nwbackfit.simulate import max_gap
@@ -32,6 +33,27 @@ def weight_row(kernel: Kernel, x: np.ndarray, i: int, h_i: float) -> np.ndarray:
     if not total > 0.0:
         raise ValueError(f"weight row {i} has zero total kernel mass (h={h_i})")
     return raw / total
+
+
+def build_smoother_oneshot(x, kernel: Kernel, bw) -> np.ndarray:
+    """Oracle for a whole smoother, every row in one n x n expression."""
+    x = np.asarray(x, dtype=float)
+    h = bw.resolve(x)
+    raw = kernel.evaluate((x[:, None] - x[None, :]) / h[:, None]) / h[:, None]
+    return raw / raw.sum(axis=1)[:, None]
+
+
+def lu_direct_oracle(pair, y) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the direct fit: LU of the formed reduced system.
+
+    m2 solves (I - S2* S1*) m2 = S2* (I - S1*) y, with the centered
+    smoothers formed from S1 and S2; then m1 = S1* (y - m2).
+    """
+    n = pair.n
+    c = np.eye(n) - 1.0 / n
+    s1_star, s2_star = c @ pair.s1, c @ pair.s2
+    m2 = lu_solve(lu_factor(np.eye(n) - s2_star @ s1_star), s2_star @ (y - s1_star @ y))
+    return s1_star @ (y - m2), m2
 
 
 def random_stochastic(rng, n, style):
@@ -102,3 +124,42 @@ def triangular_cluster_problem():
     rng = np.random.default_rng(11)
     data = two_cluster_dataset(rng, spread=0.8)
     return data, Kernel.TRIANGULAR, ConstantBandwidth(1.0)
+
+
+@pytest.fixture
+def crossed_cluster_problem():
+    """Four groups, clustered one way on u and another way on v.
+
+    On u the groups form the clusters {G1 G2}, {G3}, {G4}; on v they form
+    {G1}, {G2}, {G3 G4}.  With a uniform kernel whose bandwidth covers
+    each cluster and bridges no gap, S1* and S2* are orthogonal
+    projectors whose ranges share the contrast of G1 G2 against G3 G4, so
+    I - S2* S1* is singular.  Unlike the aligned clusters, the data's own
+    right-hand side S2* (I - S1*) y is nonzero and consistent, so a
+    solver fed only that right-hand side finds one of many solutions.
+    """
+    rng = np.random.default_rng(3)
+
+    def group(lo, width):
+        return rng.uniform(lo, lo + width, 4)
+
+    u = np.concatenate([group(0.0, 0.2), group(0.3, 0.2), group(10.0, 0.5), group(20.0, 0.5)])
+    v = np.concatenate([group(0.0, 0.5), group(10.0, 0.5), group(20.0, 0.2), group(20.3, 0.2)])
+    data = Dataset(y=rng.normal(size=16), u=u, v=v)
+    return data, Kernel.UNIFORM, ConstantBandwidth(1.0)
+
+
+@pytest.fixture
+def near_critical_problem():
+    """Nearly collinear design: rho(S2* S1*) = 0.996.
+
+    n = 500, u uniform, v = c u + sqrt(1 - c^2) (uniform noise) with
+    c = 0.9999, Gaussian kernel at constant h = 0.02.  The default
+    Gauss-Seidel fit (tol 1e-10) takes 4407 sweeps here.
+    """
+    rng = np.random.default_rng(0)
+    n, c = 500, 0.9999
+    u = rng.uniform(size=n)
+    v = c * u + np.sqrt(1.0 - c * c) * rng.uniform(size=n)
+    y = np.sin(2.0 * np.pi * u) + (v - 0.5) ** 2 + 0.3 * rng.normal(size=n)
+    return Dataset(y=y, u=u, v=v), Kernel.GAUSSIAN, ConstantBandwidth(0.02)

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_solve
 
+from nwbackfit import fitting
 from nwbackfit.fitting import (
     BackfitNonConvergenceError,
     SingularSystemError,
@@ -26,7 +28,7 @@ from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, gen
 from nwbackfit.smoothers import Dataset, build_pair
 from nwbackfit.spectral import Verdict, certify
 
-from conftest import two_cluster_dataset
+from conftest import lu_direct_oracle, two_cluster_dataset
 
 
 def gaussian_problem(seed, n=60, rho=None):
@@ -36,6 +38,13 @@ def gaussian_problem(seed, n=60, rho=None):
     bw = RateBandwidth(0.2)
     pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
     return data, pair
+
+
+def knn_problem(seed, n=300):
+    rng = np.random.default_rng(seed)
+    data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+    bw = KNearestBandwidth(30)
+    return data, build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
 
 
 class TestTrivialFixedPoints:
@@ -100,6 +109,70 @@ class TestDirectSolve:
     def test_singular_system_rejected(self, triangular_cluster_problem):
         data, kernel, bw = triangular_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
+        with pytest.raises(SingularSystemError) as exc:
+            backfit_direct(pair, data.y)
+        assert exc.value.condition_estimate > 1e12
+
+    @pytest.mark.parametrize("problem", ["gaussian", "correlated-gaussian", "knn", "near-critical"])
+    def test_gmres_matches_lu_oracle(self, problem, request, monkeypatch):
+        if problem == "gaussian":
+            cases = [gaussian_problem(seed) for seed in range(64, 69)]
+        elif problem == "correlated-gaussian":
+            cases = [gaussian_problem(seed, rho=0.4) for seed in range(70, 73)]
+        elif problem == "knn":
+            cases = [knn_problem(90)]
+        else:
+            data, kernel, bw = request.getfixturevalue("near_critical_problem")
+            cases = [(data, build_pair(data, kernel, bw, bw))]
+
+        def no_lu(pair, rhs):
+            raise AssertionError("GMRES missed its target and fell back to LU")
+
+        monkeypatch.setattr(fitting, "_lu_direct", no_lu)
+        for data, pair in cases:
+            fit = backfit_direct(pair, data.y)
+            m1, m2 = lu_direct_oracle(pair, data.y)
+            assert np.abs(fit.m1_hat - m1).max() <= 1e-12
+            assert np.abs(fit.m2_hat - m2).max() <= 1e-12
+            assert fit.iterations == 0 and fit.final_delta == 0.0
+
+    def test_lu_fallback_matches_lu_oracle(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_gmres", lambda system, rhs: None)
+        data, pair = knn_problem(91, n=120)
+        fit = backfit_direct(pair, data.y)
+        m1, m2 = lu_direct_oracle(pair, data.y)
+        assert np.abs(fit.m1_hat - m1).max() <= 1e-12
+        assert np.abs(fit.m2_hat - m2).max() <= 1e-12
+
+    def test_lu_condition_factors_in_place(self):
+        # a heavy first column makes the 1-norm condition number far larger
+        # than the infinity-norm one, so the estimate must be of the former
+        rng = np.random.default_rng(92)
+        a = np.eye(40) + 0.1 * rng.normal(size=(40, 40))
+        a[:, 0] += 3.0
+        system = a.copy()
+        lu, piv, cond = fitting.lu_condition(system)
+        assert np.shares_memory(lu, system)
+        assert cond == pytest.approx(np.linalg.cond(a, 1), rel=1e-6)
+        assert np.linalg.cond(a, 1) > 10.0 * np.linalg.cond(a, np.inf)
+        b = rng.normal(size=40)
+        assert_allclose(a @ lu_solve((lu, piv), b, trans=1), b, atol=1e-12)
+
+    def test_uniform_cluster_system_rejected(self, uniform_cluster_problem):
+        data, kernel, bw = uniform_cluster_problem
+        pair = build_pair(data, kernel, bw, bw)
+        with pytest.raises(SingularSystemError) as exc:
+            backfit_direct(pair, data.y)
+        assert exc.value.condition_estimate > 1e12
+
+    def test_probe_rejects_consistent_singular_system(self, crossed_cluster_problem):
+        # GMRES on the data's right-hand side meets its target here; only
+        # the uniqueness probe sends the system to the LU route, which raises
+        data, kernel, bw = crossed_cluster_problem
+        pair = build_pair(data, kernel, bw, bw)
+        rhs = pair.apply_s2_star(data.y - pair.apply_s1_star(data.y))
+        assert np.abs(rhs).max() > 0.1
+        assert fitting._gmres(fitting._reduced_system(pair), rhs) is not None
         with pytest.raises(SingularSystemError) as exc:
             backfit_direct(pair, data.y)
         assert exc.value.condition_estimate > 1e12

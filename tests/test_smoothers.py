@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 
-from conftest import ALL_KERNELS, gap_passing_constant, weight_row
+from conftest import ALL_KERNELS, build_smoother_oneshot, gap_passing_constant, weight_row
 
 
 def random_dataset(rng, n):
@@ -99,6 +99,17 @@ class TestBuildSmoother:
         s = build_smoother(x, Kernel.GAUSSIAN, PerPointBandwidth(h))
         for i in range(10):
             assert_allclose(s[i], weight_row(Kernel.GAUSSIAN, x, i, float(h[i])), atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "bw",
+        [ConstantBandwidth(0.3), RateBandwidth(0.2), KNearestBandwidth(30)],
+        ids=["constant", "rate", "knn"],
+    )
+    def test_blocked_build_is_bit_identical(self, kernel, bw):
+        # 600 rows: two full blocks and a partial one
+        x = np.random.default_rng(22).normal(size=600)
+        assert np.array_equal(build_smoother(x, kernel, bw), build_smoother_oneshot(x, kernel, bw))
 
     def test_too_small(self):
         with pytest.raises(ValueError):
