@@ -10,9 +10,9 @@ report says why.  All reports embed a provenance block
 (package and library versions plus the full config echo) and carry no
 timestamps, so identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 unusable input (bad flags, malformed CSV),
-3 backfitting non-convergence, 4 not certified under
---require-certificate, 5 singular direct-solve system.
+Exit codes: 0 success, 2 unusable input (bad flags, malformed CSV, a
+sample too large for memory), 3 backfitting non-convergence, 4 not
+certified under --require-certificate, 5 singular direct-solve system.
 """
 
 from __future__ import annotations
@@ -105,7 +105,14 @@ def _load_problem(args: argparse.Namespace):
     data = read_dataset_csv(args.input)
     kernel = Kernel.from_name(args.kernel)
     bw = parse_bandwidth(args.bandwidth)
-    pair = build_pair(data, kernel, bw, bw)
+    try:
+        pair = build_pair(data, kernel, bw, bw)
+    except MemoryError:
+        n = data.n
+        raise MemoryError(
+            f"n={n} needs two {n} x {n} smoother matrices "
+            f"({2 * 8 * n * n / 1e9:.3g} GB), more than this machine can allocate"
+        ) from None
     return data, kernel, bw, pair
 
 
@@ -334,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DatasetFormatError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BackfitNonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,13 +164,30 @@ class KNearestBandwidth:
         object.__setattr__(self, "k", int(self.k))
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
+        """Distance from each point to its k-th nearest neighbour, in O(n k).
+
+        In sorted order, a point and its k nearest neighbours fill a
+        window of k + 1 consecutive order statistics within k positions of
+        it, and distances grow away from the point on each side.  So the
+        k-th distance is the smallest, over the k + 1 windows holding the
+        point, of the larger distance to either end of the window.  Each
+        is the same floating-point difference as in the full n x n
+        distance matrix, so the result is bit-identical to sorting it.
+        """
         x = np.asarray(x, dtype=float)
-        n = len(x)
-        if self.k > n - 1:
-            raise ValueError(f"k={self.k} requires at least {self.k + 1} sample points, got {n}")
-        dist = np.abs(x[:, None] - x[None, :])
-        dist.sort(axis=1)
-        h = dist[:, self.k]  # column 0 is the self distance
+        n, k = len(x), self.k
+        if k > n - 1:
+            raise ValueError(f"k={k} requires at least {k + 1} sample points, got {n}")
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        h_sorted = np.full(n, np.inf)
+        for j in range(k + 1):
+            # every window xs[lo : lo + k + 1], seen from its point at lo + j
+            at = slice(j, n - k + j)
+            reach = np.maximum(xs[at] - xs[: n - k], xs[k:] - xs[at])
+            np.minimum(h_sorted[at], reach, out=h_sorted[at])
+        h = np.empty(n)
+        h[order] = h_sorted
         zero = np.flatnonzero(h <= 0.0)
         if zero.size:
             raise ValueError(
@@ -180,10 +197,10 @@ class KNearestBandwidth:
         return h
 
     def off_sample(self, x: np.ndarray, at: float) -> float:
-        dists = np.sort(np.abs(x - at))
         if self.k > len(x):
             raise ValueError(f"k={self.k} exceeds the sample size {len(x)}")
-        h = float(dists[self.k - 1])  # distance to the k-th nearest sample point
+        # distance to the k-th nearest sample point
+        h = float(np.partition(np.abs(x - at), self.k - 1)[self.k - 1])
         if h <= 0.0:
             raise ValueError(f"k={self.k} nearest sample points coincide with the query")
         return h

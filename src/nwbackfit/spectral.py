@@ -21,24 +21,33 @@ sufficient routes are checked and reported:
 A verdict of NOT_CERTIFIED means "not certified by these tests", not
 "diverges".
 
-Solvers.  The full spectrum of each smoother S comes from the symmetric
-eigenproblem whenever S is reversible: with pi_i = 1/S_ii the matrix
-diag(sqrt(pi)) S diag(1/sqrt(pi)) is symmetric, as it is for a symmetric
-kernel at one common bandwidth, where it equals D^-1/2 K D^-1/2.  Other
-smoothers (k-nearest or per-point bandwidths) take a dense nonsymmetric
-eigendecomposition.  The spectrum gives the top eigenvalue of S1, its
-simplicity, and rho(S*) exactly: S* = S - 1 (1^T S / n) is a rank-one
-(Brauer) deflation of the unit eigenvalue, so the spectrum of S* is that
-of S with one eigenvalue 1 replaced by 0.  Only the product S2* S1* needs
-a nonsymmetric solver.  ``certify(method="power")``, which the command
-line always uses, runs ARPACK on the operator x -> c(S2 c(S1 x)),
-c(z) = z - mean(z), which never forms the product (Lehoucq, Sorensen &
-Yang, ARPACK Users' Guide, 1998); when ARPACK fails or n < 3 it forms the
-product and takes the dense radius instead, and the report's
-``fallback`` says why.  ``method="dense"``, the library default, always
-takes the dense radius of the formed product, as does
-:func:`spectral_radius` for any square matrix; they are the reference
-the ARPACK route is tested against.
+Solvers.  The report needs only a few extreme eigenvalues of each
+smoother S: the top eigenvalue of S1, its simplicity, and rho(S*).
+S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation of the unit
+eigenvalue, so the spectrum of S* is that of S with one eigenvalue 1
+replaced by 0.  When S is reversible (with pi_i = 1/S_ii the matrix
+A = diag(sqrt(pi)) S diag(1/sqrt(pi)) is symmetric, as it is for a
+symmetric kernel at one common bandwidth, where it equals D^-1/2 K D^-1/2),
+a symmetric Lanczos run (Lanczos, J. Res. Nat. Bur. Standards 1950) by
+ARPACK's ``eigsh`` finds the two eigenvalues of largest modulus of
+x -> A x - q (q^T x), where q = sqrt(pi)/||sqrt(pi)|| is the unit
+eigenvector of A that the subtraction deflates.  The run has a budget of
+n // 10 operator applications, about a third of what the full symmetric
+eigendecomposition (``eigvalsh``) costs; when the budget cannot hold one
+Krylov basis (n < 400) the run is skipped, and when ARPACK fails or uses
+the budget up, ``eigvalsh`` gives the full spectrum of A instead and the
+report's ``smoother_fallback`` says why.  Other smoothers (k-nearest or
+per-point bandwidths) take a dense nonsymmetric eigendecomposition.
+Only the product S2* S1* needs a nonsymmetric solver.
+``certify(method="power")``, which the command line always uses, runs
+ARPACK on the operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), which
+never forms the product (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+1998); when ARPACK fails or n < 3 it forms the product and takes the
+dense radius instead, and the report's ``fallback`` says why.
+``method="dense"``, the library default, always takes the dense radius of
+the formed product, as does :func:`spectral_radius` for any square
+matrix; they are the reference the ARPACK route is tested against.  The
+smoothers take the same route under both methods.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
@@ -76,6 +85,10 @@ RHO_MARGIN = 1e-8
 # every eigenvalue.  Symmetric kernels at one bandwidth measure ~1e-15;
 # k-nearest smoothers measure ~1.
 REVERSIBILITY_TOL = 1e-12
+
+# Krylov basis size of the Lanczos run on a reversible smoother (ARPACK's
+# ncv), capped at n - 1.
+LANCZOS_NCV = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,18 +121,25 @@ class SpectralReport:
     """Spectral quantities of a smoother pair.
 
     ``top_eigenvalue_s1``, its simplicity flag, ``rho_s1_star`` and
-    ``rho_s2_star`` come from the full spectra of S1 and S2: symmetric
-    (``eigvalsh``) for reversible smoothers, dense nonsymmetric
-    (``eigvals``) otherwise, whatever ``method``.  ``method`` records how
-    ``rho_product`` was obtained ("power" when ARPACK converged on the
-    matrix-free product, "dense" for the dense eigendecomposition of the
-    formed product, including after an ARPACK failure or for n < 3), and
-    ``iterations`` counts ARPACK's applications of the product operator
-    (0 for "dense").  ``fallback`` says why a power run took the dense
-    route: "n < 3", or "<exception class>: <message>" for the ARPACK
-    error; it is None when ARPACK converged and when dense was asked
-    for.  ``perron_vector_check`` is the residual ||S1 theta - theta||
-    for the unit constant vector theta = 1/sqrt(n).
+    ``rho_s2_star`` come from the extreme eigenvalues of S1 and S2,
+    whatever ``method``: a budgeted Lanczos run (``eigsh``) for reversible
+    smoothers, with the full symmetric spectrum (``eigvalsh``) when the
+    budget is too small to try or the run fails, and the full
+    nonsymmetric spectrum (``eigvals``) otherwise.
+    ``smoother_iterations`` counts the Lanczos operator applications for
+    [S1, S2] (0 on a dense route), and ``smoother_fallback`` says why a
+    Lanczos run gave way to ``eigvalsh``: "s1: <exception class>:
+    <message>", likewise "s2: ...", joined by "; " when both did; it is
+    None when no run failed.  ``method`` records how ``rho_product`` was
+    obtained ("power" when ARPACK converged on the matrix-free product,
+    "dense" for the dense eigendecomposition of the formed product,
+    including after an ARPACK failure or for n < 3), and ``iterations``
+    counts ARPACK's applications of the product operator (0 for "dense").
+    ``fallback`` says why a power run took the dense route: "n < 3", or
+    "<exception class>: <message>" for the ARPACK error; it is None when
+    ARPACK converged and when dense was asked for.
+    ``perron_vector_check`` is the residual ||S1 theta - theta|| for the
+    unit constant vector theta = 1/sqrt(n).
     """
 
     rho_s1_star: float
@@ -131,6 +151,8 @@ class SpectralReport:
     method: str
     iterations: int
     fallback: str | None
+    smoother_iterations: tuple[int, int]
+    smoother_fallback: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -147,6 +169,8 @@ class SpectralReport:
             "method": self.method,
             "iterations": self.iterations,
             "fallback": self.fallback,
+            "smoother_iterations": list(self.smoother_iterations),
+            "smoother_fallback": self.smoother_fallback,
         }
 
 
@@ -283,13 +307,14 @@ def spectral_radius(m: np.ndarray) -> float:
 def _asymmetry(a: np.ndarray) -> float:
     """Frobenius norm of a - a^T, summed over blocks of 512 rows of a.
 
-    Blocking keeps the temporaries at 512 rows instead of a second n x n
-    array.
+    Blocking keeps the temporaries at one block of 512 rows instead of a
+    second n x n array.
     """
     total = 0.0
     for i in range(0, a.shape[0], 512):
         diff = a[i : i + 512] - a[:, i : i + 512].T
         total += float(np.einsum("ij,ij->", diff, diff))
+        del diff  # freed before the next block is allocated, not after
     return float(np.sqrt(total))
 
 
@@ -310,28 +335,109 @@ def _symmetrized(s: np.ndarray) -> np.ndarray | None:
     return a
 
 
-def _smoother_spectrum(s: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a smoother matrix.
+def _spectrum_extremes(eigs: np.ndarray) -> tuple[complex, bool, float]:
+    """Top eigenvalue, its simplicity and rho(S*) from the spectrum of S.
 
-    Real and ascending from ``eigvalsh`` when ``s`` is reversible (see
-    :func:`_symmetrized`), complex from ``eigvals`` otherwise.
+    The top eigenvalue has the largest modulus, and it is simple when no
+    other eigenvalue lies within 1e-8 of it.  S* = S - 1 (1^T S / n)
+    deflates the eigenpair (1, 1) of a row-stochastic S: its spectrum is
+    that of S with one eigenvalue 1 replaced by 0 (Brauer's theorem).
+    """
+    top = eigs[np.argmax(np.abs(eigs))]
+    simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
+    rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
+    return complex(top), simple, float(np.abs(rest).max(initial=0.0))
+
+
+def _lanczos_budget(n: int) -> int:
+    """Operator applications a Lanczos run on an n x n smoother may use.
+
+    The full ``eigvalsh`` route costs about n/3 of them, so a run that
+    uses the budget up and falls back wastes at most about a third more.
+    """
+    return n // 10
+
+
+def _lanczos_extremes(
+    a: np.ndarray, ncv: int, budget: int
+) -> tuple[complex, bool, float, int]:
+    """Top eigenvalue, simplicity and rho(S*) of a reversible smoother.
+
+    ``a`` is the symmetrisation of S from :func:`_symmetrized`; its unit
+    eigenvector is q = r/||r|| with r_i = 1/sqrt(a_ii) (a and S share
+    their diagonal).  ARPACK's ``eigsh``, with a Krylov basis of ``ncv``
+    vectors, computes the two eigenvalues of largest modulus of
+    x -> a x - q (q^T x), whose spectrum is that of S*, to machine
+    precision (``tol=0``), from a generator seeded here as in
+    :func:`_product_radius`.  The top eigenvalue is the Rayleigh quotient
+    q^T a q, and it is simple when no returned eigenvalue lies within 1e-8
+    of it: the rules of :func:`_spectrum_extremes`.  The operator raises
+    ``ArpackNoConvergence`` instead of exceeding ``budget`` applications;
+    every ``ArpackError`` propagates to the caller.
+
+    Returns the three quantities and the number of operator applications.
+    """
+    n = a.shape[0]
+    r = 1.0 / np.sqrt(a.diagonal())
+    q = r / np.linalg.norm(r)
+    applications = 0
+
+    def matvec(x):
+        nonlocal applications
+        if applications == budget:
+            raise ArpackNoConvergence(
+                f"Lanczos budget of {budget} operator applications used up",
+                np.array([]),
+                np.array([]),
+            )
+        applications += 1
+        return a @ x - q * (q @ x)
+
+    rng = np.random.default_rng(0)
+    vals = eigsh(
+        LinearOperator((n, n), matvec=matvec, dtype=float),
+        k=2,
+        which="LM",
+        tol=0,
+        ncv=ncv,
+        v0=rng.standard_normal(n),
+        return_eigenvectors=False,
+        rng=rng,
+    )
+    top = float(q @ (a @ q))
+    simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
+    return complex(top), simple, float(np.abs(vals).max()), applications
+
+
+def _smoother_extremes(s: np.ndarray) -> tuple[complex, bool, float, int, str | None]:
+    """Top eigenvalue of a smoother, its simplicity, and rho(S*).
+
+    A non-reversible ``s`` (see :func:`_symmetrized`) takes its full
+    spectrum from ``eigvals``.  A reversible one takes
+    :func:`_lanczos_extremes` when its budget (:func:`_lanczos_budget`)
+    holds at least one Krylov basis (and eigsh's k = 2 < ncv), and the
+    full spectrum of its symmetrisation from ``eigvalsh`` when it does
+    not, or when the Lanczos run raises ``ArpackError``.
+
+    Returns the three quantities, the Lanczos operator applications (0 on
+    a dense route) and why a Lanczos run fell back (None when none did).
     """
     a = _symmetrized(s)
     if a is None:
-        return np.linalg.eigvals(s)
+        return (*_spectrum_extremes(np.linalg.eigvals(s)), 0, None)
+    n = a.shape[0]
+    ncv = min(LANCZOS_NCV, n - 1)
+    budget = _lanczos_budget(n)
+    fallback = None
+    if 2 < ncv <= budget:
+        try:
+            return (*_lanczos_extremes(a, ncv, budget), None)
+        except ArpackError as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
     # a^T is Fortran-ordered, so LAPACK works in a's buffer, and it has
     # the spectrum of a.
-    return eigvalsh(a.T, overwrite_a=True, check_finite=False)
-
-
-def _centered_radius(eigs: np.ndarray) -> float:
-    """rho(S*) from the spectrum of a row-stochastic S.
-
-    S* = S - 1 (1^T S / n) deflates the eigenpair (1, 1): its spectrum is
-    that of S with one eigenvalue 1 replaced by 0 (Brauer's theorem).
-    """
-    rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
-    return float(np.abs(rest).max(initial=0.0))
+    eigs = eigvalsh(a.T, overwrite_a=True, check_finite=False)
+    return (*_spectrum_extremes(eigs), 0, fallback)
 
 
 def _product_radius(
@@ -390,13 +496,15 @@ def _spectral_report(
     The product is formed only on the dense route: for ``method="dense"``,
     and when :func:`_product_radius` falls back.
     """
-    eigs_s1 = _smoother_spectrum(pair.s1)
-    top = eigs_s1[np.argmax(np.abs(eigs_s1))]
-    simple = int(np.sum(np.abs(eigs_s1 - top) <= 1e-8)) == 1
+    top, simple, rho_s1_star, applications_s1, fallback_s1 = _smoother_extremes(pair.s1)
+    _, _, rho_s2_star, applications_s2, fallback_s2 = _smoother_extremes(pair.s2)
+    smoother_fallback = "; ".join(
+        f"{name}: {reason}"
+        for name, reason in (("s1", fallback_s1), ("s2", fallback_s2))
+        if reason is not None
+    )
     theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
     perron_check = float(np.linalg.norm(pair.s1 @ theta - theta))
-    rho_s1_star = _centered_radius(eigs_s1)
-    rho_s2_star = _centered_radius(_smoother_spectrum(pair.s2))
 
     if method == "power":
         rho_product, used, iterations, product, fallback = _product_radius(pair)
@@ -407,12 +515,14 @@ def _spectral_report(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
         rho_product=rho_product,
-        top_eigenvalue_s1=complex(top),
+        top_eigenvalue_s1=top,
         top_eigenvalue_simple=simple,
         perron_vector_check=perron_check,
         method=used,
         iterations=iterations,
         fallback=fallback,
+        smoother_iterations=(applications_s1, applications_s2),
+        smoother_fallback=smoother_fallback or None,
     )
     return report, product
 

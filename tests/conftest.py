@@ -43,6 +43,18 @@ def build_smoother_oneshot(x, kernel: Kernel, bw) -> np.ndarray:
     return raw / raw.sum(axis=1)[:, None]
 
 
+def knn_bandwidth_fullsort(x, k: int) -> np.ndarray:
+    """Oracle for k-nearest bandwidths: sort every row of the distance matrix.
+
+    Column 0 of a sorted row is the self distance, so column k holds the
+    distance to the k-th nearest neighbour.
+    """
+    x = np.asarray(x, dtype=float)
+    dist = np.abs(x[:, None] - x[None, :])
+    dist.sort(axis=1)
+    return dist[:, k]
+
+
 def lu_direct_oracle(pair, y) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for the direct fit: LU of the formed reduced system.
 
@@ -54,6 +66,21 @@ def lu_direct_oracle(pair, y) -> tuple[np.ndarray, np.ndarray]:
     s1_star, s2_star = c @ pair.s1, c @ pair.s2
     m2 = lu_solve(lu_factor(np.eye(n) - s2_star @ s1_star), s2_star @ (y - s1_star @ y))
     return s1_star @ (y - m2), m2
+
+
+def smoother_extremes_oracle(s) -> tuple[complex, bool, float]:
+    """Oracle for a smoother's top eigenvalue, its simplicity and rho(S*).
+
+    All three come from the full nonsymmetric spectrum of S: the top
+    eigenvalue has the largest modulus, it is simple when no other
+    eigenvalue lies within 1e-8 of it, and rho(S*) is the largest modulus
+    left once the eigenvalue nearest 1 is removed (Brauer's deflation).
+    """
+    eigs = np.linalg.eigvals(s)
+    top = eigs[np.argmax(np.abs(eigs))]
+    simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
+    rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
+    return complex(top), simple, float(np.abs(rest).max(initial=0.0))
 
 
 def random_stochastic(rng, n, style):

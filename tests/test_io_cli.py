@@ -155,6 +155,9 @@ class TestCliFit:
         report = json.loads((out / "fit.json").read_text())
         assert report["provenance"]["package"] == "nwbackfit"
         assert report["certificate"]["verdict"] == "certified_by_gap_conditions"
+        # n = 40 smoothers are below the Lanczos budget: full spectra
+        assert report["certificate"]["spectral"]["smoother_iterations"] == [0, 0]
+        assert report["certificate"]["spectral"]["smoother_fallback"] is None
         cols = read_fit_curves_csv(out / "curves.csv")
         # JSON floats round-trip through repr, so agreement is exact
         assert np.array_equal(cols["m1_hat"], np.array(report["fit"]["m1_hat"]))
@@ -270,6 +273,21 @@ class TestCliExitCodes:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("subcommand", ["fit", "certify"])
+    def test_out_of_memory(self, sample_csv, tmp_path, monkeypatch, capsys, subcommand):
+        path, data = sample_csv
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 12.8 KiB for an array with shape (40, 40)")
+
+        monkeypatch.setattr("nwbackfit.cli.build_pair", exhausted)
+        rc = main([subcommand, "--input", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: n=40 needs two 40 x 40 smoother matrices")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_singular_system(self, tmp_path):
         rng = np.random.default_rng(11)
         data = two_cluster_dataset(rng, spread=0.8)
@@ -300,6 +318,8 @@ class TestCliCertify:
         assert "method" not in report["provenance"]["config"]["options"]
         assert cert["spectral"]["method"] == "power"
         assert cert["spectral"]["fallback"] is None
+        assert cert["spectral"]["smoother_iterations"] == [0, 0]
+        assert cert["spectral"]["smoother_fallback"] is None
 
 
 class TestCliSimulate:

@@ -15,7 +15,7 @@ from nwbackfit.kernels import (
     parse_bandwidth,
 )
 
-from conftest import ALL_KERNELS, eval_scaled, weight_row
+from conftest import ALL_KERNELS, eval_scaled, knn_bandwidth_fullsort, weight_row
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -144,9 +144,49 @@ class TestKNearestBandwidth:
             want = [sorted(abs(x - xi))[k] for xi in x]  # includes the self distance 0
             assert_allclose(got, want)
 
+    def test_window_scan_is_bit_identical(self):
+        # random, gridded (ties in distance), duplicated and clustered
+        # samples, k from 1 to n - 1
+        rng = np.random.default_rng(10)
+        samples = [
+            rng.normal(size=200),
+            rng.integers(0, 40, size=120) * 0.1,
+            np.repeat(rng.uniform(size=30), rng.integers(1, 3, size=30)),
+            np.concatenate([rng.uniform(0.0, 1e-9, 20), rng.uniform(5.0, 6.0, 20)]),
+            rng.uniform(size=9),
+        ]
+        for x in samples:
+            rng.shuffle(x)
+            n = len(x)
+            for k in sorted({1, 2, 3, 7, n // 2, n - 2, n - 1}):
+                if k < 1 or k > n - 1:
+                    continue
+                want = knn_bandwidth_fullsort(x, k)
+                if not (want > 0.0).all():
+                    continue
+                assert np.array_equal(KNearestBandwidth(k).resolve(x), want), (n, k)
+
+    def test_off_sample_is_bit_identical(self):
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=60), 1)  # ties at the query distance
+        for at in (*x[:5], 0.05, -3.0, 10.0):
+            for k in (1, 2, 5, 59, 60):
+                want = float(np.sort(np.abs(x - at))[k - 1])
+                if want > 0.0:
+                    assert KNearestBandwidth(k).off_sample(x, at) == want
+        with pytest.raises(ValueError, match="exceeds the sample size"):
+            KNearestBandwidth(61).off_sample(x, 0.0)
+        with pytest.raises(ValueError, match="coincide with the query"):
+            KNearestBandwidth(1).off_sample(x, float(x[0]))
+
     def test_duplicate_points_raise(self):
         with pytest.raises(ValueError):
             KNearestBandwidth(1).resolve(np.array([0.0, 0.0, 1.0]))
+        # k duplicates of one point leave it no positive k-th distance
+        x = np.array([3.0, 0.5, 2.0, 0.5, 1.0, 0.5])
+        with pytest.raises(ValueError, match="zero at index 1: point has >= 2 duplicates"):
+            KNearestBandwidth(2).resolve(x)
+        assert np.array_equal(KNearestBandwidth(3).resolve(x), knn_bandwidth_fullsort(x, 3))
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):

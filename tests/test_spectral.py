@@ -1,6 +1,8 @@
 """Gap conditions, chain regularity, spectral radii, certification."""
 
+import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,13 +28,14 @@ from nwbackfit.spectral import (
     check_regularity,
     spectral_radius,
 )
-from nwbackfit.spectral import _product_radius, _smoother_spectrum, _symmetrized
+from nwbackfit.spectral import _asymmetry, _product_radius, _smoother_extremes, _symmetrized
 
 from conftest import (
     ALL_KERNELS,
     brute_force_regular,
     gap_passing_constant,
     random_stochastic,
+    smoother_extremes_oracle,
     two_cluster_dataset,
 )
 
@@ -327,24 +330,41 @@ class TestCertify:
             certify(pair, kernel, bw_u, bw_v, data, method="qr")
 
 
-def matched_distance(got, want):
-    """Largest distance between two spectra under optimal matching."""
-    cost = np.abs(np.asarray(got)[:, None] - np.asarray(want)[None, :])
-    r, c = linear_sum_assignment(cost)
-    return cost[r, c].max()
+def assert_matches_oracle(spectral_report, pair, tol):
+    """The smoother fields of a report against the full-spectrum oracle."""
+    top, simple, rho_s1_star = smoother_extremes_oracle(pair.s1)
+    rho_s2_star = smoother_extremes_oracle(pair.s2)[2]
+    assert abs(spectral_report.top_eigenvalue_s1 - top) <= tol
+    assert spectral_report.top_eigenvalue_simple == simple
+    assert abs(spectral_report.rho_s1_star - rho_s1_star) <= tol
+    assert abs(spectral_report.rho_s2_star - rho_s2_star) <= tol
 
 
 class TestSpectralRoutes:
-    def test_symmetric_route_matches_eigvals(self):
+    def test_symmetric_route_matches_eigvals(self, monkeypatch):
+        # at n = 40 the Lanczos budget cannot hold one Krylov basis, so a
+        # reversible smoother takes one full eigvalsh spectrum
+        calls = []
+
+        def counting(*args, eigvalsh=spectral.eigvalsh, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigvalsh", counting)
         rng = np.random.default_rng(61)
         for kernel in ALL_KERNELS:
             x = rng.normal(size=40)
             for bw in (gap_passing_constant(x, rng), RateBandwidth(0.2)):
                 s = build_smoother(x, kernel, bw)
                 assert _symmetrized(s) is not None
-                eigs = _smoother_spectrum(s)
-                assert eigs.dtype == float
-                assert matched_distance(eigs, np.linalg.eigvals(s)) <= 1e-12
+                before = len(calls)
+                top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+                assert len(calls) == before + 1
+                assert (applications, fallback) == (0, None)
+                want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+                assert abs(top - want_top) <= 1e-12
+                assert simple == want_simple
+                assert abs(rho_star - want_rho_star) <= 1e-12
 
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_centered_radii_match_centered_matrices(self, method):
@@ -364,6 +384,17 @@ class TestSpectralRoutes:
                     spectral_radius(center(pair.s2)), abs=1e-12
                 )
 
+    def test_asymmetry_holds_one_block(self):
+        a = np.random.default_rng(68).random((1536, 1536))
+        tracemalloc.start()
+        try:
+            got = _asymmetry(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 512 * 1536 * 8
+        assert got == pytest.approx(np.linalg.norm(a - a.T), rel=1e-12)
+
     def test_knn_and_per_point_take_general_route(self):
         rng = np.random.default_rng(63)
         x = rng.normal(size=40)
@@ -374,7 +405,7 @@ class TestSpectralRoutes:
             ):
                 s = build_smoother(x, kernel, bw)
                 assert _symmetrized(s) is None
-                assert np.array_equal(_smoother_spectrum(s), np.linalg.eigvals(s))
+                assert _smoother_extremes(s) == (*smoother_extremes_oracle(s), 0, None)
 
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, method):
@@ -466,40 +497,145 @@ class TestArpackRoute:
         assert power.verdict is dense.verdict
 
     def test_parity_sweep(self):
-        # seeded replicates over four kernels and three bandwidth kinds,
-        # with aligned clusters (not certified) and a design correlated at
-        # 0.999 (near-critical): same verdict, radii within 1e-12, and a
-        # bit-identical rerun of the ARPACK route
-        designs = [IndependentUniform(), BivariateNormal(rho=0.5), BivariateNormal(rho=0.999)]
-        rng = np.random.default_rng(65)
+        # same verdict, radii within 1e-12, smoother fields as the
+        # full-spectrum oracle, and a bit-identical rerun of the ARPACK route
         verdicts = set()
         near_critical = 0
-        for i in range(504):
-            kernel = ALL_KERNELS[i % 4]
-            kind = (i // 4) % 3
-            n = int(rng.integers(8, 41))
-            if kind == 0 and i % 12 >= 9:
-                data = two_cluster_dataset(
-                    rng, float(rng.uniform(0.2, 0.9)), n_a=n // 2, n_b=n - n // 2
-                )
-            else:
-                data = generate(SimSpec(n=n, design=designs[(i // 12) % 3], seed=i))
-            if kind == 0:
-                bw_u = ConstantBandwidth(max_gap(data.u) * float(rng.uniform(0.7, 2.5)))
-                bw_v = ConstantBandwidth(max_gap(data.v) * float(rng.uniform(0.7, 2.5)))
-            elif kind == 1:
-                bw_u = bw_v = RateBandwidth(float(rng.uniform(0.1, 0.9)))
-            else:
-                bw_u = bw_v = KNearestBandwidth(int(rng.integers(2, 6)))
-            pair = build_pair(data, kernel, bw_u, bw_v)
-            dense = certify(pair, kernel, bw_u, bw_v, data, method="dense")
-            power = certify(pair, kernel, bw_u, bw_v, data, method="power")
-            again = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        for i, _, pair, certify_pair in parity_replicates():
+            dense = certify_pair("dense")
+            power = certify_pair("power")
+            again = certify_pair("power")
             assert power.spectral.method == "power", i
             assert power.verdict is dense.verdict, i
             assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
             assert again.spectral == power.spectral, i
+            assert power.spectral.smoother_iterations == (0, 0), i
+            assert_matches_oracle(power.spectral, pair, 1e-12)
             verdicts.add(dense.verdict)
             near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
         assert verdicts == set(Verdict)
         assert near_critical >= 10
+
+
+def parity_replicates():
+    """The parity sweep's 504 seeded replicates, n from 8 to 40.
+
+    They run over four kernels and three bandwidth kinds (constant, rate,
+    knn), with aligned clusters (not certified) and a design correlated
+    at 0.999 (near-critical).  Yields the index, the bandwidth kind, the
+    pair, and a function of the ``certify`` method that certifies it.
+    """
+    designs = [IndependentUniform(), BivariateNormal(rho=0.5), BivariateNormal(rho=0.999)]
+    rng = np.random.default_rng(65)
+    for i in range(504):
+        kernel = ALL_KERNELS[i % 4]
+        kind = ("constant", "rate", "knn")[(i // 4) % 3]
+        n = int(rng.integers(8, 41))
+        if kind == "constant" and i % 12 >= 9:
+            data = two_cluster_dataset(
+                rng, float(rng.uniform(0.2, 0.9)), n_a=n // 2, n_b=n - n // 2
+            )
+        else:
+            data = generate(SimSpec(n=n, design=designs[(i // 12) % 3], seed=i))
+        if kind == "constant":
+            bw_u = ConstantBandwidth(max_gap(data.u) * float(rng.uniform(0.7, 2.5)))
+            bw_v = ConstantBandwidth(max_gap(data.v) * float(rng.uniform(0.7, 2.5)))
+        elif kind == "rate":
+            bw_u = bw_v = RateBandwidth(float(rng.uniform(0.1, 0.9)))
+        else:
+            bw_u = bw_v = KNearestBandwidth(int(rng.integers(2, 6)))
+        pair = build_pair(data, kernel, bw_u, bw_v)
+
+        def certify_pair(method, pair=pair, kernel=kernel, bw_u=bw_u, bw_v=bw_v, data=data):
+            return certify(pair, kernel, bw_u, bw_v, data, method=method)
+
+        yield i, kind, pair, certify_pair
+
+
+class TestLanczosRoute:
+    def test_parity_sweep(self, monkeypatch):
+        # with an unbounded budget every reversible smoother (n >= 8 here)
+        # takes Lanczos: its fields match the full-spectrum oracle, the
+        # verdicts of both certify methods agree, reruns are bit-identical
+        # and both methods take the same smoother route; only smoothers
+        # whose clusters leave rho(S*) = 1 fall back
+        monkeypatch.setattr(spectral, "_lanczos_budget", lambda n: 10**6)
+        converged = 0
+        for i, kind, pair, certify_pair in parity_replicates():
+            power = certify_pair("power")
+            again = certify_pair("power")
+            dense = certify_pair("dense")
+            assert again.spectral == power.spectral, i
+            assert power.verdict is dense.verdict, i
+            assert dataclasses.replace(
+                dense.spectral, rho_product=0.0, method="", iterations=0
+            ) == dataclasses.replace(power.spectral, rho_product=0.0, method="", iterations=0), i
+            assert_matches_oracle(power.spectral, pair, 1e-12)
+            reasons = power.spectral.smoother_fallback or ""
+            for name, s, applications in zip(
+                ("s1", "s2"), (pair.s1, pair.s2), power.spectral.smoother_iterations
+            ):
+                if kind == "knn":
+                    assert applications == 0 and not reasons, i
+                elif applications == 0:
+                    assert f"{name}: ArpackNoConvergence" in reasons, i
+                    assert smoother_extremes_oracle(s)[2] >= 1.0 - 1e-8, i
+                else:
+                    assert f"{name}: " not in reasons, i
+                    converged += 1
+        assert converged >= 660
+
+    def test_large_smoother_never_takes_eigvalsh(self, monkeypatch):
+        data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
+        bw = RateBandwidth(0.2)
+        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on an n = 800 Gaussian smoother")
+
+        monkeypatch.setattr(spectral, "eigvalsh", unused)
+        cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
+        assert certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power").spectral == cert.spectral
+        assert cert.spectral.smoother_fallback is None
+        assert all(0 < it <= 800 // 10 for it in cert.spectral.smoother_iterations)
+        assert cert.spectral.top_eigenvalue_simple
+        assert cert.to_dict()["spectral"]["smoother_iterations"] == list(
+            cert.spectral.smoother_iterations
+        )
+
+    def test_arpack_failure_falls_back_to_eigvalsh(self, monkeypatch):
+        data, kernel, bw_u, bw_v = certified_problem(7)
+        pair = build_pair(data, kernel, bw_u, bw_v)
+        dense = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(spectral, "_lanczos_budget", lambda n: 10**6)
+        monkeypatch.setattr(spectral, "eigsh", failing)
+        cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        reason = f"ArpackNoConvergence: {error}"
+        assert cert.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
+        assert cert.spectral.smoother_iterations == (0, 0)
+        assert dense.spectral.smoother_fallback is None
+        assert cert.spectral == dataclasses.replace(
+            dense.spectral, smoother_fallback=cert.spectral.smoother_fallback
+        )
+        assert cert.verdict is dense.verdict
+
+    def test_spent_budget_falls_back_to_eigvalsh(self):
+        # at n = 400 the budget is exactly one Krylov basis of 40 vectors,
+        # and the run needs one application more
+        x = np.random.default_rng(67).uniform(size=400)
+        s = build_smoother(x, Kernel.GAUSSIAN, RateBandwidth(0.2))
+        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+        assert applications == 0
+        assert fallback == (
+            "ArpackNoConvergence: ARPACK error -1: "
+            "Lanczos budget of 40 operator applications used up"
+        )
+        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+        assert abs(top - want_top) <= 1e-12
+        assert simple == want_simple
+        assert abs(rho_star - want_rho_star) <= 1e-12
