@@ -47,7 +47,7 @@ from .simulate import (
     gap_exceedance_bound,
     run_monte_carlo,
 )
-from .smoothers import build_pair
+from .smoothers import build_pair, smoother_storage
 from .spectral import certify
 
 __all__ = ["RunConfig", "NotCertifiedError", "main", "build_parser"]
@@ -108,12 +108,22 @@ def _load_problem(args: argparse.Namespace):
     try:
         pair = build_pair(data, kernel, bw, bw)
     except MemoryError:
-        n = data.n
-        raise MemoryError(
-            f"n={n} needs two {n} x {n} smoother matrices "
-            f"({2 * 8 * n * n / 1e9:.3g} GB), more than this machine can allocate"
-        ) from None
+        raise MemoryError(_pair_storage(data, kernel, bw)) from None
     return data, kernel, bw, pair
+
+
+def _pair_storage(data, kernel, bw) -> str:
+    """What the smoother pair of this problem needs, as the build would store it."""
+    n = data.n
+    (kind_u, bytes_u), (kind_v, bytes_v) = (
+        smoother_storage(x, kernel, bw) for x in (data.u, data.v)
+    )
+    size = f"{(bytes_u + bytes_v) / 1e9:.3g} GB"
+    if kind_u == kind_v == "dense":
+        need = f"two {n} x {n} smoother matrices ({size})"
+    else:
+        need = f"{size} for its smoother matrices (S1 {kind_u}, S2 {kind_v})"
+    return f"n={n} needs {need}, more than this machine can allocate"
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -1,7 +1,15 @@
 """Row-stochastic smoother matrices and their mean-centered action.
 
 ``build_smoother`` stacks the Nadaraya-Watson weight rows of one
-coordinate into an n x n row-stochastic matrix.  ``center`` applies the
+coordinate into an n x n row-stochastic matrix.  Each row's weights lie
+in a window of consecutive order statistics (:func:`support_window`)
+when the kernel has compact support; when those windows hold at most
+n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
+otherwise as a dense array.  Products with a vector (``@``) work on
+either, and so do the fitters and the matrix-free ARPACK route; only the
+routes that need the dense matrix itself (the smoother eigensolvers, the
+formed product S2* S1* and the centered copies) convert it, through
+:func:`as_dense`.  ``center`` applies the
 mean-removal projector C = I - 11^T/n, which enforces the zero-mean
 identification constraint on fitted component vectors.  The backfitting
 equations use the centered smoothers S* = C S; this module is the one
@@ -16,14 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .kernels import BandwidthSpec, Kernel
 
 __all__ = ["Dataset", "SmootherPair", "build_smoother", "center", "build_pair"]
 
-# Rows per block of build_smoother: the temporaries of one block are a few
+# Rows per block of the dense build: the temporaries of one block are a few
 # BUILD_BLOCK x n arrays, beside the one n x n result.
 BUILD_BLOCK = 256
+
+# A compact-kernel smoother is stored as CSR when its windows hold at most
+# this share of the n x n entries.  Below about 1/16 fill a CSR product
+# with a vector beats the dense one at least twofold for n >= 400, and at
+# n = 200 the two tie or dense wins (one BLAS thread).
+CSR_MAX_FILL = 1.0 / 16.0
 
 
 @dataclass
@@ -68,15 +83,16 @@ class Dataset:
 class SmootherPair:
     """Row-stochastic smoother matrices S1 (of u) and S2 (of v).
 
-    The centered smoothers S* = C S are rank-one corrections of S and are
-    not stored: the fitters apply them as S* x = S x - mean(S x), and
+    Each is a dense ndarray or a ``csr_array``, as :func:`build_smoother`
+    chose.  The centered smoothers S* = C S are rank-one corrections of S
+    and are not stored: the fitters apply them as S* x = S x - mean(S x), and
     :meth:`star_product` forms S2* S1* when a dense route needs it.
-    ``s1_star`` and ``s2_star`` build a fresh centered copy on every
+    ``s1_star`` and ``s2_star`` build a fresh dense centered copy on every
     access.
     """
 
-    s1: np.ndarray
-    s2: np.ndarray
+    s1: np.ndarray | csr_array
+    s2: np.ndarray | csr_array
 
     @property
     def n(self) -> int:
@@ -101,25 +117,121 @@ class SmootherPair:
         return z - z.mean()
 
     def star_product(self) -> np.ndarray:
-        """S2* S1*, formed as C (S2 S1) in one fresh n x n array.
+        """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
 
         C S2 C = C S2 because S2 is row-stochastic (S2 1 = 1), so the
-        product needs one centering instead of two centered copies.
+        product needs one centering instead of two centered copies.  Two
+        CSR smoothers multiply as sparse matrices before the result is
+        made dense.
         """
-        product = self.s2 @ self.s1
+        product = as_dense(self.s2 @ self.s1)
         product -= product.mean(axis=0)
         return product
 
 
-def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarray:
+def as_dense(s: np.ndarray | csr_array) -> np.ndarray:
+    """``s`` as a dense array: a sparse matrix is copied out, a dense one returned as is."""
+    return s.toarray() if issparse(s) else s
+
+
+def support_window(
+    x: np.ndarray, order: np.ndarray, centre, h
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in sorted order of the points a compact kernel can weigh.
+
+    A compact kernel weighs x_j at ``centre`` c and bandwidth h only when
+    (c - x_j) / h, computed in floating point, lies strictly inside
+    (-1, 1).  Rounding is monotone and h is a float, so that requires
+    |c - x_j| < h exactly.  The searched edges c -/+ h are widened by four
+    ulps of |c| + h, more than their own rounding can move them, so
+    ``x[order][lo:hi]`` holds every such point, and perhaps a few that the
+    kernel weighs zero.
+    ``order`` sorts ``x`` (an argsort permutation); ``centre`` and ``h``
+    may be scalars or arrays of one shape.
+    """
+    pad = 4.0 * np.spacing(np.abs(centre) + h)
+    lo = np.searchsorted(x, centre - h - pad, side="left", sorter=order)
+    hi = np.searchsorted(x, centre + h + pad, side="right", sorter=order)
+    return lo, hi
+
+
+def _check_total(total: np.ndarray, offset: int = 0) -> None:
+    bad = np.flatnonzero(total <= 0.0)
+    if bad.size:
+        raise ValueError(f"row {offset + bad[0]} has zero total kernel mass")
+
+
+def _build_dense(x: np.ndarray, kernel: Kernel, h: np.ndarray) -> np.ndarray:
+    """The smoother as one dense array, filled in blocks of ``BUILD_BLOCK`` rows."""
+    n = len(x)
+    for lo in range(0, n, BUILD_BLOCK):
+        rows = slice(lo, lo + BUILD_BLOCK)
+        h_rows = h[rows, None]
+        raw = kernel.evaluate((x[rows, None] - x[None, :]) / h_rows) / h_rows
+        total = raw.sum(axis=1)
+        _check_total(total, lo)
+        if lo == 0:
+            # allocated after the first block's kernel temporaries are freed,
+            # so a one-block build peaks no higher than a one-shot one
+            s = np.empty((n, n))
+        np.divide(raw, total[:, None], out=s[rows])
+    return s
+
+
+def _build_csr(
+    x: np.ndarray,
+    kernel: Kernel,
+    h: np.ndarray,
+    order: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> csr_array:
+    """The smoother as a CSR array, evaluating the kernel on each row's window.
+
+    Row i's window is ``order[lo[i]:hi[i]]`` (:func:`support_window`).
+    Each entry is computed as in the dense build; only the row total sums
+    the window alone, in another order.  Zero weights are dropped, so the
+    stored pattern is the positive pattern of the dense build.
+    """
+    n = len(x)
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(n), counts)
+    cols = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+    h_rows = h[rows]
+    raw = kernel.evaluate((x[rows] - x[cols]) / h_rows) / h_rows
+    # every window holds its own point, so no window is empty
+    total = np.add.reduceat(raw, starts)
+    _check_total(total)
+    keep = raw > 0.0
+    rows = rows[keep]
+    index = np.int32 if max(n, len(rows)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    s = csr_array((raw[keep] / total[rows], cols[keep].astype(index), indptr), shape=(n, n))
+    s.sort_indices()
+    return s
+
+
+def build_smoother(
+    x: np.ndarray, kernel: Kernel, bw: BandwidthSpec
+) -> np.ndarray | csr_array:
     """Assemble the row-stochastic smoother matrix of one coordinate.
 
     Row i holds the normalised kernel weights of point i at bandwidth
     h_i: w_ik = K_{h_i}(x_i - x_k) / sum_j K_{h_i}(x_i - x_j), with
-    K_h(t) = K(t / h) / h.  The rows are computed in blocks of
-    ``BUILD_BLOCK`` straight into the preallocated result; each row's
-    arithmetic is the same as in one whole-matrix expression, so the
-    matrix is bit-identical to it.
+    K_h(t) = K(t / h) / h.
+
+    A compact kernel weighs only the points of a window of consecutive
+    order statistics around each x_i (:func:`support_window`).  When
+    those windows hold at most ``CSR_MAX_FILL`` n^2 entries, the kernel is
+    evaluated on them alone and the matrix is returned as a ``csr_array``
+    with sorted indices and no stored zeros; its entries agree with the
+    dense build to a few ulps, since only the row totals are summed in
+    another order.  Otherwise (the Gaussian, or wide windows) the rows are
+    computed in blocks of ``BUILD_BLOCK`` straight into a dense result;
+    each row's arithmetic is the same as in one whole-matrix expression,
+    so that matrix is bit-identical to it.
 
     Parameters
     ----------
@@ -132,7 +244,7 @@ def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarr
 
     Returns
     -------
-    ndarray, shape (n, n)
+    ndarray or csr_array, shape (n, n)
         Row-stochastic matrix with a strictly positive diagonal.
     """
     x = np.asarray(x, dtype=float)
@@ -140,29 +252,53 @@ def build_smoother(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> np.ndarr
     if n < 2:
         raise ValueError(f"need at least 2 points to build a smoother, got {n}")
     h = bw.resolve(x)
-    for lo in range(0, n, BUILD_BLOCK):
-        rows = slice(lo, lo + BUILD_BLOCK)
-        h_rows = h[rows, None]
-        raw = kernel.evaluate((x[rows, None] - x[None, :]) / h_rows) / h_rows
-        total = raw.sum(axis=1)
-        bad = np.flatnonzero(total <= 0.0)
-        if bad.size:
-            raise ValueError(f"row {lo + bad[0]} has zero total kernel mass")
-        if lo == 0:
-            # allocated after the first block's kernel temporaries are freed,
-            # so a one-block build peaks no higher than a one-shot one
-            s = np.empty((n, n))
-        np.divide(raw, total[:, None], out=s[rows])
-    return s
+    windows = _csr_windows(x, kernel, h)
+    if windows is None:
+        return _build_dense(x, kernel, h)
+    return _build_csr(x, kernel, h, *windows)
+
+
+def _csr_windows(
+    x: np.ndarray, kernel: Kernel, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Sort order and row windows of a CSR build, or None when the build is dense.
+
+    The build is CSR when the kernel has compact support and its windows
+    hold at most ``CSR_MAX_FILL`` n^2 entries.
+    """
+    if not kernel.compact_support:
+        return None
+    order = np.argsort(x, kind="stable")
+    lo, hi = support_window(x, order, x, h)
+    if int((hi - lo).sum()) > CSR_MAX_FILL * len(x) ** 2:
+        return None
+    return order, lo, hi
+
+
+def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[str, int]:
+    """How :func:`build_smoother` stores this smoother, without building it.
+
+    Returns ``("dense", 8 n^2)`` or ``("CSR", b)``, where b bounds the
+    bytes of the CSR arrays: 12 per window entry (a float64 weight and an
+    int32 index) and 4 per row pointer (int64 indices, past 2^31 entries,
+    take 4 more per entry).
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    windows = _csr_windows(x, kernel, bw.resolve(x))
+    if windows is None:
+        return "dense", 8 * n * n
+    _, lo, hi = windows
+    return "CSR", 12 * int((hi - lo).sum()) + 4 * (n + 1)
 
 
 def center(s: np.ndarray) -> np.ndarray:
     """Apply the mean-removal projector: (I - 11^T/n) s.
 
     Subtracts the column-mean row from every row, so the result maps any
-    vector to a zero-mean vector.
+    vector to a zero-mean vector.  A sparse ``s`` gives a dense result.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(as_dense(s), dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     return s - s.mean(axis=0)

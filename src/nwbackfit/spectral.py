@@ -33,11 +33,13 @@ ARPACK's ``eigsh`` finds the two eigenvalues of largest modulus of
 x -> A x - q (q^T x), where q = sqrt(pi)/||sqrt(pi)|| is the unit
 eigenvector of A that the subtraction deflates.  The run has a budget of
 n // 10 operator applications, about a third of what the full symmetric
-eigendecomposition (``eigvalsh``) costs; when the budget cannot hold one
-Krylov basis (n < 400) the run is skipped, and when ARPACK fails or uses
-the budget up, ``eigvalsh`` gives the full spectrum of A instead and the
-report's ``smoother_fallback`` says why.  Other smoothers (k-nearest or
-per-point bandwidths) take a dense nonsymmetric eigendecomposition.
+eigendecomposition (``eigvalsh``) costs; when the budget holds no more
+than one Krylov basis (n < 410) the run is skipped, and when ARPACK fails
+or uses the budget up, ``eigvalsh`` gives the full spectrum of A instead
+and the report's ``smoother_fallback`` says why.  Other smoothers
+(k-nearest or per-point bandwidths) take a dense nonsymmetric
+eigendecomposition.  A smoother stored as CSR is made dense for these
+eigensolvers.
 Only the product S2* S1* needs a nonsymmetric solver.
 ``certify(method="power")``, which the command line always uses, runs
 ARPACK on the operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), which
@@ -57,13 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair
+from .smoothers import Dataset, SmootherPair, as_dense
 
 __all__ = [
     "GapReport",
@@ -242,20 +244,47 @@ def check_gap_conditions(
     )
 
 
-def _validate_stochastic(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
+def _validate_stochastic(s) -> np.ndarray | csr_array:
+    """``s`` as a float array, dense or CSR, after checking it is row-stochastic.
+
+    A sparse ``s`` is checked on its stored entries and row sums, in O(nnz).
+    """
+    if issparse(s):
+        s = csr_array(s, dtype=float)
+        entries = s.data
+    else:
+        s = entries = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    if s.min() < -1e-12:
-        raise ValueError(f"matrix has a negative entry ({s.min():.3e}); not row-stochastic")
+    lowest = entries.min(initial=0.0)
+    if lowest < -1e-12:
+        raise ValueError(f"matrix has a negative entry ({lowest:.3e}); not row-stochastic")
     row_err = np.abs(s.sum(axis=1) - 1.0).max()
     if row_err > 1e-9:
         raise ValueError(f"row sums deviate from 1 by {row_err:.3e}; not row-stochastic")
     return s
 
 
-def _graph_period(adj: np.ndarray) -> int:
-    """Period of a strongly connected directed graph (gcd of cycle lengths)."""
+def _positive_pattern(s: np.ndarray | csr_array) -> csr_array | None:
+    """The positive entries of a square matrix, as a boolean CSR array.
+
+    None for a dense matrix whose entries are all positive, which is
+    irreducible and aperiodic, so that no n^2-entry CSR copy is made.
+    """
+    if not issparse(s):
+        positive = s > 0.0
+        return None if positive.all() else csr_array(positive)
+    adj = csr_array((s.data > 0.0, s.indices, s.indptr), shape=s.shape)
+    adj.eliminate_zeros()
+    return adj
+
+
+def _graph_period(adj: csr_array) -> int:
+    """Period of a strongly connected directed graph (gcd of cycle lengths).
+
+    ``adj`` is the graph's boolean CSR adjacency matrix, with no stored
+    False; a breadth-first search walks its rows, in O(nnz).
+    """
     n = adj.shape[0]
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
@@ -263,27 +292,27 @@ def _graph_period(adj: np.ndarray) -> int:
     while frontier:
         nxt = []
         for i in frontier:
-            for j in np.flatnonzero(adj[i]):
+            for j in adj.indices[adj.indptr[i] : adj.indptr[i + 1]]:
                 if level[j] < 0:
                     level[j] = level[i] + 1
                     nxt.append(int(j))
         frontier = nxt
-    ii, jj = np.nonzero(adj)
-    return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[jj])))
+    ii = np.repeat(np.arange(n), np.diff(adj.indptr))
+    return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[adj.indices])))
 
 
-def check_regularity(s: np.ndarray) -> bool:
+def check_regularity(s: np.ndarray | csr_array) -> bool:
     """True iff the positivity graph of a stochastic matrix is regular.
 
     Regular = irreducible (strongly connected) and aperiodic, i.e. some
     power of the matrix is entrywise positive.  Any positive diagonal
     entry of an irreducible matrix short-circuits the period computation.
+    ``s`` may be dense or sparse; a sparse one is checked in O(nnz).
     """
-    s = _validate_stochastic(s)
-    adj = s > 0.0
-    if adj.all():  # a positive matrix is irreducible and aperiodic
+    adj = _positive_pattern(_validate_stochastic(s))
+    if adj is None:
         return True
-    n_components, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    n_components, _ = connected_components(adj, directed=True, connection="strong")
     if n_components != 1:
         return False
     if adj.diagonal().any():
@@ -409,19 +438,24 @@ def _lanczos_extremes(
     return complex(top), simple, float(np.abs(vals).max()), applications
 
 
-def _smoother_extremes(s: np.ndarray) -> tuple[complex, bool, float, int, str | None]:
+def _smoother_extremes(
+    s: np.ndarray | csr_array,
+) -> tuple[complex, bool, float, int, str | None]:
     """Top eigenvalue of a smoother, its simplicity, and rho(S*).
 
     A non-reversible ``s`` (see :func:`_symmetrized`) takes its full
     spectrum from ``eigvals``.  A reversible one takes
     :func:`_lanczos_extremes` when its budget (:func:`_lanczos_budget`)
-    holds at least one Krylov basis (and eigsh's k = 2 < ncv), and the
-    full spectrum of its symmetrisation from ``eigvalsh`` when it does
-    not, or when the Lanczos run raises ``ArpackError``.
+    exceeds one Krylov basis (and eigsh's k = 2 < ncv), and the full
+    spectrum of its symmetrisation from ``eigvalsh`` when it does not, or
+    when the Lanczos run raises ``ArpackError``.  A budget of exactly one
+    basis is skipped too: every converged run measured has needed more
+    than ncv applications.  A sparse ``s`` is made dense first.
 
     Returns the three quantities, the Lanczos operator applications (0 on
     a dense route) and why a Lanczos run fell back (None when none did).
     """
+    s = as_dense(s)
     a = _symmetrized(s)
     if a is None:
         return (*_spectrum_extremes(np.linalg.eigvals(s)), 0, None)
@@ -429,7 +463,7 @@ def _smoother_extremes(s: np.ndarray) -> tuple[complex, bool, float, int, str | 
     ncv = min(LANCZOS_NCV, n - 1)
     budget = _lanczos_budget(n)
     fallback = None
-    if 2 < ncv <= budget:
+    if 2 < ncv < budget:
         try:
             return (*_lanczos_extremes(a, ncv, budget), None)
         except ArpackError as exc:

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import issparse
 
 from nwbackfit.kernels import ConstantBandwidth, Kernel
 from nwbackfit.simulate import max_gap
 from nwbackfit.smoothers import Dataset
 
 ALL_KERNELS = [Kernel.UNIFORM, Kernel.EPANECHNIKOV, Kernel.TRIANGULAR, Kernel.GAUSSIAN]
+
+
+def dense(s) -> np.ndarray:
+    """A smoother as a dense array; a CSR one is copied out with ``toarray()``."""
+    return s.toarray() if issparse(s) else np.asarray(s)
 
 
 def gap_passing_constant(x, rng, lo=1.15, hi=3.0) -> ConstantBandwidth:
@@ -63,7 +69,7 @@ def lu_direct_oracle(pair, y) -> tuple[np.ndarray, np.ndarray]:
     """
     n = pair.n
     c = np.eye(n) - 1.0 / n
-    s1_star, s2_star = c @ pair.s1, c @ pair.s2
+    s1_star, s2_star = c @ dense(pair.s1), c @ dense(pair.s2)
     m2 = lu_solve(lu_factor(np.eye(n) - s2_star @ s1_star), s2_star @ (y - s1_star @ y))
     return s1_star @ (y - m2), m2
 
@@ -76,7 +82,7 @@ def smoother_extremes_oracle(s) -> tuple[complex, bool, float]:
     eigenvalue lies within 1e-8 of it, and rho(S*) is the largest modulus
     left once the eigenvalue nearest 1 is removed (Brauer's deflation).
     """
-    eigs = np.linalg.eigvals(s)
+    eigs = np.linalg.eigvals(dense(s))
     top = eigs[np.argmax(np.abs(eigs))]
     simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
     rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
@@ -107,7 +113,7 @@ def random_stochastic(rng, n, style):
 
 def brute_force_regular(s):
     """Reference oracle: some boolean power of the pattern is all-positive."""
-    b = s > 0.0
+    b = dense(s) > 0.0
     p = np.eye(len(s), dtype=bool)
     for _ in range(len(s) ** 2):
         p = p @ b

@@ -8,9 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import lu_solve
 
-from nwbackfit import fitting
+from nwbackfit import fitting, smoothers
 from nwbackfit.fitting import (
     BackfitNonConvergenceError,
+    FitResult,
     SingularSystemError,
     backfit_direct,
     backfit_iterative,
@@ -28,7 +29,7 @@ from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, gen
 from nwbackfit.smoothers import Dataset, build_pair
 from nwbackfit.spectral import Verdict, certify
 
-from conftest import lu_direct_oracle, two_cluster_dataset
+from conftest import ALL_KERNELS, eval_scaled, lu_direct_oracle, two_cluster_dataset
 
 
 def gaussian_problem(seed, n=60, rho=None):
@@ -45,6 +46,68 @@ def knn_problem(seed, n=300):
     data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
     bw = KNearestBandwidth(30)
     return data, build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
+
+
+def outcome(solve, *args, **kwargs):
+    """The fit a solver returns, or the class of the error it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except (BackfitNonConvergenceError, SingularSystemError) as exc:
+        return type(exc)
+
+
+class TestSparseSmoothers:
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            "uniform_cluster_problem",
+            "triangular_cluster_problem",
+            "crossed_cluster_problem",
+            "near_critical_problem",
+            "knn",
+        ],
+    )
+    def test_csr_pair_matches_dense_pair(self, problem, request, monkeypatch):
+        # the same problem with every compact-kernel smoother stored as CSR
+        # and as dense: fits, radii and verdicts agree to 1e-12
+        if problem == "knn":
+            rng = np.random.default_rng(93)
+            data = Dataset(y=rng.normal(size=500), u=rng.uniform(size=500), v=rng.uniform(size=500))
+            kernel, bw = Kernel.EPANECHNIKOV, KNearestBandwidth(10)
+        else:
+            data, kernel, bw = request.getfixturevalue(problem)
+        pairs = {}
+        for layout, fill in (("csr", 1.0), ("dense", 0.0)):
+            monkeypatch.setattr(smoothers, "CSR_MAX_FILL", fill)
+            pairs[layout] = build_pair(data, kernel, bw, bw)
+        if not kernel.compact_support:
+            # a Gaussian smoother is dense whatever the fill rule, so the
+            # fits and certificates are the same computations
+            for got, want in zip(vars(pairs["csr"]).values(), vars(pairs["dense"]).values()):
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            return
+        results = {}
+        for layout, pair in pairs.items():
+            assert all(isinstance(s, np.ndarray) == (layout == "dense") for s in vars(pair).values())
+            results[layout] = [
+                outcome(backfit_iterative, pair, data.y),
+                outcome(backfit_direct, pair, data.y),
+                certify(pair, kernel, bw, bw, data, method="power"),
+                certify(pair, kernel, bw, bw, data, method="dense"),
+            ]
+        for got, want in zip(results["csr"], results["dense"]):
+            if isinstance(want, type):
+                assert got is want
+            elif isinstance(want, FitResult):
+                assert got.iterations == want.iterations
+                assert np.abs(got.m1_hat - want.m1_hat).max() <= 1e-12
+                assert np.abs(got.m2_hat - want.m2_hat).max() <= 1e-12
+            else:
+                assert got.verdict is want.verdict
+                assert got.regular_s1 == want.regular_s1 and got.regular_s2 == want.regular_s2
+                for field in ("rho_product", "rho_s1_star", "rho_s2_star", "top_eigenvalue_s1"):
+                    assert abs(getattr(got.spectral, field) - getattr(want.spectral, field)) <= 1e-12
+                assert got.spectral.top_eigenvalue_simple == want.spectral.top_eigenvalue_simple
 
 
 class TestTrivialFixedPoints:
@@ -356,6 +419,36 @@ class TestPredict:
                 data, fit, (data.u.max() + 100.0, data.v[0]), Kernel.UNIFORM,
                 ConstantBandwidth(0.5), ConstantBandwidth(0.5),
             )
+
+    @pytest.mark.parametrize(
+        "kernel", [k for k in ALL_KERNELS if k.compact_support], ids=lambda k: k.value
+    )
+    @pytest.mark.parametrize(
+        "bw",
+        [ConstantBandwidth(0.25), RateBandwidth(0.3), KNearestBandwidth(7)],
+        ids=["constant", "rate", "knn"],
+    )
+    def test_windowed_prediction_matches_full_rows(self, kernel, bw):
+        # queries on and between grid points a multiple of h = 0.25 apart,
+        # at the range ends, and at random; the window drops only points
+        # the kernel weighs zero
+        rng = np.random.default_rng(88)
+        u = np.concatenate([np.arange(40) * 0.125, rng.uniform(0.0, 5.0, 60)])
+        v = rng.normal(size=100)
+        data = Dataset(y=rng.normal(size=100), u=u, v=v)
+        fit = FitResult(
+            alpha_hat=0.3, m1_hat=rng.normal(size=100), m2_hat=rng.normal(size=100),
+            method="direct", sweep=None, iterations=0, final_delta=0.0, residual_normal_eq=0.0,
+        )
+        queries = [(0.5, 0.0), (0.625, v.min()), (u.max(), v.max()), (4.875, 0.1)]
+        queries += list(zip(rng.uniform(0.0, 5.0, 20), rng.uniform(-1.0, 1.0, 20)))
+        for q in queries:
+            want = fit.alpha_hat
+            for x, comp, at in ((u, fit.m1_hat, q[0]), (v, fit.m2_hat, q[1])):
+                w = eval_scaled(kernel, at - x, bw.off_sample(x, at))
+                want += float(w @ comp) / float(w.sum())
+            got = predict(data, fit, q, kernel, bw, bw)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
 
     def test_knn_and_rate_query_bandwidths(self):
         data, pair = gaussian_problem(84, n=15)

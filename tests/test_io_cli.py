@@ -288,6 +288,26 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_memory_names_csr_smoothers(self, sample_csv, tmp_path, monkeypatch, capsys):
+        path, data = sample_csv
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 0.1 KiB for an array with shape (12,)")
+
+        monkeypatch.setattr("nwbackfit.cli.build_pair", exhausted)
+        monkeypatch.setattr("nwbackfit.smoothers.CSR_MAX_FILL", 1.0)
+        rc = main(
+            [
+                "fit", "--input", str(path), "--kernel", "epanechnikov",
+                "--bandwidth", "knn:3", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: n=40 needs ")
+        assert "for its smoother matrices (S1 CSR, S2 CSR)" in err
+        assert "40 x 40" not in err
+
     def test_singular_system(self, tmp_path):
         rng = np.random.default_rng(11)
         data = two_cluster_dataset(rng, spread=0.8)

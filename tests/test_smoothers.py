@@ -1,13 +1,36 @@
 """Smoother matrix construction, centering, and dataset validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import issparse
 
-from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
+from nwbackfit import smoothers
+from nwbackfit.kernels import (
+    ConstantBandwidth,
+    Kernel,
+    KNearestBandwidth,
+    PerPointBandwidth,
+    RateBandwidth,
+)
 from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
 
 from conftest import ALL_KERNELS, build_smoother_oneshot, gap_passing_constant, weight_row
+
+COMPACT_KERNELS = [k for k in ALL_KERNELS if k.compact_support]
+
+
+def assert_same_csr(s, want):
+    """A CSR smoother against the dense oracle: same positive pattern,
+    sorted indices, no stored zeros, and entries within 1e-14."""
+    assert issparse(s) and s.format == "csr"
+    assert s.has_sorted_indices
+    assert (s.data > 0.0).all()
+    got = s.toarray()
+    assert np.array_equal(got > 0.0, want > 0.0)
+    assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def random_dataset(rng, n):
@@ -107,9 +130,67 @@ class TestBuildSmoother:
         ids=["constant", "rate", "knn"],
     )
     def test_blocked_build_is_bit_identical(self, kernel, bw):
-        # 600 rows: two full blocks and a partial one
+        # 600 rows: two full blocks and a partial one.  A dense build is
+        # bit-identical; a CSR one (compact kernels at knn:30, 5% fill)
+        # stores the same positive pattern, and only its row totals are
+        # summed in another order
         x = np.random.default_rng(22).normal(size=600)
-        assert np.array_equal(build_smoother(x, kernel, bw), build_smoother_oneshot(x, kernel, bw))
+        s = build_smoother(x, kernel, bw)
+        want = build_smoother_oneshot(x, kernel, bw)
+        if isinstance(bw, KNearestBandwidth) and kernel.compact_support:
+            assert_same_csr(s, want)
+        else:
+            assert np.array_equal(s, want)
+
+    @pytest.mark.parametrize("kernel", COMPACT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "x, bw",
+        [
+            # grid points exactly h apart, where |t| = 1 weighs zero
+            (np.arange(40) * 0.125, ConstantBandwidth(0.25)),
+            (np.arange(40) * 0.1, ConstantBandwidth(0.2)),
+            (np.arange(40) * 0.1 - 2.0, ConstantBandwidth(0.30000000000000004)),
+            (1e6 + np.arange(40) * 0.1, ConstantBandwidth(0.3)),
+            # ties and duplicates
+            (np.repeat(np.arange(10) * 0.5, 4), ConstantBandwidth(0.5)),
+            (np.repeat(np.arange(20) * 0.1, 2), KNearestBandwidth(3)),
+            (np.round(np.random.default_rng(25).normal(size=60), 1), KNearestBandwidth(9)),
+            # per-point and rate bandwidths
+            (np.arange(30) * 0.1, PerPointBandwidth(np.tile([0.1, 0.2, 0.30000000000000004], 10))),
+            (np.random.default_rng(26).uniform(size=50), RateBandwidth(0.6)),
+        ],
+        ids=[
+            "grid-binary", "grid-tenths", "grid-negative", "grid-offset",
+            "ties-constant", "duplicates-knn", "rounded-knn", "per-point", "rate",
+        ],
+    )
+    def test_csr_window_edges(self, monkeypatch, kernel, x, bw):
+        # every window is stored as CSR here; a point exactly h away, or
+        # a few ulps inside, must be in the window exactly when the dense
+        # build weighs it
+        monkeypatch.setattr(smoothers, "CSR_MAX_FILL", 1.0)
+        assert_same_csr(build_smoother(x, kernel, bw), build_smoother_oneshot(x, kernel, bw))
+
+    def test_fill_rule_chooses_representation(self):
+        x = np.random.default_rng(27).uniform(size=400)
+        # 1/16 fill is the boundary: windows of about 2 h n points
+        assert issparse(build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02)))
+        assert not issparse(build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.05)))
+        assert not issparse(build_smoother(x, Kernel.GAUSSIAN, ConstantBandwidth(0.001)))
+
+    def test_csr_build_memory(self):
+        # a knn:30 build at n = 4000 holds about 0.75% of the n x n
+        # entries; the dense build peaked at 276 MB
+        x = np.random.default_rng(28).uniform(size=4000)
+        bw = KNearestBandwidth(30)
+        tracemalloc.start()
+        try:
+            s = build_smoother(x, Kernel.EPANECHNIKOV, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert issparse(s)
+        assert peak < 16e6
 
     def test_too_small(self):
         with pytest.raises(ValueError):

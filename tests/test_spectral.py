@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from nwbackfit import spectral
@@ -131,19 +132,31 @@ class TestRegularity:
         assert not brute_force_regular(s)
 
     def test_matches_brute_force(self):
+        # dense, and CSR copies without their zeros
         rng = np.random.default_rng(53)
         for trial in range(150):
             n = int(rng.integers(2, 13))
             m = random_stochastic(rng, n, trial % 5)
-            assert check_regularity(m) == brute_force_regular(m)
+            want = brute_force_regular(m)
+            assert check_regularity(m) == want
+            assert check_regularity(csr_array(m)) == want
+
+    def test_csr_keeps_stored_zeros_out_of_the_graph(self):
+        # a stored zero on the cycle's diagonal must not read as a self-loop
+        data = [0.0, 1.0, 1.0, 1.0, 1.0]
+        s = csr_array((data, [0, 1, 2, 3, 0], [0, 2, 3, 4, 5]), shape=(4, 4))
+        assert s.nnz == 5
+        assert not check_regularity(s)
 
     def test_rejects_non_stochastic(self):
-        with pytest.raises(ValueError):
-            check_regularity(np.array([[0.5, 0.4], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            check_regularity(np.array([[1.5, -0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            check_regularity(np.zeros((2, 3)))
+        # dense, and the same matrices as CSR
+        for to_matrix in (np.array, csr_array):
+            with pytest.raises(ValueError):
+                check_regularity(to_matrix(np.array([[0.5, 0.4], [0.5, 0.5]])))
+            with pytest.raises(ValueError):
+                check_regularity(to_matrix(np.array([[1.5, -0.5], [0.0, 1.0]])))
+            with pytest.raises(ValueError):
+                check_regularity(to_matrix(np.zeros((2, 3))))
 
 
 class TestSpectralRadius:
@@ -625,16 +638,36 @@ class TestLanczosRoute:
         assert cert.verdict is dense.verdict
 
     def test_spent_budget_falls_back_to_eigvalsh(self):
-        # at n = 400 the budget is exactly one Krylov basis of 40 vectors,
-        # and the run needs one application more
-        x = np.random.default_rng(67).uniform(size=400)
-        s = build_smoother(x, Kernel.GAUSSIAN, RateBandwidth(0.2))
+        # at n = 410 the budget of 41 applications exceeds one Krylov basis
+        # of 40 vectors, so ARPACK runs; the clustered spectrum of a uniform
+        # kernel at h = 0.02 (rho(S*) = 0.9997) needs 419, and the CSR
+        # smoother is made dense for eigvalsh
+        x = np.random.default_rng(67).uniform(size=410)
+        s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
+        assert issparse(s)
         top, simple, rho_star, applications, fallback = _smoother_extremes(s)
         assert applications == 0
         assert fallback == (
             "ArpackNoConvergence: ARPACK error -1: "
-            "Lanczos budget of 40 operator applications used up"
+            "Lanczos budget of 41 operator applications used up"
         )
+        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+        assert abs(top - want_top) <= 1e-12
+        assert simple == want_simple
+        assert abs(rho_star - want_rho_star) <= 1e-12
+
+    @pytest.mark.parametrize("n", [400, 409])
+    def test_budget_of_one_basis_skips_arpack(self, monkeypatch, n):
+        # a budget of exactly one Krylov basis (40 for 400 <= n < 410) is
+        # too small for any converged run measured, so ARPACK is not called
+        def unused(*args, **kwargs):
+            raise AssertionError(f"eigsh ran with a budget of {n // 10}")
+
+        monkeypatch.setattr(spectral, "eigsh", unused)
+        x = np.random.default_rng(67).uniform(size=n)
+        s = build_smoother(x, Kernel.GAUSSIAN, RateBandwidth(0.2))
+        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+        assert (applications, fallback) == (0, None)
         want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
         assert abs(top - want_top) <= 1e-12
         assert simple == want_simple
