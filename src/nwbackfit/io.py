@@ -79,34 +79,34 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     return Dataset(y=np.array(ys), u=np.array(us), v=np.array(vs))
 
 
-def write_dataset_csv(path: str | Path, data: Dataset) -> None:
+def _write_rows(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows of formatted fields as comma-separated lines.
+
+    No field needs quoting: every one is an integer, a float repr, a flag
+    or empty.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DATASET_HEADER)
-        for i in range(data.n):
-            writer.writerow([repr(float(data.y[i])), repr(float(data.u[i])), repr(float(data.v[i]))])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _float_columns(*columns: np.ndarray):
+    """The repr of every value, row by row, of equal-length float columns."""
+    return zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+
+
+def write_dataset_csv(path: str | Path, data: Dataset) -> None:
+    _write_rows(path, DATASET_HEADER, _float_columns(data.y, data.u, data.v))
 
 
 def write_fit_curves_csv(path: str | Path, data: Dataset, fit: FitResult) -> None:
     """Write per-observation fitted components, one row per sample point."""
     if fit.n != data.n:
         raise ValueError(f"fit has n={fit.n} but dataset has n={data.n}")
-    resid = fit.residuals(data.y)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVES_HEADER)
-        for i in range(data.n):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(data.u[i])),
-                    repr(float(fit.m1_hat[i])),
-                    repr(float(data.v[i])),
-                    repr(float(fit.m2_hat[i])),
-                    repr(float(data.y[i])),
-                    repr(float(resid[i])),
-                ]
-            )
+    values = _float_columns(
+        data.u, fit.m1_hat, data.v, fit.m2_hat, data.y, fit.residuals(data.y)
+    )
+    _write_rows(path, CURVES_HEADER, ((str(i), *row) for i, row in enumerate(values)))
 
 
 def read_fit_curves_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -138,20 +138,21 @@ def write_replicate_rows_csv(path: str | Path, rows: list[ReplicateRow]) -> None
     def flag(value: bool | None) -> str:
         return "" if value is None else ("true" if value else "false")
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROWS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.replicate,
-                    repr(r.max_gap_u),
-                    repr(r.max_gap_v),
-                    flag(r.gap_ok),
-                    flag(r.certified),
-                    "" if r.rho_product is None else repr(r.rho_product),
-                ]
+    _write_rows(
+        path,
+        ROWS_HEADER,
+        (
+            (
+                str(r.replicate),
+                repr(r.max_gap_u),
+                repr(r.max_gap_v),
+                flag(r.gap_ok),
+                flag(r.certified),
+                "" if r.rho_product is None else repr(r.rho_product),
             )
+            for r in rows
+        ),
+    )
 
 
 def dumps_report(obj: dict) -> str:

@@ -37,6 +37,10 @@ __all__ = [
     "density_ratio_sup",
 ]
 
+# Replicates per block of uniform_max_gap_exceedance: one block holds this
+# many samples of n points at a time.
+EXCEEDANCE_CHUNK = 10_000
+
 # Named component functions; the generator centers them in-sample, so
 # only the shape matters.
 COMPONENT_FUNCTIONS = {
@@ -204,9 +208,7 @@ def gap_exceedance_bound(n: int, h: float) -> GapBound:
     return GapBound(n=n, h=h, exact=exact, exponential=exponential)
 
 
-def uniform_max_gap_exceedance(
-    n: int, h: float, replicates: int, seed: int = 0, chunk: int = 10_000
-) -> float:
+def uniform_max_gap_exceedance(n: int, h: float, replicates: int, seed: int = 0) -> float:
     """Empirical frequency of {max gap >= h} over uniform(0,1) samples."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -214,7 +216,7 @@ def uniform_max_gap_exceedance(
     count = 0
     done = 0
     while done < replicates:
-        m = min(chunk, replicates - done)
+        m = min(EXCEEDANCE_CHUNK, replicates - done)
         x = rng.random((m, n))
         x.sort(axis=1)
         count += int((np.diff(x, axis=1).max(axis=1) >= h).sum())

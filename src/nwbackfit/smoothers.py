@@ -6,10 +6,10 @@ in a window of consecutive order statistics (:func:`support_window`)
 when the kernel has compact support; when those windows hold at most
 n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array.  Products with a vector (``@``) work on
-either, and so do the fitters and the matrix-free ARPACK route; only the
-routes that need the dense matrix itself (the smoother eigensolvers, the
-formed product S2* S1* and the centered copies) convert it, through
-:func:`as_dense`.  ``center`` applies the
+either, and so do the fitters and the matrix-free ARPACK routes; only the
+routes that need the dense matrix itself (the full-spectrum smoother
+eigensolvers, the formed product S2* S1* and the centered copies)
+convert it, through :func:`as_dense`.  ``center`` applies the
 mean-removal projector C = I - 11^T/n, which enforces the zero-mean
 identification constraint on fitted component vectors.  The backfitting
 equations use the centered smoothers S* = C S; this module is the one
@@ -108,13 +108,11 @@ class SmootherPair:
 
     def apply_s1_star(self, x: np.ndarray) -> np.ndarray:
         """S1* x, computed as S1 x - mean(S1 x)."""
-        z = self.s1 @ x
-        return z - z.mean()
+        return apply_star(self.s1, x)
 
     def apply_s2_star(self, x: np.ndarray) -> np.ndarray:
         """S2* x, computed as S2 x - mean(S2 x)."""
-        z = self.s2 @ x
-        return z - z.mean()
+        return apply_star(self.s2, x)
 
     def star_product(self) -> np.ndarray:
         """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
@@ -290,6 +288,12 @@ def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[
         return "dense", 8 * n * n
     _, lo, hi = windows
     return "CSR", 12 * int((hi - lo).sum()) + 4 * (n + 1)
+
+
+def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:
+    """S* x = C S x for a smoother S, dense or CSR, computed as S x - mean(S x)."""
+    z = s @ x
+    return z - z.mean()
 
 
 def center(s: np.ndarray) -> np.ndarray:

@@ -25,31 +25,25 @@ Solvers.  The report needs only a few extreme eigenvalues of each
 smoother S: the top eigenvalue of S1, its simplicity, and rho(S*).
 S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation of the unit
 eigenvalue, so the spectrum of S* is that of S with one eigenvalue 1
-replaced by 0.  When S is reversible (with pi_i = 1/S_ii the matrix
-A = diag(sqrt(pi)) S diag(1/sqrt(pi)) is symmetric, as it is for a
-symmetric kernel at one common bandwidth, where it equals D^-1/2 K D^-1/2),
-a symmetric Lanczos run (Lanczos, J. Res. Nat. Bur. Standards 1950) by
-ARPACK's ``eigsh`` finds the two eigenvalues of largest modulus of
-x -> A x - q (q^T x), where q = sqrt(pi)/||sqrt(pi)|| is the unit
-eigenvector of A that the subtraction deflates.  The run has a budget of
-n // 10 operator applications, about a third of what the full symmetric
-eigendecomposition (``eigvalsh``) costs; when the budget holds no more
-than one Krylov basis (n < 410) the run is skipped, and when ARPACK fails
-or uses the budget up, ``eigvalsh`` gives the full spectrum of A instead
-and the report's ``smoother_fallback`` says why.  Other smoothers
-(k-nearest or per-point bandwidths) take a dense nonsymmetric
-eigendecomposition.  A smoother stored as CSR is made dense for these
-eigensolvers.
-Only the product S2* S1* needs a nonsymmetric solver.
+replaced by 0.  Every Krylov run goes through one ARPACK call
+(``eigs``; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) on an
+unformed operator.  For a smoother it is x -> c(S x), c(z) = z - mean(z),
+dense or CSR alike, within a budget of n // 10 operator applications.
+Below n = 410 the budget is too small to try, and when ARPACK fails or
+spends the budget the smoother is made dense and the report's
+``smoother_fallback`` says why.  The full spectrum then comes from
+``eigvalsh`` of A = diag(sqrt(pi)) S diag(1/sqrt(pi)), pi_i = 1/S_ii,
+when A is symmetric (S is reversible, as for a symmetric kernel at one
+common bandwidth, where A = D^-1/2 K D^-1/2), and from ``eigvals``
+otherwise (k-nearest or per-point bandwidths).
 ``certify(method="power")``, which the command line always uses, runs
-ARPACK on the operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), which
-never forms the product (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-1998); when ARPACK fails or n < 3 it forms the product and takes the
-dense radius instead, and the report's ``fallback`` says why.
-``method="dense"``, the library default, always takes the dense radius of
-the formed product, as does :func:`spectral_radius` for any square
-matrix; they are the reference the ARPACK route is tested against.  The
-smoothers take the same route under both methods.
+the same ARPACK call, without a budget, on x -> c(S2 c(S1 x)), which
+never forms the product; when ARPACK fails or n < 3 it forms the product
+and takes the dense radius instead, and the report's ``fallback`` says
+why.  ``method="dense"``, the library default, always takes the dense
+radius of the formed product, as does :func:`spectral_radius` for any
+square matrix; they are the reference the ARPACK route is tested
+against.  The smoothers take the same route under both methods.
 """
 
 from __future__ import annotations
@@ -61,11 +55,11 @@ import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair, as_dense
+from .smoothers import Dataset, SmootherPair, apply_star, as_dense
 
 __all__ = [
     "GapReport",
@@ -87,10 +81,6 @@ RHO_MARGIN = 1e-8
 # every eigenvalue.  Symmetric kernels at one bandwidth measure ~1e-15;
 # k-nearest smoothers measure ~1.
 REVERSIBILITY_TOL = 1e-12
-
-# Krylov basis size of the Lanczos run on a reversible smoother (ARPACK's
-# ncv), capped at n - 1.
-LANCZOS_NCV = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,19 +114,19 @@ class SpectralReport:
 
     ``top_eigenvalue_s1``, its simplicity flag, ``rho_s1_star`` and
     ``rho_s2_star`` come from the extreme eigenvalues of S1 and S2,
-    whatever ``method``: a budgeted Lanczos run (``eigsh``) for reversible
-    smoothers, with the full symmetric spectrum (``eigvalsh``) when the
-    budget is too small to try or the run fails, and the full
-    nonsymmetric spectrum (``eigvals``) otherwise.
-    ``smoother_iterations`` counts the Lanczos operator applications for
-    [S1, S2] (0 on a dense route), and ``smoother_fallback`` says why a
-    Lanczos run gave way to ``eigvalsh``: "s1: <exception class>:
-    <message>", likewise "s2: ...", joined by "; " when both did; it is
-    None when no run failed.  ``method`` records how ``rho_product`` was
-    obtained ("power" when ARPACK converged on the matrix-free product,
-    "dense" for the dense eigendecomposition of the formed product,
-    including after an ARPACK failure or for n < 3), and ``iterations``
-    counts ARPACK's applications of the product operator (0 for "dense").
+    whatever ``method``: a budgeted ARPACK run on the centered smoother
+    from n = 410 on, and the full spectrum (``eigvalsh`` for a reversible
+    smoother, ``eigvals`` otherwise) below that size or when the run
+    fails.  ``smoother_iterations`` counts the ARPACK operator
+    applications for [S1, S2] (0 on a full-spectrum route), and
+    ``smoother_fallback`` says why an ARPACK run gave way to the full
+    spectrum: "s1: <exception class>: <message>", likewise "s2: ...",
+    joined by "; " when both did; it is None when no run failed.
+    ``method`` records how ``rho_product`` was obtained ("power" when
+    ARPACK converged on the matrix-free product, "dense" for the dense
+    eigendecomposition of the formed product, including after an ARPACK
+    failure or for n < 3), and ``iterations`` counts ARPACK's
+    applications of the product operator (0 for "dense").
     ``fallback`` says why a power run took the dense route: "n < 3", or
     "<exception class>: <message>" for the ARPACK error; it is None when
     ARPACK converged and when dense was asked for.
@@ -378,64 +368,58 @@ def _spectrum_extremes(eigs: np.ndarray) -> tuple[complex, bool, float]:
     return complex(top), simple, float(np.abs(rest).max(initial=0.0))
 
 
-def _lanczos_budget(n: int) -> int:
-    """Operator applications a Lanczos run on an n x n smoother may use.
+def _arpack(matvec, n: int, budget: int | None = None) -> tuple[np.ndarray, int]:
+    """The eigenvalues of largest modulus of an unformed n x n operator.
 
-    The full ``eigvalsh`` route costs about n/3 of them, so a run that
-    uses the budget up and falls back wastes at most about a third more.
-    """
-    return n // 10
-
-
-def _lanczos_extremes(
-    a: np.ndarray, ncv: int, budget: int
-) -> tuple[complex, bool, float, int]:
-    """Top eigenvalue, simplicity and rho(S*) of a reversible smoother.
-
-    ``a`` is the symmetrisation of S from :func:`_symmetrized`; its unit
-    eigenvector is q = r/||r|| with r_i = 1/sqrt(a_ii) (a and S share
-    their diagonal).  ARPACK's ``eigsh``, with a Krylov basis of ``ncv``
-    vectors, computes the two eigenvalues of largest modulus of
-    x -> a x - q (q^T x), whose spectrum is that of S*, to machine
-    precision (``tol=0``), from a generator seeded here as in
-    :func:`_product_radius`.  The top eigenvalue is the Rayleigh quotient
-    q^T a q, and it is simple when no returned eigenvalue lies within 1e-8
-    of it: the rules of :func:`_spectrum_extremes`.  The operator raises
-    ``ArpackNoConvergence`` instead of exceeding ``budget`` applications;
+    ARPACK's ``eigs`` computes the k = min(6, n - 2) eigenvalues of
+    largest modulus of x -> ``matvec(x)`` to machine precision
+    (``tol=0``).  Its starting vector, and the vectors it draws after
+    finding an invariant subspace, come from a generator seeded here, so
+    reruns are bit-identical.  The operator raises ``ArpackNoConvergence``
+    instead of exceeding ``budget`` applications (no limit when None);
     every ``ArpackError`` propagates to the caller.
 
-    Returns the three quantities and the number of operator applications.
+    Returns the eigenvalues and the number of operator applications.
     """
-    n = a.shape[0]
-    r = 1.0 / np.sqrt(a.diagonal())
-    q = r / np.linalg.norm(r)
     applications = 0
 
-    def matvec(x):
+    def counted(x):
         nonlocal applications
         if applications == budget:
             raise ArpackNoConvergence(
-                f"Lanczos budget of {budget} operator applications used up",
+                f"ARPACK budget of {budget} operator applications used up",
                 np.array([]),
                 np.array([]),
             )
         applications += 1
-        return a @ x - q * (q @ x)
+        return matvec(x)
 
     rng = np.random.default_rng(0)
-    vals = eigsh(
-        LinearOperator((n, n), matvec=matvec, dtype=float),
-        k=2,
+    vals = eigs(
+        LinearOperator((n, n), matvec=counted, dtype=float),
+        k=min(6, n - 2),
         which="LM",
         tol=0,
-        ncv=ncv,
         v0=rng.standard_normal(n),
         return_eigenvectors=False,
         rng=rng,
     )
-    top = float(q @ (a @ q))
-    simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
-    return complex(top), simple, float(np.abs(vals).max()), applications
+    return vals, applications
+
+
+def _smoother_budget(n: int) -> int:
+    """Operator applications ARPACK may spend on an n x n smoother; 0 skips it.
+
+    The budget is n // 10.  The full eigendecomposition costs about n/3
+    applications, so a run that spends the budget and falls back wastes
+    at most about a third more.  A budget of 40 or less (n < 410) is not
+    tried: a compact kernel at small bandwidth needs more applications
+    than that (114 for a uniform kernel at h = 0.04, n = 200), and there
+    the full eigendecomposition is cheap (1.8 ms against 3.4 ms for
+    that ARPACK run, one BLAS thread).
+    """
+    budget = n // 10
+    return budget if budget > 40 else 0
 
 
 def _smoother_extremes(
@@ -443,35 +427,43 @@ def _smoother_extremes(
 ) -> tuple[complex, bool, float, int, str | None]:
     """Top eigenvalue of a smoother, its simplicity, and rho(S*).
 
-    A non-reversible ``s`` (see :func:`_symmetrized`) takes its full
-    spectrum from ``eigvals``.  A reversible one takes
-    :func:`_lanczos_extremes` when its budget (:func:`_lanczos_budget`)
-    exceeds one Krylov basis (and eigsh's k = 2 < ncv), and the full
-    spectrum of its symmetrisation from ``eigvalsh`` when it does not, or
-    when the Lanczos run raises ``ArpackError``.  A budget of exactly one
-    basis is skipped too: every converged run measured has needed more
-    than ncv applications.  A sparse ``s`` is made dense first.
+    When the budget (:func:`_smoother_budget`) is nonzero, :func:`_arpack`
+    runs on x -> S x - mean(S x), whose spectrum is that of S* (see
+    :func:`_spectrum_extremes`), dense or CSR alike, without copying S.
+    rho(S*) is the largest returned modulus, the top eigenvalue is the
+    Rayleigh quotient theta^T S theta of the unit constant vector
+    theta = 1/sqrt(n), and it is simple when no returned eigenvalue lies
+    within 1e-8 of it.  Otherwise, or when ARPACK raises ``ArpackError``,
+    ``s`` is made dense and the full spectrum comes from ``eigvalsh`` of
+    its symmetrisation when it is reversible (see :func:`_symmetrized`)
+    and from ``eigvals`` when it is not.
 
-    Returns the three quantities, the Lanczos operator applications (0 on
-    a dense route) and why a Lanczos run fell back (None when none did).
+    Returns the three quantities, the ARPACK operator applications (0 on
+    the full-spectrum route) and why an ARPACK run fell back (None when
+    none did).
     """
+    n = s.shape[0]
+    budget = _smoother_budget(n)
+    fallback = None
+    if budget:
+        try:
+            vals, applications = _arpack(lambda x: apply_star(s, x), n, budget)
+        except ArpackError as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
+        else:
+            theta = np.full(n, 1.0 / np.sqrt(n))
+            top = float(theta @ (s @ theta))
+            simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
+            return complex(top), simple, float(np.abs(vals).max()), applications, None
     s = as_dense(s)
     a = _symmetrized(s)
     if a is None:
-        return (*_spectrum_extremes(np.linalg.eigvals(s)), 0, None)
-    n = a.shape[0]
-    ncv = min(LANCZOS_NCV, n - 1)
-    budget = _lanczos_budget(n)
-    fallback = None
-    if 2 < ncv < budget:
-        try:
-            return (*_lanczos_extremes(a, ncv, budget), None)
-        except ArpackError as exc:
-            fallback = f"{type(exc).__name__}: {exc}"
-    # a^T is Fortran-ordered, so LAPACK works in a's buffer, and it has
-    # the spectrum of a.
-    eigs = eigvalsh(a.T, overwrite_a=True, check_finite=False)
-    return (*_spectrum_extremes(eigs), 0, fallback)
+        spectrum = np.linalg.eigvals(s)
+    else:
+        # a^T is Fortran-ordered, so LAPACK works in a's buffer, and it
+        # has the spectrum of a.
+        spectrum = eigvalsh(a.T, overwrite_a=True, check_finite=False)
+    return (*_spectrum_extremes(spectrum), 0, fallback)
 
 
 def _product_radius(
@@ -479,40 +471,22 @@ def _product_radius(
 ) -> tuple[float, str, int, np.ndarray | None, str | None]:
     """rho(S2* S1*) by ARPACK on the unformed product, densely if that fails.
 
-    ARPACK (``eigs``) computes the six eigenvalues of largest modulus of
-    x -> c(S2 c(S1 x)), c(z) = z - mean(z), to machine precision
-    (``tol=0``).  Its starting vector, and the vectors it draws after
-    finding an invariant subspace, come from a generator seeded here, so
-    reruns are bit-identical.  When ARPACK raises ``ArpackError``
-    (including ``ArpackNoConvergence``), or n < 3 (ARPACK needs
-    k <= n - 2), the product is formed and its radius taken by
-    :func:`spectral_radius`.
+    :func:`_arpack` runs, without a budget, on x -> c(S2 c(S1 x)),
+    c(z) = z - mean(z).  When ARPACK raises ``ArpackError`` (including
+    ``ArpackNoConvergence``), or n < 3 (ARPACK needs k <= n - 2), the
+    product is formed and its radius taken by :func:`spectral_radius`.
 
     Returns the radius, the route ("power" or "dense"), the number of
     operator applications (0 on the dense route), the product if it was
     formed, and why the dense route ran (None when ARPACK converged).
     """
     n = pair.n
-    applications = 0
-
-    def matvec(x):
-        nonlocal applications
-        applications += 1
-        return pair.apply_s2_star(pair.apply_s1_star(x))
-
     if n < 3:
         fallback = "n < 3"
     else:
-        rng = np.random.default_rng(0)
         try:
-            vals = eigs(
-                LinearOperator((n, n), matvec=matvec, dtype=float),
-                k=min(6, n - 2),
-                which="LM",
-                tol=0,
-                v0=rng.standard_normal(n),
-                return_eigenvectors=False,
-                rng=rng,
+            vals, applications = _arpack(
+                lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), n
             )
         except ArpackError as exc:
             fallback = f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,6 @@
 """CSV round trips, JSON determinism, CLI subcommands and exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nwbackfit.cli import main
-from nwbackfit.fitting import backfit_direct
+from nwbackfit.fitting import FitResult, backfit_direct
 from nwbackfit.io import (
     DatasetFormatError,
     dumps_report,
@@ -19,8 +20,8 @@ from nwbackfit.io import (
     write_replicate_rows_csv,
 )
 from nwbackfit.kernels import Kernel, RateBandwidth
-from nwbackfit.simulate import SimSpec, generate, run_monte_carlo
-from nwbackfit.smoothers import build_pair
+from nwbackfit.simulate import ReplicateRow, SimSpec, generate, run_monte_carlo
+from nwbackfit.smoothers import Dataset, build_pair
 
 from conftest import two_cluster_dataset
 
@@ -131,6 +132,74 @@ class TestReplicateRowsCsv:
         assert lines[1].endswith(",,")  # certified and rho blank
 
 
+class TestCsvBytes:
+    def test_writers_match_csv_module_reference(self, tmp_path):
+        # every table is byte-identical to csv.writer fed repr(float(...))
+        # per element, also on signed zero, the smallest subnormal and a
+        # value near the largest double
+        extremes = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 2.0**60]
+        y = np.array(extremes[::-1])
+        u = np.array(extremes)
+        v = np.roll(u, 3)
+        data = Dataset(y=y, u=u, v=v)
+        fit = FitResult(
+            alpha_hat=-0.0,
+            m1_hat=0.25 * np.roll(u, 1),
+            m2_hat=-0.25 * np.roll(u, 2),
+            method="direct",
+            sweep=None,
+            iterations=0,
+            final_delta=0.0,
+            residual_normal_eq=0.0,
+        )
+        rows = [
+            ReplicateRow(0, -0.0, 5e-324, True, None, None),
+            ReplicateRow(1, 1e308, 0.25, False, False, 1.0 - 1e-16),
+            ReplicateRow(2, 0.5, 0.5, True, True, 5e-324),
+        ]
+
+        def reference(path, header, table):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(table)
+            return path.read_bytes()
+
+        write_dataset_csv(tmp_path / "data.csv", data)
+        assert (tmp_path / "data.csv").read_bytes() == reference(
+            tmp_path / "ref_data.csv",
+            ["y", "u", "v"],
+            ([repr(float(a)), repr(float(b)), repr(float(c))] for a, b, c in zip(y, u, v)),
+        )
+        write_fit_curves_csv(tmp_path / "curves.csv", data, fit)
+        resid = fit.residuals(y)
+        assert (tmp_path / "curves.csv").read_bytes() == reference(
+            tmp_path / "ref_curves.csv",
+            ["index", "u", "m1_hat", "v", "m2_hat", "y", "residual"],
+            (
+                [i, *(repr(float(c[i])) for c in (u, fit.m1_hat, v, fit.m2_hat, y, resid))]
+                for i in range(len(y))
+            ),
+        )
+        write_replicate_rows_csv(tmp_path / "rows.csv", rows)
+        flag = {None: "", True: "true", False: "false"}
+        assert (tmp_path / "rows.csv").read_bytes() == reference(
+            tmp_path / "ref_rows.csv",
+            ["replicate", "max_gap_u", "max_gap_v", "gap_ok", "certified", "rho_product"],
+            (
+                [
+                    r.replicate,
+                    repr(r.max_gap_u),
+                    repr(r.max_gap_v),
+                    flag[r.gap_ok],
+                    flag[r.certified],
+                    "" if r.rho_product is None else repr(r.rho_product),
+                ]
+                for r in rows
+            ),
+        )
+
+
 class TestJsonReports:
     def test_sorted_and_stable(self, tmp_path):
         obj = {"b": 1, "a": {"z": [1, 2], "y": 0.5}}
@@ -155,7 +224,7 @@ class TestCliFit:
         report = json.loads((out / "fit.json").read_text())
         assert report["provenance"]["package"] == "nwbackfit"
         assert report["certificate"]["verdict"] == "certified_by_gap_conditions"
-        # n = 40 smoothers are below the Lanczos budget: full spectra
+        # n = 40 smoothers are below the ARPACK threshold: full spectra
         assert report["certificate"]["spectral"]["smoother_iterations"] == [0, 0]
         assert report["certificate"]["spectral"]["smoother_fallback"] is None
         cols = read_fit_curves_csv(out / "curves.csv")

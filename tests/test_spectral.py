@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from nwbackfit import spectral
+from nwbackfit import smoothers, spectral
 from nwbackfit.kernels import (
     ConstantBandwidth,
     Kernel,
@@ -355,7 +355,7 @@ def assert_matches_oracle(spectral_report, pair, tol):
 
 class TestSpectralRoutes:
     def test_symmetric_route_matches_eigvals(self, monkeypatch):
-        # at n = 40 the Lanczos budget cannot hold one Krylov basis, so a
+        # at n = 40 the smoother budget is too small to try ARPACK, so a
         # reversible smoother takes one full eigvalsh spectrum
         calls = []
 
@@ -566,15 +566,19 @@ def parity_replicates():
 
 
 class TestLanczosRoute:
+    """Smoother extremes by ARPACK on x -> S x - mean(S x) from n = 410 on.
+
+    The class keeps the name of the Lanczos run on the symmetrised
+    smoother that this route replaced.
+    """
+
     def test_parity_sweep(self, monkeypatch):
-        # with an unbounded budget every reversible smoother (n >= 8 here)
-        # takes Lanczos: its fields match the full-spectrum oracle, the
-        # verdicts of both certify methods agree, reruns are bit-identical
-        # and both methods take the same smoother route; only smoothers
-        # whose clusters leave rho(S*) = 1 fall back
-        monkeypatch.setattr(spectral, "_lanczos_budget", lambda n: 10**6)
-        converged = 0
-        for i, kind, pair, certify_pair in parity_replicates():
+        # with an unbounded budget every smoother (n >= 8 here), knn and
+        # per-point ones too, takes ARPACK: its fields match the
+        # full-spectrum oracle, the verdicts of both certify methods agree,
+        # reruns are bit-identical and both methods take the same route
+        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
+        for i, _, pair, certify_pair in parity_replicates():
             power = certify_pair("power")
             again = certify_pair("power")
             dense = certify_pair("dense")
@@ -584,19 +588,20 @@ class TestLanczosRoute:
                 dense.spectral, rho_product=0.0, method="", iterations=0
             ) == dataclasses.replace(power.spectral, rho_product=0.0, method="", iterations=0), i
             assert_matches_oracle(power.spectral, pair, 1e-12)
-            reasons = power.spectral.smoother_fallback or ""
-            for name, s, applications in zip(
-                ("s1", "s2"), (pair.s1, pair.s2), power.spectral.smoother_iterations
-            ):
-                if kind == "knn":
-                    assert applications == 0 and not reasons, i
-                elif applications == 0:
-                    assert f"{name}: ArpackNoConvergence" in reasons, i
-                    assert smoother_extremes_oracle(s)[2] >= 1.0 - 1e-8, i
-                else:
-                    assert f"{name}: " not in reasons, i
-                    converged += 1
-        assert converged >= 660
+            assert power.spectral.smoother_fallback is None, i
+            assert min(power.spectral.smoother_iterations) > 0, i
+        rng = np.random.default_rng(69)
+        for trial in range(48):
+            x = rng.normal(size=int(rng.integers(8, 41)))
+            h = max_gap(x) * rng.uniform(0.7, 2.5, len(x))
+            s = build_smoother(x, ALL_KERNELS[trial % 4], PerPointBandwidth(h))
+            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+            assert _smoother_extremes(s) == (top, simple, rho_star, applications, fallback)
+            assert applications > 0 and fallback is None, trial
+            want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+            assert abs(top - want_top) <= 1e-12, trial
+            assert simple == want_simple, trial
+            assert abs(rho_star - want_rho_star) <= 1e-12, trial
 
     def test_large_smoother_never_takes_eigvalsh(self, monkeypatch):
         data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
@@ -617,31 +622,32 @@ class TestLanczosRoute:
         )
 
     def test_arpack_failure_falls_back_to_eigvalsh(self, monkeypatch):
+        # the dense product route keeps ARPACK out of the product, so only
+        # the two smoother runs meet the failing eigs
         data, kernel, bw_u, bw_v = certified_problem(7)
         pair = build_pair(data, kernel, bw_u, bw_v)
-        dense = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        full = certify(pair, kernel, bw_u, bw_v, data, method="dense")
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(spectral, "_lanczos_budget", lambda n: 10**6)
-        monkeypatch.setattr(spectral, "eigsh", failing)
-        cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
+        monkeypatch.setattr(spectral, "eigs", failing)
+        cert = certify(pair, kernel, bw_u, bw_v, data, method="dense")
         reason = f"ArpackNoConvergence: {error}"
         assert cert.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
         assert cert.spectral.smoother_iterations == (0, 0)
-        assert dense.spectral.smoother_fallback is None
+        assert full.spectral.smoother_fallback is None
         assert cert.spectral == dataclasses.replace(
-            dense.spectral, smoother_fallback=cert.spectral.smoother_fallback
+            full.spectral, smoother_fallback=cert.spectral.smoother_fallback
         )
-        assert cert.verdict is dense.verdict
+        assert cert.verdict is full.verdict
 
     def test_spent_budget_falls_back_to_eigvalsh(self):
-        # at n = 410 the budget of 41 applications exceeds one Krylov basis
-        # of 40 vectors, so ARPACK runs; the clustered spectrum of a uniform
-        # kernel at h = 0.02 (rho(S*) = 0.9997) needs 419, and the CSR
-        # smoother is made dense for eigvalsh
+        # at n = 410 the budget is 41 applications; the clustered spectrum
+        # of a uniform kernel at h = 0.02 (rho(S*) = 0.9997) needs 257, and
+        # the CSR smoother is made dense for eigvalsh
         x = np.random.default_rng(67).uniform(size=410)
         s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
         assert issparse(s)
@@ -649,7 +655,7 @@ class TestLanczosRoute:
         assert applications == 0
         assert fallback == (
             "ArpackNoConvergence: ARPACK error -1: "
-            "Lanczos budget of 41 operator applications used up"
+            "ARPACK budget of 41 operator applications used up"
         )
         want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
         assert abs(top - want_top) <= 1e-12
@@ -657,13 +663,13 @@ class TestLanczosRoute:
         assert abs(rho_star - want_rho_star) <= 1e-12
 
     @pytest.mark.parametrize("n", [400, 409])
-    def test_budget_of_one_basis_skips_arpack(self, monkeypatch, n):
-        # a budget of exactly one Krylov basis (40 for 400 <= n < 410) is
-        # too small for any converged run measured, so ARPACK is not called
+    def test_budget_of_forty_skips_arpack(self, monkeypatch, n):
+        # below n = 410 the budget n // 10 is at most 40 applications, and
+        # the full spectrum is taken without calling ARPACK
         def unused(*args, **kwargs):
-            raise AssertionError(f"eigsh ran with a budget of {n // 10}")
+            raise AssertionError(f"eigs ran with a budget of {n // 10}")
 
-        monkeypatch.setattr(spectral, "eigsh", unused)
+        monkeypatch.setattr(spectral, "eigs", unused)
         x = np.random.default_rng(67).uniform(size=n)
         s = build_smoother(x, Kernel.GAUSSIAN, RateBandwidth(0.2))
         top, simple, rho_star, applications, fallback = _smoother_extremes(s)
@@ -672,3 +678,25 @@ class TestLanczosRoute:
         assert abs(top - want_top) <= 1e-12
         assert simple == want_simple
         assert abs(rho_star - want_rho_star) <= 1e-12
+
+    def test_csr_smoothers_stay_sparse(self, monkeypatch):
+        # n = 2000, uniform kernel at h = 0.03: CSR smoothers whose runs
+        # converge within their budget of 200 (137 applications for S1),
+        # so a certified power-route certificate never makes them dense
+        data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
+        bw = ConstantBandwidth(0.03)
+        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        assert issparse(pair.s1) and issparse(pair.s2)
+
+        def refused(s):
+            raise AssertionError("a CSR smoother was made dense")
+
+        monkeypatch.setattr(spectral, "as_dense", refused)
+        monkeypatch.setattr(smoothers, "as_dense", refused)
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method="power")
+        assert cert.certified
+        assert cert.spectral.method == "power"
+        assert cert.spectral.smoother_fallback is None
+        assert all(0 < it <= 200 for it in cert.spectral.smoother_iterations)
+        monkeypatch.undo()
+        assert_matches_oracle(cert.spectral, pair, 1e-12)
