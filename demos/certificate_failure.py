@@ -22,6 +22,7 @@ from nwbackfit import (
     backfit_direct,
     backfit_iterative,
     build_pair,
+    center,
     certify,
     check_regularity,
     Dataset,
@@ -52,7 +53,7 @@ print(f"verdict: {cert.verdict.value}")
 print(f"  gap condition on u holds: {cert.gap_u.condition_holds} "
       f"(max gap {cert.gap_u.max_gap:.2f} vs bandwidth 1.0)")
 print(f"  S1 regular (irreducible + aperiodic): {check_regularity(pair.s1)}")
-print(f"  rho(S1*) = {spectral_radius(pair.s1_star):.6f}")
+print(f"  rho(S1*) = {spectral_radius(center(pair.s1)):.6f}")
 print(f"  rho(S2* S1*) = {cert.spectral.rho_product:.6f}  (needs < 1)")
 print(f"  notes: {cert.notes}")
 print()
@@ -61,7 +62,7 @@ print()
 # smoother: the within-cluster averages of a cluster-wise constant are
 # that constant, and its overall mean is zero.
 w = np.concatenate([np.full(n_a, 1.0 / n_a), np.full(n_b, -1.0 / n_b)])
-print(f"cluster contrast w: max |S1* w - w| = {np.abs(pair.s1_star @ w - w).max():.2e}")
+print(f"cluster contrast w: max |S1* w - w| = {np.abs(pair.apply_s1_star(w) - w).max():.2e}")
 print()
 
 # Both solvers fail as the certificate predicts.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,7 @@ from .simulate import (
 from .smoothers import build_pair, smoother_storage
 from .spectral import certify
 
-__all__ = ["RunConfig", "NotCertifiedError", "main", "build_parser"]
+__all__ = ["NotCertifiedError", "main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,34 +63,15 @@ class NotCertifiedError(RuntimeError):
     """Raised when --require-certificate is set and certification fails."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one CLI invocation, embedded in every JSON report."""
-
-    subcommand: str
-    options: dict
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        options = {
-            k: v for k, v in vars(args).items() if k not in ("subcommand", "func")
-        }
-        return cls(subcommand=args.subcommand, options=options)
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "options": dict(sorted(self.options.items())),
-        }
-
-
-def _provenance(config: RunConfig) -> dict:
+def _provenance(args: argparse.Namespace) -> dict:
+    """Package and library versions plus the echo of this invocation's options."""
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
     return {
         "package": "nwbackfit",
         "version": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "config": config.to_dict(),
+        "config": {"subcommand": args.subcommand, "options": options},
     }
 
 
@@ -139,7 +119,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     out = _out_dir(args)
     report = {
-        "provenance": _provenance(RunConfig.from_args(args)),
+        "provenance": _provenance(args),
         "certificate": cert.to_dict(),
         "fit": fit.to_dict(),
     }
@@ -160,7 +140,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     cert = certify(pair, kernel, bw, bw, data, method="power")
     out = _out_dir(args)
     report = {
-        "provenance": _provenance(RunConfig.from_args(args)),
+        "provenance": _provenance(args),
         "certificate": cert.to_dict(),
     }
     write_json_report(out / "certificate.json", report)
@@ -203,7 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     payload = {
-        "provenance": _provenance(RunConfig.from_args(args)),
+        "provenance": _provenance(args),
         "sim_spec": spec.to_dict(),
         "report": report.to_dict(),
     }
@@ -229,7 +209,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         out = _out_dir(args)
         write_json_report(
             out / "bound.json",
-            {"provenance": _provenance(RunConfig.from_args(args)), "bound": b.to_dict()},
+            {"provenance": _provenance(args), "bound": b.to_dict()},
         )
         print(f"wrote {out / 'bound.json'}")
     return EXIT_OK

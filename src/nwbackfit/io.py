@@ -52,31 +52,39 @@ def _parse_float(field: str, line_no: int, path: Path) -> float:
     return value
 
 
+def _read_table(path: Path, header: list[str]) -> np.ndarray:
+    """The columns of a CSV file with exactly this header, as a float array.
+
+    Every row must hold one finite number per header field.  The result
+    has shape (fields, rows), one contiguous row per column.
+    """
+    width = len(header)
+    values: list[float] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != header:
+            got = "<empty file>" if first is None else ",".join(first)
+            raise DatasetFormatError(
+                f"{path}:1: expected header {','.join(header)!r}, got {got!r}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DatasetFormatError(
+                    f"{path}:{line_no}: expected {width} fields, got {len(row)}"
+                )
+            for field in row:
+                values.append(_parse_float(field, line_no, path))
+    return np.array(values).reshape(-1, width).T.copy()
+
+
 def read_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset from a CSV file with the exact header ``y,u,v``."""
     path = Path(path)
-    ys: list[float] = []
-    us: list[float] = []
-    vs: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DATASET_HEADER:
-            got = "<empty file>" if header is None else ",".join(header)
-            raise DatasetFormatError(
-                f"{path}:1: expected header {','.join(DATASET_HEADER)!r}, got {got!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: expected 3 fields, got {len(row)}"
-                )
-            ys.append(_parse_float(row[0], line_no, path))
-            us.append(_parse_float(row[1], line_no, path))
-            vs.append(_parse_float(row[2], line_no, path))
-    if len(ys) < 2:
-        raise DatasetFormatError(f"{path}: need at least 2 data rows, got {len(ys)}")
-    return Dataset(y=np.array(ys), u=np.array(us), v=np.array(vs))
+    y, u, v = _read_table(path, DATASET_HEADER)
+    if len(y) < 2:
+        raise DatasetFormatError(f"{path}: need at least 2 data rows, got {len(y)}")
+    return Dataset(y=y, u=u, v=v)
 
 
 def _write_rows(path: str | Path, header: list[str], rows) -> None:
@@ -111,23 +119,7 @@ def write_fit_curves_csv(path: str | Path, data: Dataset, fit: FitResult) -> Non
 
 def read_fit_curves_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a curves file back into column arrays keyed by header name."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CURVES_HEADER:
-            raise DatasetFormatError(
-                f"{path}:1: expected header {','.join(CURVES_HEADER)!r}"
-            )
-        columns: dict[str, list[float]] = {name: [] for name in CURVES_HEADER}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CURVES_HEADER):
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: expected {len(CURVES_HEADER)} fields, got {len(row)}"
-                )
-            for name, field in zip(CURVES_HEADER, row):
-                columns[name].append(_parse_float(field, line_no, path))
-    out = {name: np.array(vals) for name, vals in columns.items()}
+    out = dict(zip(CURVES_HEADER, _read_table(Path(path), CURVES_HEADER)))
     out["index"] = out["index"].astype(int)
     return out
 

@@ -8,15 +8,15 @@ n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array.  Products with a vector (``@``) work on
 either, and so do the fitters and the matrix-free ARPACK routes; only the
 routes that need the dense matrix itself (the full-spectrum smoother
-eigensolvers, the formed product S2* S1* and the centered copies)
-convert it, through :func:`as_dense`.  ``center`` applies the
-mean-removal projector C = I - 11^T/n, which enforces the zero-mean
-identification constraint on fitted component vectors.  The backfitting
-equations use the centered smoothers S* = C S; this module is the one
-place that knows how they are obtained from S: :class:`SmootherPair`
-stores S1 and S2 only and applies, or forms, the centered versions on
-demand.  Rows follow the original sample order; the sort permutations
-live on the dataset.
+eigensolvers, the formed product S2* S1* and :func:`center`) convert
+it, through :func:`as_dense`.  ``center`` applies the mean-removal
+projector C = I - 11^T/n, which enforces the zero-mean identification
+constraint on fitted component vectors.  The backfitting equations use
+the centered smoothers S* = C S; this module is the one place that knows
+how they are obtained from S: :class:`SmootherPair` stores S1 and S2
+only, applies S1* and S2* to vectors and forms S2* S1* on demand, and
+``center(s)`` forms one S* as a dense matrix.  Rows follow the original
+sample order; the sort permutations live on the dataset.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class SmootherPair:
     chose.  The centered smoothers S* = C S are rank-one corrections of S
     and are not stored: the fitters apply them as S* x = S x - mean(S x), and
     :meth:`star_product` forms S2* S1* when a dense route needs it.
-    ``s1_star`` and ``s2_star`` build a fresh dense centered copy on every
-    access.
+    ``center(pair.s1)`` gives a dense S1* where one is wanted.
     """
 
     s1: np.ndarray | csr_array
@@ -97,14 +96,6 @@ class SmootherPair:
     @property
     def n(self) -> int:
         return self.s1.shape[0]
-
-    @property
-    def s1_star(self) -> np.ndarray:
-        return center(self.s1)
-
-    @property
-    def s2_star(self) -> np.ndarray:
-        return center(self.s2)
 
     def apply_s1_star(self, x: np.ndarray) -> np.ndarray:
         """S1* x, computed as S1 x - mean(S1 x)."""
@@ -277,9 +268,10 @@ def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[
     """How :func:`build_smoother` stores this smoother, without building it.
 
     Returns ``("dense", 8 n^2)`` or ``("CSR", b)``, where b bounds the
-    bytes of the CSR arrays: 12 per window entry (a float64 weight and an
-    int32 index) and 4 per row pointer (int64 indices, past 2^31 entries,
-    take 4 more per entry).
+    bytes of the CSR arrays: per window entry a float64 weight and an
+    index, and per row one pointer.  Indices and pointers are int32, 4
+    bytes each, or int64, 8 bytes each, once n or the entry count reaches
+    2^31, by the rule of :func:`_build_csr`.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -287,7 +279,9 @@ def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[
     if windows is None:
         return "dense", 8 * n * n
     _, lo, hi = windows
-    return "CSR", 12 * int((hi - lo).sum()) + 4 * (n + 1)
+    entries = int((hi - lo).sum())
+    index = 4 if max(n, entries) < 2**31 else 8
+    return "CSR", (8 + index) * entries + index * (n + 1)
 
 
 def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 from scipy.sparse import csr_array, issparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
@@ -222,9 +222,9 @@ def check_gap_conditions(
     # value at point i for the gap on its left / right
     left_vals = kernel.evaluate(gaps / hs[1:]) / hs[1:]
     right_vals = kernel.evaluate(gaps / hs[:-1]) / hs[:-1]
-    failing = set(np.flatnonzero(left_vals <= 0.0) + 1)
-    failing |= set(np.flatnonzero(right_vals <= 0.0))
-    failing_indices = sorted(int(i) for i in failing)
+    failing_indices = np.union1d(
+        np.flatnonzero(left_vals <= 0.0) + 1, np.flatnonzero(right_vals <= 0.0)
+    ).tolist()
     return GapReport(
         coordinate=coordinate,
         gaps=gaps,
@@ -273,21 +273,13 @@ def _graph_period(adj: csr_array) -> int:
     """Period of a strongly connected directed graph (gcd of cycle lengths).
 
     ``adj`` is the graph's boolean CSR adjacency matrix, with no stored
-    False; a breadth-first search walks its rows, in O(nnz).
+    False.  With l_i the breadth-first level of node i from node 0 (its
+    unweighted ``shortest_path`` distance), l_i + 1 - l_j over the edges
+    i -> j are multiples of the period, and their gcd is the period.
+    The single-source Dijkstra search takes O(nnz log n), the gcd O(nnz).
     """
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adj.indices[adj.indptr[i] : adj.indptr[i + 1]]:
-                if level[j] < 0:
-                    level[j] = level[i] + 1
-                    nxt.append(int(j))
-        frontier = nxt
-    ii = np.repeat(np.arange(n), np.diff(adj.indptr))
+    level = shortest_path(adj, method="D", unweighted=True, indices=0).astype(np.int64)
+    ii = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
     return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[adj.indices])))
 
 

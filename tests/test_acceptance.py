@@ -179,11 +179,12 @@ def test_criterion_4_cluster_fixture_detected_and_cli_exits_nonzero(
     data, kernel, bw = uniform_cluster_problem
     pair = build_pair(data, kernel, bw, bw)
     regular = check_regularity(pair.s1) or check_regularity(pair.s2)
-    rho_s1_star = spectral_radius(pair.s1_star)
+    s1_star = center(pair.s1)
+    rho_s1_star = spectral_radius(s1_star)
     # the step vector +1/n_a on one cluster, -1/n_b on the other is fixed
     n_a = 6
     w = np.concatenate([np.full(n_a, 1.0 / n_a), np.full(n_a, -1.0 / n_a)])
-    fixed_err = float(np.abs(pair.s1_star @ w - w).max())
+    fixed_err = float(np.abs(s1_star @ w - w).max())
     csv = tmp_path / "clusters.csv"
     write_dataset_csv(csv, data)
     rc = main(
@@ -264,7 +265,7 @@ def test_criterion_7_degenerate_fixtures():
     data = generate(SimSpec(n=30, seed=707))
     huge = ConstantBandwidth(1e9)
     pair = build_pair(data, Kernel.UNIFORM, huge, huge)
-    star_max = max(np.abs(pair.s1_star).max(), np.abs(pair.s2_star).max())
+    star_max = max(np.abs(center(pair.s1)).max(), np.abs(center(pair.s2)).max())
     fit_it = backfit_iterative(pair, data.y)
     fit_dir = backfit_direct(pair, data.y)
     flat_max = max(

@@ -26,7 +26,7 @@ from nwbackfit.kernels import (
     RateBandwidth,
 )
 from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
-from nwbackfit.smoothers import Dataset, build_pair
+from nwbackfit.smoothers import Dataset, build_pair, center
 from nwbackfit.spectral import Verdict, certify
 
 from conftest import ALL_KERNELS, eval_scaled, lu_direct_oracle, two_cluster_dataset
@@ -140,7 +140,7 @@ class TestDirectSolve:
         data = Dataset(y=np.array([1.0, 0.0]), u=x, v=x.copy())
         bw = ConstantBandwidth(1.0)
         pair = build_pair(data, Kernel.TRIANGULAR, bw, bw)
-        assert_allclose(pair.s1_star, [[0.2, -0.2], [-0.2, 0.2]], atol=1e-14)
+        assert_allclose(center(pair.s1), [[0.2, -0.2], [-0.2, 0.2]], atol=1e-14)
         fit = backfit_direct(pair, data.y)
         assert_allclose(fit.m1_hat, [1.0 / 7.0, -1.0 / 7.0], rtol=1e-12)
         assert_allclose(fit.m2_hat, [1.0 / 7.0, -1.0 / 7.0], rtol=1e-12)
@@ -154,12 +154,13 @@ class TestDirectSolve:
         fit = backfit_direct(pair, data.y)
         n = data.n
         eye = np.eye(n)
-        m1_closed = pair.s1_star @ np.linalg.solve(
-            eye - pair.s2_star @ pair.s1_star, (eye - pair.s2_star) @ data.y
+        s1_star, s2_star = center(pair.s1), center(pair.s2)
+        m1_closed = s1_star @ np.linalg.solve(
+            eye - s2_star @ s1_star, (eye - s2_star) @ data.y
         )
         # the two routes differ: back-substitution vs the rearranged
         # closed form; both must produce the same component
-        m1_alt = np.linalg.solve(eye - pair.s1_star @ pair.s2_star, pair.s1_star @ (eye - pair.s2_star) @ data.y)
+        m1_alt = np.linalg.solve(eye - s1_star @ s2_star, s1_star @ (eye - s2_star) @ data.y)
         assert_allclose(fit.m1_hat, m1_alt, atol=1e-10)
         assert_allclose(m1_closed, m1_alt, atol=1e-10)
 
@@ -310,9 +311,10 @@ class TestIterative:
         m1 = np.zeros(data.n)
         m2 = np.zeros(data.n)
         deltas = []
+        s1_star, s2_star = center(pair.s1), center(pair.s2)
         for _ in range(25):
-            m1_new = pair.s1_star @ (data.y - m2)
-            m2_new = pair.s2_star @ (data.y - m1_new)
+            m1_new = s1_star @ (data.y - m2)
+            m2_new = s2_star @ (data.y - m1_new)
             deltas.append(
                 max(np.abs(m1_new - m1).max(), np.abs(m2_new - m2).max())
             )

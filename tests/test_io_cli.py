@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from nwbackfit.cli import main
 from nwbackfit.fitting import FitResult, backfit_direct
 from nwbackfit.io import (
+    CURVES_HEADER,
+    DATASET_HEADER,
     DatasetFormatError,
     dumps_report,
     read_dataset_csv,
@@ -43,6 +45,14 @@ def cluster_csv(tmp_path):
     return path
 
 
+# both CSV readers with their headers; the format checks are shared
+READERS = [(read_dataset_csv, DATASET_HEADER), (read_fit_curves_csv, CURVES_HEADER)]
+
+
+def csv_text(header, *rows):
+    return "".join(",".join(fields) + "\n" for fields in (header, *rows))
+
+
 class TestDatasetCsv:
     def test_round_trip_bit_exact(self, sample_csv):
         path, data = sample_csv
@@ -53,33 +63,41 @@ class TestDatasetCsv:
 
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("u,v,y\n0,0,0\n1,1,1\n")
-        with pytest.raises(DatasetFormatError, match="header"):
-            read_dataset_csv(p)
+        for read, header in READERS:
+            ones = ["1.0"] * len(header)
+            p.write_text(csv_text(header[::-1], ones, ones))
+            with pytest.raises(DatasetFormatError, match="header .*, got"):
+                read(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(DatasetFormatError):
-            read_dataset_csv(p)
+        for read, _ in READERS:
+            with pytest.raises(DatasetFormatError, match="<empty file>"):
+                read(p)
 
     def test_non_numeric_field_cites_line(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("y,u,v\n1.0,2.0,3.0\n1.0,oops,3.0\n")
-        with pytest.raises(DatasetFormatError, match=":3"):
-            read_dataset_csv(p)
+        for read, header in READERS:
+            ones = ["1.0"] * len(header)
+            p.write_text(csv_text(header, ones, ["1.0", "oops", *ones[2:]]))
+            with pytest.raises(DatasetFormatError, match=":3: non-numeric"):
+                read(p)
 
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("y,u,v\n1.0,2.0,3.0\nnan,0.0,0.0\n")
-        with pytest.raises(DatasetFormatError, match=":3"):
-            read_dataset_csv(p)
+        for read, header in READERS:
+            ones = ["1.0"] * len(header)
+            p.write_text(csv_text(header, ones, ["nan", *ones[1:]]))
+            with pytest.raises(DatasetFormatError, match=":3: non-finite"):
+                read(p)
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("y,u,v\n1.0,2.0\n")
-        with pytest.raises(DatasetFormatError, match=":2"):
-            read_dataset_csv(p)
+        for read, header in READERS:
+            p.write_text(csv_text(header, ["1.0"] * (len(header) - 1)))
+            with pytest.raises(DatasetFormatError, match=":2: expected"):
+                read(p)
 
     def test_too_few_rows(self, tmp_path):
         p = tmp_path / "tiny.csv"

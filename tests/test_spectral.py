@@ -141,6 +141,25 @@ class TestRegularity:
             assert check_regularity(m) == want
             assert check_regularity(csr_array(m)) == want
 
+    def test_large_periodic_graph(self):
+        # steps of 1 and 4 around a 300-cycle, no self-loops: every cycle
+        # length is a multiple of gcd(300, 3) = 3
+        n = 300
+        m = np.zeros((n, n))
+        for step in (1, 4):
+            m[np.arange(n), (np.arange(n) + step) % n] = 0.5
+        assert not check_regularity(m)
+        assert not check_regularity(csr_array(m))
+
+    def test_large_graph_with_a_step_of_two_is_regular(self):
+        # a step of 2 beside 1 and 4 gives cycles of coprime lengths
+        n = 300
+        m = np.zeros((n, n))
+        for step in (1, 2, 4):
+            m[np.arange(n), (np.arange(n) + step) % n] = 1.0 / 3.0
+        assert check_regularity(m)
+        assert check_regularity(csr_array(m))
+
     def test_csr_keeps_stored_zeros_out_of_the_graph(self):
         # a stored zero on the cycle's diagonal must not read as a self-loop
         data = [0.0, 1.0, 1.0, 1.0, 1.0]
@@ -565,12 +584,8 @@ def parity_replicates():
         yield i, kind, pair, certify_pair
 
 
-class TestLanczosRoute:
-    """Smoother extremes by ARPACK on x -> S x - mean(S x) from n = 410 on.
-
-    The class keeps the name of the Lanczos run on the symmetrised
-    smoother that this route replaced.
-    """
+class TestSmootherArpackRoute:
+    """Smoother extremes by ARPACK on x -> S x - mean(S x) from n = 410 on."""
 
     def test_parity_sweep(self, monkeypatch):
         # with an unbounded budget every smoother (n >= 8 here), knn and
