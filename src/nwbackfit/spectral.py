@@ -21,21 +21,27 @@ sufficient routes are checked and reported:
 A verdict of NOT_CERTIFIED means "not certified by these tests", not
 "diverges".
 
-Solvers.  The report needs only a few extreme eigenvalues of each
-smoother S: the top eigenvalue of S1, its simplicity, and rho(S*).
-S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation of the unit
-eigenvalue, so the spectrum of S* is that of S with one eigenvalue 1
-replaced by 0.  Every Krylov run goes through one ARPACK call
-(``eigs``; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) on an
-unformed operator.  For a smoother it is x -> c(S x), c(z) = z - mean(z),
-dense or CSR alike, within a budget of n // 10 operator applications.
-Below n = 410 the budget is too small to try, and when ARPACK fails or
-spends the budget the smoother is made dense and the report's
-``smoother_fallback`` says why.  The full spectrum then comes from
-``eigvalsh`` of A = diag(sqrt(pi)) S diag(1/sqrt(pi)), pi_i = 1/S_ii,
-when A is symmetric (S is reversible, as for a symmetric kernel at one
-common bandwidth, where A = D^-1/2 K D^-1/2), and from ``eigvals``
-otherwise (k-nearest or per-point bandwidths).
+Solvers.  The verdict reads only rho(S2* S1*).  A regular smoother's
+other spectral quantities are settled by Perron-Frobenius (route 1): its
+top eigenvalue 1 is simple and its only one of modulus 1, so its
+spectrum is not computed; the report gives the Rayleigh quotient
+theta^T S1 theta, theta = 1/sqrt(n), as the top eigenvalue and leaves
+rho(S*) unset.  A non-regular smoother's rho(S*) is the diagnosis: a
+second unit eigenvalue gives rho(S*) = 1.  S* = S - 1 (1^T S / n) is a
+rank-one (Brauer) deflation of the unit eigenvalue, so the spectrum of
+S* is that of S with one eigenvalue 1 replaced by 0.  Every Krylov run
+goes through one ARPACK call (``eigs``; Lehoucq, Sorensen & Yang, ARPACK
+Users' Guide, 1998) on an unformed operator, which asks for the one
+eigenvalue of largest modulus and, when that run does not converge, for
+six.  For a non-regular smoother the operator is x -> c(S x),
+c(z) = z - mean(z), dense or CSR alike, within a budget of n // 10
+operator applications.  Below n = 410 the budget is too small to try,
+and when ARPACK fails or spends the budget the smoother is made dense
+and the report's ``smoother_fallback`` says why.  The full spectrum then
+comes from ``eigvalsh`` of A = diag(sqrt(pi)) S diag(1/sqrt(pi)),
+pi_i = 1/S_ii, when A is symmetric (S is reversible, as for a symmetric
+kernel at one common bandwidth, where A = D^-1/2 K D^-1/2), and from
+``eigvals`` otherwise (k-nearest or per-point bandwidths).
 ``certify(method="power")``, which the command line always uses, runs
 the same ARPACK call, without a budget, on x -> c(S2 c(S1 x)), which
 never forms the product; when ARPACK fails or n < 3 it forms the product
@@ -112,16 +118,22 @@ class GapReport:
 class SpectralReport:
     """Spectral quantities of a smoother pair.
 
-    ``top_eigenvalue_s1``, its simplicity flag, ``rho_s1_star`` and
-    ``rho_s2_star`` come from the extreme eigenvalues of S1 and S2,
-    whatever ``method``: a budgeted ARPACK run on the centered smoother
-    from n = 410 on, and the full spectrum (``eigvalsh`` for a reversible
-    smoother, ``eigvals`` otherwise) below that size or when the run
-    fails.  ``smoother_iterations`` counts the ARPACK operator
-    applications for [S1, S2] (0 on a full-spectrum route), and
-    ``smoother_fallback`` says why an ARPACK run gave way to the full
-    spectrum: "s1: <exception class>: <message>", likewise "s2: ...",
-    joined by "; " when both did; it is None when no run failed.
+    For a regular smoother (see :func:`check_regularity`),
+    Perron-Frobenius settles the top eigenvalue 1 and its simplicity, and
+    no spectrum is computed: ``top_eigenvalue_s1`` is the Rayleigh
+    quotient theta^T S1 theta of the unit constant vector
+    theta = 1/sqrt(n), ``top_eigenvalue_simple`` is True, the smoother's
+    ``rho_s1_star`` or ``rho_s2_star`` is None and its entry of
+    ``smoother_iterations`` is 0.  For a non-regular smoother they come
+    from its extreme eigenvalues, whatever ``method``: a budgeted ARPACK
+    run on the centered smoother from n = 410 on, and the full spectrum
+    (``eigvalsh`` for a reversible smoother, ``eigvals`` otherwise) below
+    that size or when the run fails.  ``smoother_iterations`` counts the
+    ARPACK operator applications for [S1, S2] (0 on a full-spectrum
+    route), and ``smoother_fallback`` says why an ARPACK run gave way to
+    the full spectrum: "s1: <exception class>: <message>", likewise
+    "s2: ...", joined by "; " when both did; it is None when no run
+    failed.
     ``method`` records how ``rho_product`` was obtained ("power" when
     ARPACK converged on the matrix-free product, "dense" for the dense
     eigendecomposition of the formed product, including after an ARPACK
@@ -130,12 +142,11 @@ class SpectralReport:
     ``fallback`` says why a power run took the dense route: "n < 3", or
     "<exception class>: <message>" for the ARPACK error; it is None when
     ARPACK converged and when dense was asked for.
-    ``perron_vector_check`` is the residual ||S1 theta - theta|| for the
-    unit constant vector theta = 1/sqrt(n).
+    ``perron_vector_check`` is the residual ||S1 theta - theta||.
     """
 
-    rho_s1_star: float
-    rho_s2_star: float
+    rho_s1_star: float | None
+    rho_s2_star: float | None
     rho_product: float
     top_eigenvalue_s1: complex
     top_eigenvalue_simple: bool
@@ -361,17 +372,22 @@ def _spectrum_extremes(eigs: np.ndarray) -> tuple[complex, bool, float]:
 
 
 def _arpack(matvec, n: int, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """The eigenvalues of largest modulus of an unformed n x n operator.
+    """The eigenvalue of largest modulus of an unformed n x n operator.
 
-    ARPACK's ``eigs`` computes the k = min(6, n - 2) eigenvalues of
-    largest modulus of x -> ``matvec(x)`` to machine precision
-    (``tol=0``).  Its starting vector, and the vectors it draws after
+    ARPACK's ``eigs`` computes it to machine precision (``tol=0``) on
+    x -> ``matvec(x)``, asking for k = 1 eigenvalue.  When that run
+    raises ``ArpackNoConvergence`` it asks again for k = min(6, n - 2),
+    whose larger Krylov basis converges where the k = 1 run stalls, as on
+    a near-reducible smoother with several eigenvalues within 1e-13 of 1.
+    Each attempt's starting vector, and the vectors it draws after
     finding an invariant subspace, come from a generator seeded here, so
     reruns are bit-identical.  The operator raises ``ArpackNoConvergence``
-    instead of exceeding ``budget`` applications (no limit when None);
-    every ``ArpackError`` propagates to the caller.
+    instead of exceeding ``budget`` applications over both attempts
+    together (no limit when None); every other ``ArpackError``, and the
+    retry's, propagates to the caller.
 
-    Returns the eigenvalues and the number of operator applications.
+    Returns the eigenvalues found (the k = 1 run's one, or the retry's
+    k) and the number of operator applications over both attempts.
     """
     applications = 0
 
@@ -386,29 +402,38 @@ def _arpack(matvec, n: int, budget: int | None = None) -> tuple[np.ndarray, int]
         applications += 1
         return matvec(x)
 
-    rng = np.random.default_rng(0)
-    vals = eigs(
-        LinearOperator((n, n), matvec=counted, dtype=float),
-        k=min(6, n - 2),
-        which="LM",
-        tol=0,
-        v0=rng.standard_normal(n),
-        return_eigenvectors=False,
-        rng=rng,
-    )
+    def run(k: int) -> np.ndarray:
+        rng = np.random.default_rng(0)
+        return eigs(
+            LinearOperator((n, n), matvec=counted, dtype=float),
+            k=k,
+            which="LM",
+            tol=0,
+            v0=rng.standard_normal(n),
+            return_eigenvectors=False,
+            rng=rng,
+        )
+
+    try:
+        vals = run(1)
+    except ArpackNoConvergence:
+        if n < 4:  # min(6, n - 2) = 1: the retry would repeat the run
+            raise
+        vals = run(min(6, n - 2))
     return vals, applications
 
 
 def _smoother_budget(n: int) -> int:
     """Operator applications ARPACK may spend on an n x n smoother; 0 skips it.
 
-    The budget is n // 10.  The full eigendecomposition costs about n/3
+    The budget is n // 10, for the k = 1 run and its retry together (see
+    :func:`_arpack`).  The full eigendecomposition costs about n/3
     applications, so a run that spends the budget and falls back wastes
     at most about a third more.  A budget of 40 or less (n < 410) is not
     tried: a compact kernel at small bandwidth needs more applications
-    than that (114 for a uniform kernel at h = 0.04, n = 200), and there
-    the full eigendecomposition is cheap (1.8 ms against 3.4 ms for
-    that ARPACK run, one BLAS thread).
+    than that (61 for a uniform kernel at h = 0.04, n = 200, uniform
+    points), and there the full eigendecomposition is cheaper (1.6 ms
+    against 1.9 ms for that ARPACK run, one BLAS thread).
     """
     budget = n // 10
     return budget if budget > 40 else 0
@@ -417,9 +442,11 @@ def _smoother_budget(n: int) -> int:
 def _smoother_extremes(
     s: np.ndarray | csr_array,
 ) -> tuple[complex, bool, float, int, str | None]:
-    """Top eigenvalue of a smoother, its simplicity, and rho(S*).
+    """Top eigenvalue of a smoother, its simplicity, and rho(S*), computed.
 
-    When the budget (:func:`_smoother_budget`) is nonzero, :func:`_arpack`
+    :func:`certify` calls this only for a non-regular smoother; a regular
+    one's top eigenvalue is settled (see :class:`SpectralReport`).  When
+    the budget (:func:`_smoother_budget`) is nonzero, :func:`_arpack`
     runs on x -> S x - mean(S x), whose spectrum is that of S* (see
     :func:`_spectrum_extremes`), dense or CSR alike, without copying S.
     rho(S*) is the largest returned modulus, the top eigenvalue is the
@@ -489,22 +516,32 @@ def _product_radius(
 
 
 def _spectral_report(
-    pair: SmootherPair, method: str
+    pair: SmootherPair, method: str, regular_s1: bool, regular_s2: bool
 ) -> tuple[SpectralReport, np.ndarray | None]:
     """The spectral report, and the product S2* S1* if it was formed.
 
-    The product is formed only on the dense route: for ``method="dense"``,
-    and when :func:`_product_radius` falls back.
+    A regular smoother's spectrum is not computed (see
+    :class:`SpectralReport`).  The product is formed only on the dense
+    route: for ``method="dense"``, and when :func:`_product_radius`
+    falls back.
     """
-    top, simple, rho_s1_star, applications_s1, fallback_s1 = _smoother_extremes(pair.s1)
-    _, _, rho_s2_star, applications_s2, fallback_s2 = _smoother_extremes(pair.s2)
+    theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
+    s1_theta = pair.s1 @ theta
+    perron_check = float(np.linalg.norm(s1_theta - theta))
+    # Perron-Frobenius: a regular stochastic matrix has the simple top
+    # eigenvalue 1; the top entry is read for S1 only
+    settled = (complex(theta @ s1_theta), True, None, 0, None)
+    top, simple, rho_s1_star, applications_s1, fallback_s1 = (
+        settled if regular_s1 else _smoother_extremes(pair.s1)
+    )
+    _, _, rho_s2_star, applications_s2, fallback_s2 = (
+        settled if regular_s2 else _smoother_extremes(pair.s2)
+    )
     smoother_fallback = "; ".join(
         f"{name}: {reason}"
         for name, reason in (("s1", fallback_s1), ("s2", fallback_s2))
         if reason is not None
     )
-    theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
-    perron_check = float(np.linalg.norm(pair.s1 @ theta - theta))
 
     if method == "power":
         rho_product, used, iterations, product, fallback = _product_radius(pair)
@@ -549,7 +586,7 @@ def certify(
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
     regular_s1 = check_regularity(pair.s1)
     regular_s2 = check_regularity(pair.s2)
-    spectral, product = _spectral_report(pair, method)
+    spectral, product = _spectral_report(pair, method, regular_s1, regular_s2)
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds
     rho = spectral.rho_product

@@ -27,7 +27,7 @@ from nwbackfit.kernels import (
 )
 from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, build_pair, center
-from nwbackfit.spectral import Verdict, certify
+from nwbackfit.spectral import Verdict, _smoother_extremes, certify
 
 from conftest import ALL_KERNELS, eval_scaled, lu_direct_oracle, two_cluster_dataset
 
@@ -105,9 +105,24 @@ class TestSparseSmoothers:
             else:
                 assert got.verdict is want.verdict
                 assert got.regular_s1 == want.regular_s1 and got.regular_s2 == want.regular_s2
-                for field in ("rho_product", "rho_s1_star", "rho_s2_star", "top_eigenvalue_s1"):
+                for field in ("rho_product", "top_eigenvalue_s1"):
                     assert abs(getattr(got.spectral, field) - getattr(want.spectral, field)) <= 1e-12
                 assert got.spectral.top_eigenvalue_simple == want.spectral.top_eigenvalue_simple
+                # a report computes the radius of a non-regular smoother only
+                for name in ("s1", "s2"):
+                    got_rho = getattr(got.spectral, f"rho_{name}_star")
+                    want_rho = getattr(want.spectral, f"rho_{name}_star")
+                    regular = getattr(got, f"regular_{name}")
+                    if regular:
+                        assert got_rho is None and want_rho is None
+                    else:
+                        assert abs(got_rho - want_rho) <= 1e-12
+        for got, want in zip(vars(pairs["csr"]).values(), vars(pairs["dense"]).values()):
+            got_top, got_simple, got_rho_star = _smoother_extremes(got)[:3]
+            want_top, want_simple, want_rho_star = _smoother_extremes(want)[:3]
+            assert abs(got_top - want_top) <= 1e-12
+            assert got_simple == want_simple
+            assert abs(got_rho_star - want_rho_star) <= 1e-12
 
 
 class TestTrivialFixedPoints:

@@ -242,7 +242,7 @@ class TestCliFit:
         report = json.loads((out / "fit.json").read_text())
         assert report["provenance"]["package"] == "nwbackfit"
         assert report["certificate"]["verdict"] == "certified_by_gap_conditions"
-        # n = 40 smoothers are below the ARPACK threshold: full spectra
+        # both smoothers are regular, so neither spectrum is computed
         assert report["certificate"]["spectral"]["smoother_iterations"] == [0, 0]
         assert report["certificate"]["spectral"]["smoother_fallback"] is None
         cols = read_fit_curves_csv(out / "curves.csv")

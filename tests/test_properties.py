@@ -8,7 +8,7 @@ from nwbackfit.fitting import backfit_direct
 from nwbackfit.kernels import ConstantBandwidth, KNearestBandwidth, RateBandwidth
 from nwbackfit.simulate import BivariateNormal, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, build_pair
-from nwbackfit.spectral import certify
+from nwbackfit.spectral import _smoother_extremes, certify
 
 from conftest import ALL_KERNELS
 
@@ -41,9 +41,17 @@ def test_permuting_rows_changes_nothing(n, seed, kernel, kind, rho):
     cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
     permuted_cert = certify(permuted_pair, kernel, bw_u, bw_v, permuted, method="power")
     assert permuted_cert.verdict is cert.verdict
-    for field in ("rho_product", "rho_s1_star", "rho_s2_star"):
-        got = getattr(permuted_cert.spectral, field)
-        assert abs(got - getattr(cert.spectral, field)) <= 1e-12, field
+    assert abs(permuted_cert.spectral.rho_product - cert.spectral.rho_product) <= 1e-12
+    for name in ("s1", "s2"):
+        # a report computes the radius of a non-regular smoother only
+        regular = getattr(cert, f"regular_{name}")
+        assert getattr(permuted_cert, f"regular_{name}") == regular
+        got = getattr(permuted_cert.spectral, f"rho_{name}_star")
+        want = getattr(cert.spectral, f"rho_{name}_star")
+        assert (got is None and want is None) if regular else abs(got - want) <= 1e-12, name
+        got = _smoother_extremes(getattr(permuted_pair, name))[2]
+        want = _smoother_extremes(getattr(pair, name))[2]
+        assert abs(got - want) <= 1e-12, name
 
     if cert.certified:
         # near-collinear designs (rho(S2* S1*) up to 0.99996 here) split

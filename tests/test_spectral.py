@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array, issparse
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from nwbackfit import smoothers, spectral
 from nwbackfit.kernels import (
@@ -362,14 +362,30 @@ class TestCertify:
             certify(pair, kernel, bw_u, bw_v, data, method="qr")
 
 
-def assert_matches_oracle(spectral_report, pair, tol):
-    """The smoother fields of a report against the full-spectrum oracle."""
-    top, simple, rho_s1_star = smoother_extremes_oracle(pair.s1)
-    rho_s2_star = smoother_extremes_oracle(pair.s2)[2]
-    assert abs(spectral_report.top_eigenvalue_s1 - top) <= tol
-    assert spectral_report.top_eigenvalue_simple == simple
-    assert abs(spectral_report.rho_s1_star - rho_s1_star) <= tol
-    assert abs(spectral_report.rho_s2_star - rho_s2_star) <= tol
+def assert_matches_oracle(cert, pair, tol):
+    """A certificate's smoother fields, and the smoothers' own spectral
+    runs, against the full-spectrum oracle.
+
+    :func:`_smoother_extremes` must match the oracle on every smoother.
+    The report computes a smoother's radius only when it is not regular;
+    a regular one's is None and its top eigenvalue is simple by
+    Perron-Frobenius, even where a second eigenvalue lies within 1e-8.
+    """
+    smoothers = ((pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
+                 (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star))
+    for s, regular, rho_star in smoothers:
+        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+        top, simple, got_rho_star = _smoother_extremes(s)[:3]
+        assert abs(top - want_top) <= tol
+        assert simple == want_simple
+        assert abs(got_rho_star - want_rho_star) <= tol
+        if regular:
+            assert rho_star is None
+        else:
+            assert abs(rho_star - want_rho_star) <= tol
+    want_top, want_simple, _ = smoother_extremes_oracle(pair.s1)
+    assert abs(cert.spectral.top_eigenvalue_s1 - want_top) <= tol
+    assert cert.spectral.top_eigenvalue_simple == (cert.regular_s1 or want_simple)
 
 
 class TestSpectralRoutes:
@@ -409,12 +425,16 @@ class TestSpectralRoutes:
             ):
                 pair = build_pair(data, kernel, bw_u, bw_v)
                 cert = certify(pair, kernel, bw_u, bw_v, data, method=method)
-                assert cert.spectral.rho_s1_star == pytest.approx(
-                    spectral_radius(center(pair.s1)), abs=1e-12
-                )
-                assert cert.spectral.rho_s2_star == pytest.approx(
-                    spectral_radius(center(pair.s2)), abs=1e-12
-                )
+                for s, regular, rho_star in (
+                    (pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
+                    (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star),
+                ):
+                    want = spectral_radius(center(s))
+                    assert _smoother_extremes(s)[2] == pytest.approx(want, abs=1e-12)
+                    if regular:
+                        assert rho_star is None
+                    else:
+                        assert rho_star == pytest.approx(want, abs=1e-12)
 
     def test_asymmetry_holds_one_block(self):
         a = np.random.default_rng(68).random((1536, 1536))
@@ -452,10 +472,9 @@ class TestSpectralRoutes:
         assert cert.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-6)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
-        # a reversible pair needs no nonsymmetric work beyond the product
-        # (this fails if the route test stops admitting ordinary
-        # smoothers), and under "power" the product is never formed: the
-        # pair's product-forming method raises once the dense run is done
+        # a regular pair needs no spectral work beyond the product, and
+        # under "power" the product is never formed: the pair's
+        # product-forming method raises once the dense run is done
         data = generate(SimSpec(n=60, design=BivariateNormal(rho=0.5), seed=64))
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
@@ -542,7 +561,7 @@ class TestArpackRoute:
             assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
             assert again.spectral == power.spectral, i
             assert power.spectral.smoother_iterations == (0, 0), i
-            assert_matches_oracle(power.spectral, pair, 1e-12)
+            assert_matches_oracle(power, pair, 1e-12)
             verdicts.add(dense.verdict)
             near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
         assert verdicts == set(Verdict)
@@ -589,9 +608,10 @@ class TestSmootherArpackRoute:
 
     def test_parity_sweep(self, monkeypatch):
         # with an unbounded budget every smoother (n >= 8 here), knn and
-        # per-point ones too, takes ARPACK: its fields match the
+        # per-point ones too, takes ARPACK: its output matches the
         # full-spectrum oracle, the verdicts of both certify methods agree,
-        # reruns are bit-identical and both methods take the same route
+        # reruns are bit-identical and both methods take the same route;
+        # a certificate runs ARPACK on exactly its non-regular smoothers
         monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
         for i, _, pair, certify_pair in parity_replicates():
             power = certify_pair("power")
@@ -602,9 +622,16 @@ class TestSmootherArpackRoute:
             assert dataclasses.replace(
                 dense.spectral, rho_product=0.0, method="", iterations=0
             ) == dataclasses.replace(power.spectral, rho_product=0.0, method="", iterations=0), i
-            assert_matches_oracle(power.spectral, pair, 1e-12)
+            assert_matches_oracle(power, pair, 1e-12)
             assert power.spectral.smoother_fallback is None, i
-            assert min(power.spectral.smoother_iterations) > 0, i
+            for s, regular, ran in zip(
+                (pair.s1, pair.s2),
+                (power.regular_s1, power.regular_s2),
+                power.spectral.smoother_iterations,
+            ):
+                assert (ran == 0) == regular, i
+                applications, fallback = _smoother_extremes(s)[3:]
+                assert applications > 0 and fallback is None, i
         rng = np.random.default_rng(69)
         for trial in range(48):
             x = rng.normal(size=int(rng.integers(8, 41)))
@@ -629,19 +656,35 @@ class TestSmootherArpackRoute:
         monkeypatch.setattr(spectral, "eigvalsh", unused)
         cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
         assert certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power").spectral == cert.spectral
+        # both smoothers are regular, so the certificate runs neither
+        assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.smoother_fallback is None
-        assert all(0 < it <= 800 // 10 for it in cert.spectral.smoother_iterations)
+        assert cert.spectral.smoother_iterations == (0, 0)
         assert cert.spectral.top_eigenvalue_simple
-        assert cert.to_dict()["spectral"]["smoother_iterations"] == list(
-            cert.spectral.smoother_iterations
-        )
+        as_json = cert.to_dict()["spectral"]
+        assert as_json["smoother_iterations"] == [0, 0]
+        assert as_json["rho_s1_star"] is None and as_json["rho_s2_star"] is None
+        for s in (pair.s1, pair.s2):
+            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+            assert _smoother_extremes(s) == (top, simple, rho_star, applications, fallback)
+            assert fallback is None
+            assert 0 < applications <= 800 // 10
+            assert simple
 
-    def test_arpack_failure_falls_back_to_eigvalsh(self, monkeypatch):
+    def test_arpack_failure_falls_back_to_eigvalsh(
+        self, monkeypatch, uniform_cluster_problem
+    ):
         # the dense product route keeps ARPACK out of the product, so only
-        # the two smoother runs meet the failing eigs
+        # the smoother runs meet the failing eigs: run directly on the
+        # regular smoothers of a certified problem, and by the certificate
+        # on the non-regular ones of the two-cluster problem
         data, kernel, bw_u, bw_v = certified_problem(7)
         pair = build_pair(data, kernel, bw_u, bw_v)
         full = certify(pair, kernel, bw_u, bw_v, data, method="dense")
+        full_spectra = [_smoother_extremes(s) for s in (pair.s1, pair.s2)]
+        cluster_data, cluster_kernel, bw = uniform_cluster_problem
+        cluster_pair = build_pair(cluster_data, cluster_kernel, bw, bw)
+        cluster_full = certify(cluster_pair, cluster_kernel, bw, bw, cluster_data, method="dense")
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         def failing(*args, **kwargs):
@@ -649,19 +692,28 @@ class TestSmootherArpackRoute:
 
         monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
         monkeypatch.setattr(spectral, "eigs", failing)
-        cert = certify(pair, kernel, bw_u, bw_v, data, method="dense")
         reason = f"ArpackNoConvergence: {error}"
-        assert cert.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
-        assert cert.spectral.smoother_iterations == (0, 0)
-        assert full.spectral.smoother_fallback is None
-        assert cert.spectral == dataclasses.replace(
-            full.spectral, smoother_fallback=cert.spectral.smoother_fallback
-        )
+        for s, want in zip((pair.s1, pair.s2), full_spectra):
+            assert want[3:] == (0, None)
+            assert _smoother_extremes(s) == (*want[:3], 0, reason)
+        cert = certify(pair, kernel, bw_u, bw_v, data, method="dense")
+        assert cert.regular_s1 and cert.regular_s2
+        assert cert.spectral == full.spectral
         assert cert.verdict is full.verdict
+
+        cluster = certify(cluster_pair, cluster_kernel, bw, bw, cluster_data, method="dense")
+        assert not cluster.regular_s1 and not cluster.regular_s2
+        assert cluster.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
+        assert cluster.spectral.smoother_iterations == (0, 0)
+        assert cluster_full.spectral.smoother_fallback is None
+        assert cluster.spectral == dataclasses.replace(
+            cluster_full.spectral, smoother_fallback=cluster.spectral.smoother_fallback
+        )
+        assert cluster.verdict is cluster_full.verdict
 
     def test_spent_budget_falls_back_to_eigvalsh(self):
         # at n = 410 the budget is 41 applications; the clustered spectrum
-        # of a uniform kernel at h = 0.02 (rho(S*) = 0.9997) needs 257, and
+        # of a uniform kernel at h = 0.02 (rho(S*) = 0.9997) needs 141, and
         # the CSR smoother is made dense for eigvalsh
         x = np.random.default_rng(67).uniform(size=410)
         s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
@@ -696,8 +748,9 @@ class TestSmootherArpackRoute:
 
     def test_csr_smoothers_stay_sparse(self, monkeypatch):
         # n = 2000, uniform kernel at h = 0.03: CSR smoothers whose runs
-        # converge within their budget of 200 (137 applications for S1),
-        # so a certified power-route certificate never makes them dense
+        # converge within their budget of 200 (81 applications for S1),
+        # and a certified power-route certificate, neither of which makes
+        # them dense
         data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
         bw = ConstantBandwidth(0.03)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
@@ -712,6 +765,109 @@ class TestSmootherArpackRoute:
         assert cert.certified
         assert cert.spectral.method == "power"
         assert cert.spectral.smoother_fallback is None
-        assert all(0 < it <= 200 for it in cert.spectral.smoother_iterations)
+        assert cert.spectral.smoother_iterations == (0, 0)
+        for s in (pair.s1, pair.s2):
+            applications, fallback = _smoother_extremes(s)[3:]
+            assert 0 < applications <= 200 and fallback is None
         monkeypatch.undo()
-        assert_matches_oracle(cert.spectral, pair, 1e-12)
+        assert_matches_oracle(cert, pair, 1e-12)
+
+    def test_knn_certificate_stays_sparse(self, monkeypatch):
+        # the smooth-knn design: n = 4000 uniform points, Epanechnikov at
+        # knn:30, CSR smoothers whose clustered spectra would spend any
+        # budget; both are regular, so the certificate computes neither
+        # spectrum and never makes them dense
+        rng = np.random.default_rng(71)
+        n = 4000
+        data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+        bw = KNearestBandwidth(30)
+        pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
+        assert issparse(pair.s1) and issparse(pair.s2)
+
+        def refused(s):
+            raise AssertionError("a CSR smoother was made dense")
+
+        monkeypatch.setattr(spectral, "as_dense", refused)
+        monkeypatch.setattr(smoothers, "as_dense", refused)
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
+        assert cert.certified
+        assert cert.regular_s1 and cert.regular_s2
+        assert cert.spectral.method == "power"
+        assert cert.spectral.smoother_fallback is None
+        assert cert.spectral.smoother_iterations == (0, 0)
+
+
+def failing_first_attempt(monkeypatch, spent):
+    """Patch ``eigs`` so that a k = 1 run applies the operator ``spent``
+    times and then raises ``ArpackNoConvergence``; later runs are real.
+
+    Returns the k of every run, and the k of every successful operator
+    application.
+    """
+    runs, applied = [], []
+
+    def patched(a, k, eigs=spectral.eigs, **kwargs):
+        runs.append(k)
+
+        def matvec(x):
+            y = a.matvec(x)
+            applied.append(k)
+            return y
+
+        operator = LinearOperator(a.shape, matvec=matvec, dtype=float)
+        if k == 1:
+            for _ in range(spent):
+                operator.matvec(np.ones(a.shape[0]))
+            raise ArpackNoConvergence("k = 1 did not converge", np.array([]), np.array([]))
+        return eigs(operator, k=k, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigs", patched)
+    return runs, applied
+
+
+class TestArpackRetry:
+    """A k = 1 ARPACK run that does not converge is retried at k = 6."""
+
+    def test_product_radius_comes_from_the_retry(self, monkeypatch):
+        data, kernel, bw_u, bw_v = certified_problem(8)
+        pair = build_pair(data, kernel, bw_u, bw_v)
+        runs, applied = failing_first_attempt(monkeypatch, spent=0)
+        cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        assert cert.spectral.method == "power"
+        assert cert.spectral.fallback is None
+        assert runs == [1, 6] and set(applied) == {6}
+        assert cert.spectral.iterations == len(applied)
+        want = spectral_radius(pair.star_product())
+        assert abs(cert.spectral.rho_product - want) <= 1e-12
+
+    def test_both_attempts_share_the_smoother_budget(self, monkeypatch):
+        # n = 410, budget 41: the k = 1 run spends 30, so the retry stops
+        # after 11 more on a smoother that needs far more, and the
+        # smoother falls back to its full spectrum
+        x = np.random.default_rng(67).uniform(size=410)
+        s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
+        runs, applied = failing_first_attempt(monkeypatch, spent=30)
+        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+        assert runs == [1, 6]
+        assert (applied.count(1), applied.count(6)) == (30, 11)
+        assert applications == 0
+        assert fallback == (
+            "ArpackNoConvergence: ARPACK error -1: "
+            "ARPACK budget of 41 operator applications used up"
+        )
+        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+        assert abs(top - want_top) <= 1e-12
+        assert simple == want_simple
+        assert abs(rho_star - want_rho_star) <= 1e-12
+
+    def test_applications_count_both_attempts(self, monkeypatch):
+        # a retry that converges reports the applications of both runs
+        data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
+        s = build_smoother(data.u, Kernel.GAUSSIAN, RateBandwidth(0.2))
+        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
+        runs, applied = failing_first_attempt(monkeypatch, spent=10)
+        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+        assert fallback is None and runs == [1, 6]
+        assert applied.count(1) == 10 and applied.count(6) > 0
+        assert applications == len(applied)
+        assert abs(rho_star - spectral_radius(center(s))) <= 1e-12
