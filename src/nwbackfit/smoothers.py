@@ -7,9 +7,9 @@ when the kernel has compact support; when those windows hold at most
 n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array.  Products with a vector (``@``) work on
 either, and so do the fitters and the matrix-free ARPACK routes; only the
-routes that need the dense matrix itself (the full-spectrum smoother
-eigensolvers, the formed product S2* S1* and :func:`center`) convert
-it, through :func:`as_dense`.  ``center`` applies the mean-removal
+routes that need the dense matrix itself (the formed product S2* S1* and
+:func:`center`, which the dense eigenvalue fallbacks use) convert it,
+through :func:`as_dense`.  ``center`` applies the mean-removal
 projector C = I - 11^T/n, which enforces the zero-mean identification
 constraint on fitted component vectors.  The backfitting equations use
 the centered smoothers S* = C S; this module is the one place that knows

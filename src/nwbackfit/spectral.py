@@ -29,27 +29,24 @@ theta^T S1 theta, theta = 1/sqrt(n), as the top eigenvalue and leaves
 rho(S*) unset.  A non-regular smoother's rho(S*) is the diagnosis: a
 second unit eigenvalue gives rho(S*) = 1.  S* = S - 1 (1^T S / n) is a
 rank-one (Brauer) deflation of the unit eigenvalue, so the spectrum of
-S* is that of S with one eigenvalue 1 replaced by 0.  Every Krylov run
-goes through one ARPACK call (``eigs``; Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, 1998) on an unformed operator, which asks for the one
-eigenvalue of largest modulus and, when that run does not converge, for
-six.  For a non-regular smoother the operator is x -> c(S x),
-c(z) = z - mean(z), dense or CSR alike, within a budget of n // 10
-operator applications.  Below n = 410 the budget is too small to try,
-and when ARPACK fails or spends the budget the smoother is made dense
-and the report's ``smoother_fallback`` says why.  The full spectrum then
-comes from ``eigvalsh`` of A = diag(sqrt(pi)) S diag(1/sqrt(pi)),
-pi_i = 1/S_ii, when A is symmetric (S is reversible, as for a symmetric
-kernel at one common bandwidth, where A = D^-1/2 K D^-1/2), and from
-``eigvals`` otherwise (k-nearest or per-point bandwidths).
-``certify(method="power")``, which the command line always uses, runs
-the same ARPACK call, without a budget, on x -> c(S2 c(S1 x)), which
-never forms the product; when ARPACK fails or n < 3 it forms the product
-and takes the dense radius instead, and the report's ``fallback`` says
-why.  ``method="dense"``, the library default, always takes the dense
-radius of the formed product, as does :func:`spectral_radius` for any
-square matrix; they are the reference the ARPACK route is tested
-against.  The smoothers take the same route under both methods.
+S* is that of S with one eigenvalue 1 replaced by 0.  Every computed
+radius, of a non-regular smoother or of the product, takes one route
+(:func:`_extreme_eigenvalues`): one ARPACK call (``eigs``; Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, 1998) on an unformed operator,
+which asks for the eigenvalues of largest modulus (one for the product,
+six for a smoother, whose crowded top a run for one can miss) and, when
+a run for one does not converge, for six; and, when ARPACK fails or
+n < 3, all eigenvalues of the formed operator from
+``numpy.linalg.eigvals``.  The operator is x -> c(S x),
+c(z) = z - mean(z), for a smoother, dense or CSR alike, formed as
+``center(S)``; and x -> c(S2 c(S1 x)) for the product under
+``certify(method="power")``, which the command line always uses, formed
+as S2* S1*.  The report's ``smoother_fallback`` and
+``fallback`` say why a dense route ran.  ``method="dense"``, the library
+default, always takes the dense radius of the formed product, as does
+:func:`spectral_radius` for any square matrix; they are the reference the
+ARPACK route is tested against.  The smoothers take the same route under
+both methods.
 """
 
 from __future__ import annotations
@@ -58,14 +55,13 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair, apply_star, as_dense
+from .smoothers import Dataset, SmootherPair, apply_star, center
 
 __all__ = [
     "GapReport",
@@ -80,13 +76,6 @@ __all__ = [
 
 # Verdicts require rho(S2* S1*) below 1 by at least this margin.
 RHO_MARGIN = 1e-8
-
-# A smoother's spectrum comes from the symmetric eigenproblem when its
-# diagonal symmetrisation is symmetric to this Frobenius-norm defect.  By
-# Bauer-Fike on the symmetric part, the defect also bounds the error of
-# every eigenvalue.  Symmetric kernels at one bandwidth measure ~1e-15;
-# k-nearest smoothers measure ~1.
-REVERSIBILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,15 +114,13 @@ class SpectralReport:
     theta = 1/sqrt(n), ``top_eigenvalue_simple`` is True, the smoother's
     ``rho_s1_star`` or ``rho_s2_star`` is None and its entry of
     ``smoother_iterations`` is 0.  For a non-regular smoother they come
-    from its extreme eigenvalues, whatever ``method``: a budgeted ARPACK
-    run on the centered smoother from n = 410 on, and the full spectrum
-    (``eigvalsh`` for a reversible smoother, ``eigvals`` otherwise) below
-    that size or when the run fails.  ``smoother_iterations`` counts the
-    ARPACK operator applications for [S1, S2] (0 on a full-spectrum
-    route), and ``smoother_fallback`` says why an ARPACK run gave way to
-    the full spectrum: "s1: <exception class>: <message>", likewise
-    "s2: ...", joined by "; " when both did; it is None when no run
-    failed.
+    from the extreme eigenvalues of its centered form S*, whatever
+    ``method``: an ARPACK run on the unformed S*, and all eigenvalues of
+    the formed S* when the run fails or n < 3.  ``smoother_iterations``
+    counts the ARPACK operator applications for [S1, S2] (0 on the dense
+    route), and ``smoother_fallback`` says why a smoother took the dense
+    route: "s1: n < 3" or "s1: <exception class>: <message>", likewise
+    "s2: ...", joined by "; " when both did; it is None when none did.
     ``method`` records how ``rho_product`` was obtained ("power" when
     ARPACK converged on the matrix-free product, "dense" for the dense
     eigendecomposition of the formed product, including after an ARPACK
@@ -317,8 +304,9 @@ def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a square matrix, from all its eigenvalues.
 
     The largest modulus over ``numpy.linalg.eigvals(m)``: the dense
-    reference.  Certificates under ``method="power"`` take rho(S2* S1*)
-    from ARPACK and use this only as their fallback.
+    reference, which certificates under ``method="dense"`` use.  Under
+    ``method="power"`` they take rho(S2* S1*) from ARPACK and the same
+    ``eigvals`` only as their fallback.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -326,79 +314,27 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def _asymmetry(a: np.ndarray) -> float:
-    """Frobenius norm of a - a^T, summed over blocks of 512 rows of a.
+def _arpack(matvec, n: int, k: int) -> tuple[np.ndarray, int]:
+    """The k eigenvalues of largest modulus of an unformed n x n operator.
 
-    Blocking keeps the temporaries at one block of 512 rows instead of a
-    second n x n array.
-    """
-    total = 0.0
-    for i in range(0, a.shape[0], 512):
-        diff = a[i : i + 512] - a[:, i : i + 512].T
-        total += float(np.einsum("ij,ij->", diff, diff))
-        del diff  # freed before the next block is allocated, not after
-    return float(np.sqrt(total))
+    ARPACK's ``eigs`` computes min(k, n - 2) of them to machine precision
+    (``tol=0``) on x -> ``matvec(x)``.  When a run for fewer than
+    min(6, n - 2) raises ``ArpackNoConvergence`` it asks again for
+    min(6, n - 2), whose larger Krylov basis converges where the smaller
+    one stalls, as on an operator with several eigenvalues within 1e-13
+    of its top.  Each attempt's starting vector, and the vectors it draws
+    after finding an invariant subspace, come from a generator seeded
+    here, so reruns are bit-identical.  Every ``ArpackError`` of the
+    retry, and every other one of the first run, propagates to the
+    caller.
 
-
-def _symmetrized(s: np.ndarray) -> np.ndarray | None:
-    """diag(sqrt(pi)) s diag(1/sqrt(pi)) with pi_i = 1/s_ii, if symmetric.
-
-    The result is similar to ``s``.  Returns None when a diagonal entry is
-    not positive or the asymmetry exceeds :data:`REVERSIBILITY_TOL`.
-    """
-    d = s.diagonal()
-    if not (d > 0.0).all():
-        return None
-    r = 1.0 / np.sqrt(d)
-    a = s * r[:, None]
-    a /= r
-    if not _asymmetry(a) <= REVERSIBILITY_TOL:
-        return None
-    return a
-
-
-def _spectrum_extremes(eigs: np.ndarray) -> tuple[complex, bool, float]:
-    """Top eigenvalue, its simplicity and rho(S*) from the spectrum of S.
-
-    The top eigenvalue has the largest modulus, and it is simple when no
-    other eigenvalue lies within 1e-8 of it.  S* = S - 1 (1^T S / n)
-    deflates the eigenpair (1, 1) of a row-stochastic S: its spectrum is
-    that of S with one eigenvalue 1 replaced by 0 (Brauer's theorem).
-    """
-    top = eigs[np.argmax(np.abs(eigs))]
-    simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
-    rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
-    return complex(top), simple, float(np.abs(rest).max(initial=0.0))
-
-
-def _arpack(matvec, n: int, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """The eigenvalue of largest modulus of an unformed n x n operator.
-
-    ARPACK's ``eigs`` computes it to machine precision (``tol=0``) on
-    x -> ``matvec(x)``, asking for k = 1 eigenvalue.  When that run
-    raises ``ArpackNoConvergence`` it asks again for k = min(6, n - 2),
-    whose larger Krylov basis converges where the k = 1 run stalls, as on
-    a near-reducible smoother with several eigenvalues within 1e-13 of 1.
-    Each attempt's starting vector, and the vectors it draws after
-    finding an invariant subspace, come from a generator seeded here, so
-    reruns are bit-identical.  The operator raises ``ArpackNoConvergence``
-    instead of exceeding ``budget`` applications over both attempts
-    together (no limit when None); every other ``ArpackError``, and the
-    retry's, propagates to the caller.
-
-    Returns the eigenvalues found (the k = 1 run's one, or the retry's
-    k) and the number of operator applications over both attempts.
+    Returns the eigenvalues found (the first run's k, or the retry's)
+    and the number of operator applications over both attempts.
     """
     applications = 0
 
     def counted(x):
         nonlocal applications
-        if applications == budget:
-            raise ArpackNoConvergence(
-                f"ARPACK budget of {budget} operator applications used up",
-                np.array([]),
-                np.array([]),
-            )
         applications += 1
         return matvec(x)
 
@@ -415,28 +351,41 @@ def _arpack(matvec, n: int, budget: int | None = None) -> tuple[np.ndarray, int]
         )
 
     try:
-        vals = run(1)
+        vals = run(min(k, n - 2))
     except ArpackNoConvergence:
-        if n < 4:  # min(6, n - 2) = 1: the retry would repeat the run
+        if k >= min(6, n - 2):  # the retry would repeat the run
             raise
         vals = run(min(6, n - 2))
     return vals, applications
 
 
-def _smoother_budget(n: int) -> int:
-    """Operator applications ARPACK may spend on an n x n smoother; 0 skips it.
+def _extreme_eigenvalues(
+    matvec, n: int, k: int, form
+) -> tuple[np.ndarray, int, str | None, np.ndarray | None]:
+    """Eigenvalues of largest modulus of an n x n operator: ARPACK, else dense.
 
-    The budget is n // 10, for the k = 1 run and its retry together (see
-    :func:`_arpack`).  The full eigendecomposition costs about n/3
-    applications, so a run that spends the budget and falls back wastes
-    at most about a third more.  A budget of 40 or less (n < 410) is not
-    tried: a compact kernel at small bandwidth needs more applications
-    than that (61 for a uniform kernel at h = 0.04, n = 200, uniform
-    points), and there the full eigendecomposition is cheaper (1.6 ms
-    against 1.9 ms for that ARPACK run, one BLAS thread).
+    :func:`_arpack` asks for k of them on the unformed operator
+    x -> ``matvec(x)``.  When it raises ``ArpackError`` (including
+    ``ArpackNoConvergence``), or n < 3 (ARPACK needs k <= n - 2),
+    ``form()`` makes the operator a dense n x n array and
+    ``numpy.linalg.eigvals`` returns all its eigenvalues.
+
+    Returns the eigenvalues, the number of operator applications (0 on
+    the dense route), why the dense route ran ("n < 3", or
+    "<exception class>: <message>" for the ARPACK error; None when ARPACK
+    converged) and the formed array (None when ARPACK converged).
     """
-    budget = n // 10
-    return budget if budget > 40 else 0
+    if n < 3:
+        fallback = "n < 3"
+    else:
+        try:
+            vals, applications = _arpack(matvec, n, k)
+        except ArpackError as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
+        else:
+            return vals, applications, None, None
+    formed = form()
+    return np.linalg.eigvals(formed), 0, fallback, formed
 
 
 def _smoother_extremes(
@@ -445,74 +394,53 @@ def _smoother_extremes(
     """Top eigenvalue of a smoother, its simplicity, and rho(S*), computed.
 
     :func:`certify` calls this only for a non-regular smoother; a regular
-    one's top eigenvalue is settled (see :class:`SpectralReport`).  When
-    the budget (:func:`_smoother_budget`) is nonzero, :func:`_arpack`
-    runs on x -> S x - mean(S x), whose spectrum is that of S* (see
-    :func:`_spectrum_extremes`), dense or CSR alike, without copying S.
-    rho(S*) is the largest returned modulus, the top eigenvalue is the
-    Rayleigh quotient theta^T S theta of the unit constant vector
+    one's top eigenvalue is settled (see :class:`SpectralReport`).
+    :func:`_extreme_eigenvalues` runs on x -> S x - mean(S x), dense or
+    CSR alike, without copying S, and forms ``center(s)`` only on its
+    dense route; either way the eigenvalues it returns are those of S*.
+    rho(S*) is their largest modulus, the top eigenvalue is the Rayleigh
+    quotient theta^T S theta of the unit constant vector
     theta = 1/sqrt(n), and it is simple when no returned eigenvalue lies
-    within 1e-8 of it.  Otherwise, or when ARPACK raises ``ArpackError``,
-    ``s`` is made dense and the full spectrum comes from ``eigvalsh`` of
-    its symmetrisation when it is reversible (see :func:`_symmetrized`)
-    and from ``eigvals`` when it is not.
+    within 1e-8 of it.  ARPACK is asked for six eigenvalues: a smoother
+    with a small bandwidth is close to the identity, its eigenvalues
+    crowd below 1 with eigenvectors localised on a few points, and a run
+    for one can settle on a lower member of that crowd (0.99998867 for a
+    top of 1 - 1e-15 on an n = 38 Gaussian smoother), where the run for
+    six finds the top.
 
     Returns the three quantities, the ARPACK operator applications (0 on
-    the full-spectrum route) and why an ARPACK run fell back (None when
-    none did).
+    the dense route) and why the dense route ran (None when ARPACK
+    converged).
     """
     n = s.shape[0]
-    budget = _smoother_budget(n)
-    fallback = None
-    if budget:
-        try:
-            vals, applications = _arpack(lambda x: apply_star(s, x), n, budget)
-        except ArpackError as exc:
-            fallback = f"{type(exc).__name__}: {exc}"
-        else:
-            theta = np.full(n, 1.0 / np.sqrt(n))
-            top = float(theta @ (s @ theta))
-            simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
-            return complex(top), simple, float(np.abs(vals).max()), applications, None
-    s = as_dense(s)
-    a = _symmetrized(s)
-    if a is None:
-        spectrum = np.linalg.eigvals(s)
-    else:
-        # a^T is Fortran-ordered, so LAPACK works in a's buffer, and it
-        # has the spectrum of a.
-        spectrum = eigvalsh(a.T, overwrite_a=True, check_finite=False)
-    return (*_spectrum_extremes(spectrum), 0, fallback)
+    vals, applications, fallback, _ = _extreme_eigenvalues(
+        lambda x: apply_star(s, x), n, 6, lambda: center(s)
+    )
+    theta = np.full(n, 1.0 / np.sqrt(n))
+    top = float(theta @ (s @ theta))
+    simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
+    return complex(top), simple, float(np.abs(vals).max()), applications, fallback
 
 
 def _product_radius(
     pair: SmootherPair,
 ) -> tuple[float, str, int, np.ndarray | None, str | None]:
-    """rho(S2* S1*) by ARPACK on the unformed product, densely if that fails.
+    """rho(S2* S1*) by :func:`_extreme_eigenvalues` on the unformed product.
 
-    :func:`_arpack` runs, without a budget, on x -> c(S2 c(S1 x)),
-    c(z) = z - mean(z).  When ARPACK raises ``ArpackError`` (including
-    ``ArpackNoConvergence``), or n < 3 (ARPACK needs k <= n - 2), the
-    product is formed and its radius taken by :func:`spectral_radius`.
+    The operator is x -> c(S2 c(S1 x)), c(z) = z - mean(z), formed as
+    ``pair.star_product()`` only on the dense route.  ARPACK is asked for
+    the one eigenvalue of largest modulus, the only one the verdict
+    reads.
 
     Returns the radius, the route ("power" or "dense"), the number of
     operator applications (0 on the dense route), the product if it was
     formed, and why the dense route ran (None when ARPACK converged).
     """
-    n = pair.n
-    if n < 3:
-        fallback = "n < 3"
-    else:
-        try:
-            vals, applications = _arpack(
-                lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), n
-            )
-        except ArpackError as exc:
-            fallback = f"{type(exc).__name__}: {exc}"
-        else:
-            return float(np.abs(vals).max()), "power", applications, None, None
-    product = pair.star_product()
-    return spectral_radius(product), "dense", 0, product, fallback
+    vals, applications, fallback, product = _extreme_eigenvalues(
+        lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n, 1, pair.star_product
+    )
+    used = "power" if fallback is None else "dense"
+    return float(np.abs(vals).max()), used, applications, product, fallback
 
 
 def _spectral_report(

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +28,7 @@ from nwbackfit.spectral import (
     check_regularity,
     spectral_radius,
 )
-from nwbackfit.spectral import _asymmetry, _product_radius, _smoother_extremes, _symmetrized
+from nwbackfit.spectral import _product_radius, _smoother_extremes
 
 from conftest import (
     ALL_KERNELS,
@@ -389,31 +388,6 @@ def assert_matches_oracle(cert, pair, tol):
 
 
 class TestSpectralRoutes:
-    def test_symmetric_route_matches_eigvals(self, monkeypatch):
-        # at n = 40 the smoother budget is too small to try ARPACK, so a
-        # reversible smoother takes one full eigvalsh spectrum
-        calls = []
-
-        def counting(*args, eigvalsh=spectral.eigvalsh, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "eigvalsh", counting)
-        rng = np.random.default_rng(61)
-        for kernel in ALL_KERNELS:
-            x = rng.normal(size=40)
-            for bw in (gap_passing_constant(x, rng), RateBandwidth(0.2)):
-                s = build_smoother(x, kernel, bw)
-                assert _symmetrized(s) is not None
-                before = len(calls)
-                top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-                assert len(calls) == before + 1
-                assert (applications, fallback) == (0, None)
-                want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-                assert abs(top - want_top) <= 1e-12
-                assert simple == want_simple
-                assert abs(rho_star - want_rho_star) <= 1e-12
-
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_centered_radii_match_centered_matrices(self, method):
         rng = np.random.default_rng(62)
@@ -436,17 +410,6 @@ class TestSpectralRoutes:
                     else:
                         assert rho_star == pytest.approx(want, abs=1e-12)
 
-    def test_asymmetry_holds_one_block(self):
-        a = np.random.default_rng(68).random((1536, 1536))
-        tracemalloc.start()
-        try:
-            got = _asymmetry(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 512 * 1536 * 8
-        assert got == pytest.approx(np.linalg.norm(a - a.T), rel=1e-12)
-
     def test_knn_and_per_point_take_general_route(self):
         rng = np.random.default_rng(63)
         x = rng.normal(size=40)
@@ -456,8 +419,12 @@ class TestSpectralRoutes:
                 PerPointBandwidth(rng.uniform(1.0, 3.0, 40)),
             ):
                 s = build_smoother(x, kernel, bw)
-                assert _symmetrized(s) is None
-                assert _smoother_extremes(s) == (*smoother_extremes_oracle(s), 0, None)
+                top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+                assert applications > 0 and fallback is None
+                want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+                assert abs(top - want_top) <= 1e-12
+                assert simple == want_simple
+                assert abs(rho_star - want_rho_star) <= 1e-12
 
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, method):
@@ -465,7 +432,6 @@ class TestSpectralRoutes:
         # constant vector's is deflated, so rho(S*) stays at 1
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
-        assert _symmetrized(pair.s1) is not None
         cert = certify(pair, kernel, bw, bw, data, method=method)
         assert not cert.spectral.top_eigenvalue_simple
         assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
@@ -536,16 +502,31 @@ class TestArpackRoute:
         assert power.verdict is dense.verdict
 
     def test_two_points_take_dense_route(self):
+        # with the uniform kernel each point lies outside the other's
+        # bandwidth, so S1 = S2 = I is not regular and its spectrum is
+        # computed, by the same dense route as the product's
         data = Dataset(y=np.array([0.0, 1.0]), u=np.array([0.0, 1.0]), v=np.array([0.5, 0.2]))
-        bw = ConstantBandwidth(0.8)
-        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
-        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
-        dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
-        assert power.spectral.method == "dense"
-        assert power.spectral.fallback == "n < 3"
-        assert power.to_dict()["spectral"]["fallback"] == "n < 3"
-        assert power.spectral.rho_product == dense.spectral.rho_product
-        assert power.verdict is dense.verdict
+        for kernel, h in ((Kernel.GAUSSIAN, 0.8), (Kernel.UNIFORM, 0.2)):
+            bw = ConstantBandwidth(h)
+            pair = build_pair(data, kernel, bw, bw)
+            power = certify(pair, kernel, bw, bw, data, method="power")
+            dense = certify(pair, kernel, bw, bw, data, method="dense")
+            assert power.spectral.method == "dense"
+            assert power.spectral.fallback == "n < 3"
+            assert power.to_dict()["spectral"]["fallback"] == "n < 3"
+            assert power.spectral.rho_product == dense.spectral.rho_product
+            assert power.verdict is dense.verdict
+            assert power.spectral.smoother_iterations == (0, 0)
+            if kernel is Kernel.UNIFORM:
+                assert not power.regular_s1 and not power.regular_s2
+                assert power.spectral.smoother_fallback == "s1: n < 3; s2: n < 3"
+                assert power.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-12)
+                assert power.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-12)
+                assert not power.spectral.top_eigenvalue_simple
+                assert power.verdict is Verdict.NOT_CERTIFIED
+            else:
+                assert power.regular_s1 and power.regular_s2
+                assert power.spectral.smoother_fallback is None
 
     def test_parity_sweep(self):
         # same verdict, radii within 1e-12, smoother fields as the
@@ -560,7 +541,8 @@ class TestArpackRoute:
             assert power.verdict is dense.verdict, i
             assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
             assert again.spectral == power.spectral, i
-            assert power.spectral.smoother_iterations == (0, 0), i
+            ran = [applications > 0 for applications in power.spectral.smoother_iterations]
+            assert ran == [not power.regular_s1, not power.regular_s2], i
             assert_matches_oracle(power, pair, 1e-12)
             verdicts.add(dense.verdict)
             near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
@@ -604,15 +586,14 @@ def parity_replicates():
 
 
 class TestSmootherArpackRoute:
-    """Smoother extremes by ARPACK on x -> S x - mean(S x) from n = 410 on."""
+    """Smoother extremes by ARPACK on x -> S x - mean(S x), at every n >= 3."""
 
-    def test_parity_sweep(self, monkeypatch):
-        # with an unbounded budget every smoother (n >= 8 here), knn and
-        # per-point ones too, takes ARPACK: its output matches the
-        # full-spectrum oracle, the verdicts of both certify methods agree,
-        # reruns are bit-identical and both methods take the same route;
-        # a certificate runs ARPACK on exactly its non-regular smoothers
-        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
+    def test_parity_sweep(self):
+        # every smoother (n >= 8 here), knn and per-point ones too, takes
+        # ARPACK: its output matches the full-spectrum oracle, the verdicts
+        # of both certify methods agree, reruns are bit-identical and both
+        # methods take the same route; a certificate runs ARPACK on exactly
+        # its non-regular smoothers
         for i, _, pair, certify_pair in parity_replicates():
             power = certify_pair("power")
             again = certify_pair("power")
@@ -645,15 +626,15 @@ class TestSmootherArpackRoute:
             assert simple == want_simple, trial
             assert abs(rho_star - want_rho_star) <= 1e-12, trial
 
-    def test_large_smoother_never_takes_eigvalsh(self, monkeypatch):
+    def test_large_smoother_never_takes_eigvals(self, monkeypatch):
         data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
 
         def unused(*args, **kwargs):
-            raise AssertionError("eigvalsh ran on an n = 800 Gaussian smoother")
+            raise AssertionError("eigvals ran on an n = 800 Gaussian smoother")
 
-        monkeypatch.setattr(spectral, "eigvalsh", unused)
+        monkeypatch.setattr(np.linalg, "eigvals", unused)
         cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
         assert certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power").spectral == cert.spectral
         # both smoothers are regular, so the certificate runs neither
@@ -668,20 +649,21 @@ class TestSmootherArpackRoute:
             top, simple, rho_star, applications, fallback = _smoother_extremes(s)
             assert _smoother_extremes(s) == (top, simple, rho_star, applications, fallback)
             assert fallback is None
-            assert 0 < applications <= 800 // 10
+            assert 0 < applications <= 80
             assert simple
 
-    def test_arpack_failure_falls_back_to_eigvalsh(
+    def test_arpack_failure_falls_back_to_eigvals(
         self, monkeypatch, uniform_cluster_problem
     ):
         # the dense product route keeps ARPACK out of the product, so only
         # the smoother runs meet the failing eigs: run directly on the
         # regular smoothers of a certified problem, and by the certificate
-        # on the non-regular ones of the two-cluster problem
+        # on the non-regular ones of the two-cluster problem; the dense
+        # route gives the ARPACK route's results to 1e-12
         data, kernel, bw_u, bw_v = certified_problem(7)
         pair = build_pair(data, kernel, bw_u, bw_v)
         full = certify(pair, kernel, bw_u, bw_v, data, method="dense")
-        full_spectra = [_smoother_extremes(s) for s in (pair.s1, pair.s2)]
+        by_arpack = [_smoother_extremes(s) for s in (pair.s1, pair.s2)]
         cluster_data, cluster_kernel, bw = uniform_cluster_problem
         cluster_pair = build_pair(cluster_data, cluster_kernel, bw, bw)
         cluster_full = certify(cluster_pair, cluster_kernel, bw, bw, cluster_data, method="dense")
@@ -690,12 +672,15 @@ class TestSmootherArpackRoute:
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
         monkeypatch.setattr(spectral, "eigs", failing)
         reason = f"ArpackNoConvergence: {error}"
-        for s, want in zip((pair.s1, pair.s2), full_spectra):
-            assert want[3:] == (0, None)
-            assert _smoother_extremes(s) == (*want[:3], 0, reason)
+        for s, want in zip((pair.s1, pair.s2), by_arpack):
+            assert want[3] > 0 and want[4] is None
+            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
+            assert (applications, fallback) == (0, reason)
+            assert abs(top - want[0]) <= 1e-12
+            assert simple == want[1]
+            assert abs(rho_star - want[2]) <= 1e-12
         cert = certify(pair, kernel, bw_u, bw_v, data, method="dense")
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral == full.spectral
@@ -706,51 +691,71 @@ class TestSmootherArpackRoute:
         assert cluster.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
         assert cluster.spectral.smoother_iterations == (0, 0)
         assert cluster_full.spectral.smoother_fallback is None
+        assert all(ran > 0 for ran in cluster_full.spectral.smoother_iterations)
+        for name in ("rho_s1_star", "rho_s2_star"):
+            got, want = getattr(cluster.spectral, name), getattr(cluster_full.spectral, name)
+            assert abs(got - want) <= 1e-12, name
         assert cluster.spectral == dataclasses.replace(
-            cluster_full.spectral, smoother_fallback=cluster.spectral.smoother_fallback
+            cluster_full.spectral,
+            rho_s1_star=cluster.spectral.rho_s1_star,
+            rho_s2_star=cluster.spectral.rho_s2_star,
+            smoother_iterations=(0, 0),
+            smoother_fallback=cluster.spectral.smoother_fallback,
         )
         assert cluster.verdict is cluster_full.verdict
 
-    def test_spent_budget_falls_back_to_eigvalsh(self):
-        # at n = 410 the budget is 41 applications; the clustered spectrum
-        # of a uniform kernel at h = 0.02 (rho(S*) = 0.9997) needs 141, and
-        # the CSR smoother is made dense for eigvalsh
-        x = np.random.default_rng(67).uniform(size=410)
-        s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
-        assert issparse(s)
+    @pytest.mark.parametrize(
+        "x, kernel, bw, sparse, regular",
+        [
+            (
+                np.random.default_rng(67).uniform(size=410),
+                Kernel.UNIFORM,
+                ConstantBandwidth(0.02),
+                True,
+                True,
+            ),
+            (
+                np.random.default_rng(15).uniform(size=200),
+                Kernel.UNIFORM,
+                ConstantBandwidth(0.04),
+                False,
+                False,
+            ),
+            (
+                generate(SimSpec(n=38, design=BivariateNormal(rho=0.0), seed=1870203459)).u,
+                Kernel.GAUSSIAN,
+                RateBandwidth(0.83),
+                False,
+                True,
+            ),
+        ],
+        ids=["csr-n410", "dense-n200", "near-identity-n38"],
+    )
+    def test_clustered_smoother_converges_by_arpack(self, x, kernel, bw, sparse, regular):
+        # clustered spectra.  A uniform kernel at a small bandwidth: at
+        # n = 410, h = 0.02 a regular CSR smoother (rho(S*) = 0.9997, 257
+        # applications); at n = 200, h = 0.04 the simulate workload's
+        # design, where this seed's largest gap exceeds h and the dense
+        # smoother is not regular (rho(S*) = 1, 99 applications).  And a
+        # Gaussian smoother at rate:0.83, nearly the identity: S* has four
+        # eigenvalues within 1e-11 of 1, with eigenvectors localised on a
+        # few points, and dozens more within 3e-4 of them; ARPACK asked
+        # for one eigenvalue settles on 0.99998848 as converged, asked for
+        # six it finds the top
+        s = build_smoother(x, kernel, bw)
+        assert issparse(s) == sparse
+        assert check_regularity(s) == regular
         top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-        assert applications == 0
-        assert fallback == (
-            "ArpackNoConvergence: ARPACK error -1: "
-            "ARPACK budget of 41 operator applications used up"
-        )
-        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-        assert abs(top - want_top) <= 1e-12
-        assert simple == want_simple
-        assert abs(rho_star - want_rho_star) <= 1e-12
-
-    @pytest.mark.parametrize("n", [400, 409])
-    def test_budget_of_forty_skips_arpack(self, monkeypatch, n):
-        # below n = 410 the budget n // 10 is at most 40 applications, and
-        # the full spectrum is taken without calling ARPACK
-        def unused(*args, **kwargs):
-            raise AssertionError(f"eigs ran with a budget of {n // 10}")
-
-        monkeypatch.setattr(spectral, "eigs", unused)
-        x = np.random.default_rng(67).uniform(size=n)
-        s = build_smoother(x, Kernel.GAUSSIAN, RateBandwidth(0.2))
-        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-        assert (applications, fallback) == (0, None)
+        assert applications > 0 and fallback is None
         want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
         assert abs(top - want_top) <= 1e-12
         assert simple == want_simple
         assert abs(rho_star - want_rho_star) <= 1e-12
 
     def test_csr_smoothers_stay_sparse(self, monkeypatch):
-        # n = 2000, uniform kernel at h = 0.03: CSR smoothers whose runs
-        # converge within their budget of 200 (81 applications for S1),
-        # and a certified power-route certificate, neither of which makes
-        # them dense
+        # n = 2000, uniform kernel at h = 0.03: CSR smoothers whose ARPACK
+        # runs converge (137 applications for S1), and a certified
+        # power-route certificate, neither of which makes them dense
         data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
         bw = ConstantBandwidth(0.03)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
@@ -759,7 +764,6 @@ class TestSmootherArpackRoute:
         def refused(s):
             raise AssertionError("a CSR smoother was made dense")
 
-        monkeypatch.setattr(spectral, "as_dense", refused)
         monkeypatch.setattr(smoothers, "as_dense", refused)
         cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method="power")
         assert cert.certified
@@ -774,20 +778,24 @@ class TestSmootherArpackRoute:
 
     def test_knn_certificate_stays_sparse(self, monkeypatch):
         # the smooth-knn design: n = 4000 uniform points, Epanechnikov at
-        # knn:30, CSR smoothers whose clustered spectra would spend any
-        # budget; both are regular, so the certificate computes neither
-        # spectrum and never makes them dense
+        # knn:30, CSR smoothers with clustered spectra; both are regular,
+        # so the certificate computes neither spectrum and never makes
+        # them dense.  Split u into two clusters by a 0.2 gap and S1 is no
+        # longer regular: a second unit eigenvalue gives rho(S1*) = 1, and
+        # ARPACK finds it (in about 2200 applications) without a dense copy
         rng = np.random.default_rng(71)
         n = 4000
         data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
         bw = KNearestBandwidth(30)
         pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
-        assert issparse(pair.s1) and issparse(pair.s2)
+        split = build_smoother(
+            np.where(data.u < 0.5, data.u, data.u + 0.2), Kernel.EPANECHNIKOV, bw
+        )
+        assert issparse(pair.s1) and issparse(pair.s2) and issparse(split)
 
         def refused(s):
             raise AssertionError("a CSR smoother was made dense")
 
-        monkeypatch.setattr(spectral, "as_dense", refused)
         monkeypatch.setattr(smoothers, "as_dense", refused)
         cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
         assert cert.certified
@@ -795,6 +803,11 @@ class TestSmootherArpackRoute:
         assert cert.spectral.method == "power"
         assert cert.spectral.smoother_fallback is None
         assert cert.spectral.smoother_iterations == (0, 0)
+        assert not check_regularity(split)
+        top, simple, rho_star, applications, fallback = _smoother_extremes(split)
+        assert applications > 0 and fallback is None
+        assert abs(rho_star - 1.0) <= 1e-12
+        assert not simple
 
 
 def failing_first_attempt(monkeypatch, spent):
@@ -840,34 +853,14 @@ class TestArpackRetry:
         want = spectral_radius(pair.star_product())
         assert abs(cert.spectral.rho_product - want) <= 1e-12
 
-    def test_both_attempts_share_the_smoother_budget(self, monkeypatch):
-        # n = 410, budget 41: the k = 1 run spends 30, so the retry stops
-        # after 11 more on a smoother that needs far more, and the
-        # smoother falls back to its full spectrum
-        x = np.random.default_rng(67).uniform(size=410)
-        s = build_smoother(x, Kernel.UNIFORM, ConstantBandwidth(0.02))
-        runs, applied = failing_first_attempt(monkeypatch, spent=30)
-        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-        assert runs == [1, 6]
-        assert (applied.count(1), applied.count(6)) == (30, 11)
-        assert applications == 0
-        assert fallback == (
-            "ArpackNoConvergence: ARPACK error -1: "
-            "ARPACK budget of 41 operator applications used up"
-        )
-        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-        assert abs(top - want_top) <= 1e-12
-        assert simple == want_simple
-        assert abs(rho_star - want_rho_star) <= 1e-12
-
     def test_applications_count_both_attempts(self, monkeypatch):
         # a retry that converges reports the applications of both runs
         data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
-        s = build_smoother(data.u, Kernel.GAUSSIAN, RateBandwidth(0.2))
-        monkeypatch.setattr(spectral, "_smoother_budget", lambda n: 10**6)
+        bw = RateBandwidth(0.2)
+        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
         runs, applied = failing_first_attempt(monkeypatch, spent=10)
-        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-        assert fallback is None and runs == [1, 6]
+        rho, used, applications, product, fallback = _product_radius(pair)
+        assert (used, product, fallback) == ("power", None, None) and runs == [1, 6]
         assert applied.count(1) == 10 and applied.count(6) > 0
         assert applications == len(applied)
-        assert abs(rho_star - spectral_radius(center(s))) <= 1e-12
+        assert abs(rho - spectral_radius(pair.star_product())) <= 1e-12
