@@ -316,7 +316,7 @@ def predict(
     (:func:`~nwbackfit.smoothers.support_window`, found through
     ``data.sort_u`` and ``data.sort_v``), since it weighs every other
     point zero.  Raises when a compact kernel places zero total mass on
-    the sample at the query.
+    the sample at the query, or when the total mass is not finite.
     """
     if fit.n != data.n:
         raise ValueError(f"fit has n={fit.n} but dataset has n={data.n}")
@@ -336,10 +336,15 @@ def predict(
             x, comp = x[near], comp[near]
         w = kernel.evaluate((q - x) / h) / h
         total = w.sum()
-        if total <= 0.0:
+        if total == 0.0:
             raise ValueError(
                 f"zero total kernel mass at {label}={q} (bandwidth {h:g}); "
                 "query is outside the kernel range of every sample point"
+            )
+        if not 0.0 < total < np.inf:  # NaN fails too
+            raise ValueError(
+                f"non-finite total kernel mass ({total}) at {label}={q} (bandwidth {h:g}); "
+                "is the bandwidth so small that K(0)/h overflows?"
             )
         out += float(w @ comp) / float(total)
     return float(out)

@@ -55,30 +55,43 @@ class Kernel(enum.Enum):
     def compact_support(self) -> bool:
         return self is not Kernel.GAUSSIAN
 
-    def evaluate(self, t) -> np.ndarray:
-        """Evaluate K(t) elementwise.
+    def evaluate(self, t, out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate K(t) elementwise, with no temporaries beyond one mask.
+
+        Every step is an in-place ufunc on the result, so ``out`` may be
+        ``t`` itself: the dense smoother build evaluates each slab of its
+        matrix where it lies.
 
         Parameters
         ----------
         t : array_like
             Points at which to evaluate the kernel.
+        out : ndarray, optional
+            A float64 array of the shape of ``t`` to hold the result; by
+            default a fresh one.
 
         Returns
         -------
         ndarray
-            Nonnegative kernel values, with sub-``ZERO_THRESHOLD`` values
-            flushed to exact zero.
+            ``out``: nonnegative kernel values, with sub-``ZERO_THRESHOLD``
+            values flushed to exact zero.
         """
         t = np.asarray(t, dtype=float)
+        if out is None:
+            out = np.empty_like(t)
         if self is Kernel.UNIFORM:
-            out = np.where(np.abs(t) < 1.0, 0.5, 0.0)
+            np.less(np.abs(t, out=out), 1.0, out=out)
+            np.multiply(out, 0.5, out=out)
         elif self is Kernel.EPANECHNIKOV:
-            out = 0.75 * np.maximum(0.0, 1.0 - t * t)
+            np.subtract(1.0, np.square(t, out=out), out=out)
+            np.multiply(0.75, np.maximum(0.0, out, out=out), out=out)
         elif self is Kernel.TRIANGULAR:
-            out = np.maximum(0.0, 1.0 - np.abs(t))
+            np.subtract(1.0, np.abs(t, out=out), out=out)
+            np.maximum(0.0, out, out=out)
         else:  # Gaussian
-            out = np.exp(-0.5 * t * t) / _SQRT_2PI
-        out = np.where(out < ZERO_THRESHOLD, 0.0, out)
+            np.multiply(np.square(t, out=out), -0.5, out=out)
+            np.divide(np.exp(out, out=out), _SQRT_2PI, out=out)
+        np.copyto(out, 0.0, where=out < ZERO_THRESHOLD)
         return out
 
 

@@ -5,7 +5,9 @@ coordinate into an n x n row-stochastic matrix.  Each row's weights lie
 in a window of consecutive order statistics (:func:`support_window`)
 when the kernel has compact support; when those windows hold at most
 n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
-otherwise as a dense array.  Products with a vector (``@``) work on
+otherwise as a dense array, which costs one n x n array: it is filled in
+place, a slab of ``BUILD_BLOCK`` rows at a time, across the CPUs the
+process may use.  Products with a vector (``@``) work on
 either, and so do the fitters and the matrix-free ARPACK routes; only the
 routes that need the dense matrix itself (the formed product S2* S1* and
 :func:`center`, which the dense eigenvalue fallbacks use) convert it,
@@ -21,6 +23,8 @@ sample order; the sort permutations live on the dataset.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +34,9 @@ from .kernels import BandwidthSpec, Kernel
 
 __all__ = ["Dataset", "SmootherPair", "build_smoother", "center", "build_pair"]
 
-# Rows per block of the dense build: the temporaries of one block are a few
-# BUILD_BLOCK x n arrays, beside the one n x n result.
+# Rows per slab of the dense build.  A slab is computed inside its rows of
+# the n x n result; beside it, each slab in flight holds one BUILD_BLOCK x n
+# boolean mask (the kernel's zero flush) and its row totals.
 BUILD_BLOCK = 256
 
 # A compact-kernel smoother is stored as CSR when its windows hold at most
@@ -145,26 +150,66 @@ def support_window(
 
 
 def _check_total(total: np.ndarray, offset: int = 0) -> None:
-    bad = np.flatnonzero(total <= 0.0)
+    """Reject any row total that is not finite and positive.
+
+    The builds ignore overflow: a t = (x_i - x_k) / h that overflows is
+    weighed K(inf) = 0, as it should be, and the one harmful overflow,
+    K(0)/h at a tiny h, leaves a total that is not finite.  NaN fails
+    both comparisons, so it is caught too.
+    """
+    bad = np.flatnonzero(~((total > 0.0) & (total < np.inf)))
     if bad.size:
-        raise ValueError(f"row {offset + bad[0]} has zero total kernel mass")
+        row, mass = offset + bad[0], total[bad[0]]
+        if mass == 0.0:
+            raise ValueError(f"row {row} has zero total kernel mass")
+        raise ValueError(
+            f"row {row} has non-finite total kernel mass ({mass}); "
+            "is the bandwidth so small that K(0)/h overflows?"
+        )
 
 
 def _build_dense(x: np.ndarray, kernel: Kernel, h: np.ndarray) -> np.ndarray:
-    """The smoother as one dense array, filled in blocks of ``BUILD_BLOCK`` rows."""
+    """The smoother as one dense array, filled in place by slabs of ``BUILD_BLOCK`` rows.
+
+    Each slab is computed inside its own rows of the result, so the build
+    holds the n x n array and a boolean mask per slab in flight.  The
+    slabs are shared among the CPUs the process may use (numpy releases
+    the GIL in these ufuncs); a one-slab build runs in the caller's
+    thread.  ``pool.map`` re-raises in slab order, so a row-total error
+    names the lowest failing row.
+    """
     n = len(x)
-    for lo in range(0, n, BUILD_BLOCK):
+    s = np.empty((n, n))
+
+    def fill(lo: int) -> None:
         rows = slice(lo, lo + BUILD_BLOCK)
-        h_rows = h[rows, None]
-        raw = kernel.evaluate((x[rows, None] - x[None, :]) / h_rows) / h_rows
-        total = raw.sum(axis=1)
+        slab, h_rows = s[rows], h[rows, None]
+        np.subtract(x[rows, None], x[None, :], out=slab)
+        with np.errstate(over="ignore"):  # see _check_total
+            np.divide(slab, h_rows, out=slab)
+            kernel.evaluate(slab, out=slab)
+            np.divide(slab, h_rows, out=slab)
+        total = slab.sum(axis=1)
         _check_total(total, lo)
-        if lo == 0:
-            # allocated after the first block's kernel temporaries are freed,
-            # so a one-block build peaks no higher than a one-shot one
-            s = np.empty((n, n))
-        np.divide(raw, total[:, None], out=s[rows])
+        np.divide(slab, total[:, None], out=slab)
+
+    starts = range(0, n, BUILD_BLOCK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        for lo in starts:
+            fill(lo)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, starts))
     return s
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def _build_csr(
@@ -188,7 +233,10 @@ def _build_csr(
     rows = np.repeat(np.arange(n), counts)
     cols = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
     h_rows = h[rows]
-    raw = kernel.evaluate((x[rows] - x[cols]) / h_rows) / h_rows
+    with np.errstate(over="ignore"):  # see _check_total
+        raw = (x[rows] - x[cols]) / h_rows
+        kernel.evaluate(raw, out=raw)
+        raw /= h_rows
     # every window holds its own point, so no window is empty
     total = np.add.reduceat(raw, starts)
     _check_total(total)
@@ -217,10 +265,13 @@ def build_smoother(
     evaluated on them alone and the matrix is returned as a ``csr_array``
     with sorted indices and no stored zeros; its entries agree with the
     dense build to a few ulps, since only the row totals are summed in
-    another order.  Otherwise (the Gaussian, or wide windows) the rows are
-    computed in blocks of ``BUILD_BLOCK`` straight into a dense result;
-    each row's arithmetic is the same as in one whole-matrix expression,
-    so that matrix is bit-identical to it.
+    another order.  Otherwise (the Gaussian, or wide windows) the result
+    is one dense n x n array, and each slab of ``BUILD_BLOCK`` rows is
+    computed in place inside it, the slabs shared among the CPUs the
+    process may use; each row's arithmetic is the same as in one
+    whole-matrix expression, so that matrix is bit-identical to it.
+    A row total that is zero or not finite (K(0)/h overflows at a tiny
+    h) raises ``ValueError`` naming the lowest such row.
 
     Parameters
     ----------
@@ -287,7 +338,8 @@ def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[
 def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:
     """S* x = C S x for a smoother S, dense or CSR, computed as S x - mean(S x)."""
     z = s @ x
-    return z - z.mean()
+    # the reduction and division of z.mean(), without its Python wrapper
+    return z - z.sum() / z.size
 
 
 def center(s: np.ndarray) -> np.ndarray:

@@ -245,6 +245,8 @@ def _validate_stochastic(s) -> np.ndarray | csr_array:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
     lowest = entries.min(initial=0.0)
+    if np.isnan(lowest):  # min propagates NaN, which passes every comparison
+        raise ValueError("matrix has a NaN entry; not row-stochastic")
     if lowest < -1e-12:
         raise ValueError(f"matrix has a negative entry ({lowest:.3e}); not row-stochastic")
     row_err = np.abs(s.sum(axis=1) - 1.0).max()

@@ -395,6 +395,21 @@ class TestCliExitCodes:
         assert "for its smoother matrices (S1 CSR, S2 CSR)" in err
         assert "40 x 40" not in err
 
+    @pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
+    def test_overflowing_bandwidth(self, sample_csv, tmp_path, capsys, kernel):
+        # K(0)/h overflows to inf at h = 1e-320, so every weight would be
+        # inf/inf = NaN; the build names the first such row
+        path, _ = sample_csv
+        out = tmp_path / "out"
+        rc = main(
+            ["fit", "--input", str(path), "--kernel", kernel, "--bandwidth", "1e-320",
+             "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 0 has non-finite total kernel mass (inf)")
+        assert not out.exists()
+
     def test_singular_system(self, tmp_path):
         rng = np.random.default_rng(11)
         data = two_cluster_dataset(rng, spread=0.8)

@@ -15,7 +15,7 @@ from nwbackfit.kernels import (
     parse_bandwidth,
 )
 
-from conftest import ALL_KERNELS, eval_scaled, knn_bandwidth_fullsort, weight_row
+from conftest import ALL_KERNELS, eval_scaled, kernel_oracle, knn_bandwidth_fullsort, weight_row
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -69,6 +69,28 @@ class TestKernelShapes:
     def test_scalar_input_gives_array(self):
         out = Kernel.TRIANGULAR.evaluate(0.5)
         assert float(out) == 0.5
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_in_place_matches_oracle(self, kernel):
+        # bit for bit, NaN and sign bits included, in a fresh result and
+        # in place on the input, for a Python scalar and 0-d to 2-d arrays
+        edges = np.array([
+            0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+            -np.nextafter(1.0, 0.0), 5e-324, -5e-324, 37.0, 38.0, -38.0,
+            1e300, -1e300, np.inf, -np.inf, np.nan,
+        ])
+        grid = np.random.default_rng(1).normal(scale=3.0, size=(7, 9))
+        inputs = [0.5, np.float64(-0.0), np.array(38.0), edges, grid, edges.reshape(1, -1)]
+        with np.errstate(over="ignore"):  # t * t overflows at 1e300: K is 0 there
+            for t in inputs:
+                want = kernel_oracle(kernel, t)
+                t = np.array(t, dtype=float)
+                fresh = kernel.evaluate(t)
+                in_place = kernel.evaluate(t, out=t)
+                assert in_place is t
+                for got in (fresh, in_place):
+                    assert type(got) is type(want) and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestEvalScaled:

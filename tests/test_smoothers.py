@@ -1,5 +1,6 @@
 """Smoother matrix construction, centering, and dataset validation."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -129,18 +130,43 @@ class TestBuildSmoother:
         [ConstantBandwidth(0.3), RateBandwidth(0.2), KNearestBandwidth(30)],
         ids=["constant", "rate", "knn"],
     )
-    def test_blocked_build_is_bit_identical(self, kernel, bw):
-        # 600 rows: two full blocks and a partial one.  A dense build is
-        # bit-identical; a CSR one (compact kernels at knn:30, 5% fill)
-        # stores the same positive pattern, and only its row totals are
-        # summed in another order
+    def test_blocked_build_is_bit_identical(self, monkeypatch, kernel, bw):
+        # 600 rows: two full slabs and a partial one.  A dense build is
+        # bit-identical, on the CPUs the process may use and on one or two
+        # of them; a CSR one (compact kernels at knn:30, 5% fill) stores
+        # the same positive pattern, and only its row totals are summed in
+        # another order
         x = np.random.default_rng(22).normal(size=600)
-        s = build_smoother(x, kernel, bw)
         want = build_smoother_oneshot(x, kernel, bw)
-        if isinstance(bw, KNearestBandwidth) and kernel.compact_support:
-            assert_same_csr(s, want)
-        else:
-            assert np.array_equal(s, want)
+        for cpus in (None, {0}, {0, 1}):
+            if cpus is not None:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            s = build_smoother(x, kernel, bw)
+            if isinstance(bw, KNearestBandwidth) and kernel.compact_support:
+                assert_same_csr(s, want)
+            else:
+                assert np.array_equal(s, want)
+
+    def test_one_slab_build_makes_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-slab build started a thread pool")
+
+        monkeypatch.setattr(smoothers, "ThreadPoolExecutor", no_pool)
+        x = np.random.default_rng(30).normal(size=smoothers.BUILD_BLOCK)
+        s = build_smoother(x, Kernel.GAUSSIAN, ConstantBandwidth(0.3))
+        assert np.array_equal(s, build_smoother_oneshot(x, Kernel.GAUSSIAN, ConstantBandwidth(0.3)))
+
+    @pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.UNIFORM], ids=lambda k: k.value)
+    def test_overflowing_mass_names_the_lowest_row(self, monkeypatch, kernel):
+        # K(0)/h overflows at h = 1e-320, so rows 300 and 500, in the
+        # second and third slabs, have an infinite total; slabs finish in
+        # any order across threads, but the error names row 300
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        x = np.random.default_rng(31).uniform(size=600)
+        h = np.full(600, 0.5)
+        h[[300, 500]] = 1e-320
+        with pytest.raises(ValueError, match="row 300 has non-finite total kernel mass"):
+            build_smoother(x, kernel, PerPointBandwidth(h))
 
     @pytest.mark.parametrize("kernel", COMPACT_KERNELS, ids=lambda k: k.value)
     @pytest.mark.parametrize(
@@ -191,6 +217,26 @@ class TestBuildSmoother:
             tracemalloc.stop()
         assert issparse(s)
         assert peak < 16e6
+
+    @pytest.mark.parametrize(
+        "kernel, bw",
+        [(Kernel.GAUSSIAN, RateBandwidth(0.2)), (Kernel.UNIFORM, ConstantBandwidth(0.3))],
+        ids=["gaussian", "uniform"],
+    )
+    def test_dense_build_memory(self, kernel, bw):
+        # the n x n result and O(BUILD_BLOCK n) beside it: the slabs are
+        # filled in place, where a build with block temporaries peaked
+        # at 30.7 MB
+        n = 1500
+        x = np.random.default_rng(28).uniform(size=n)
+        tracemalloc.start()
+        try:
+            s = build_smoother(x, kernel, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not issparse(s)
+        assert peak < 8 * n * n + 4 * smoothers.BUILD_BLOCK * n
 
     def test_storage_bounds_the_csr_arrays(self):
         x = np.random.default_rng(27).uniform(size=400)

@@ -176,6 +176,13 @@ class TestRegularity:
             with pytest.raises(ValueError):
                 check_regularity(to_matrix(np.zeros((2, 3))))
 
+    def test_rejects_nan(self):
+        # NaN passes every comparison of the stochastic checks unless
+        # tested for; here it sits in a row that sums to NaN
+        for to_matrix in (np.array, csr_array):
+            with pytest.raises(ValueError, match="NaN"):
+                check_regularity(to_matrix(np.array([[0.5, 0.5], [np.nan, 0.5]])))
+
 
 class TestSpectralRadius:
     def test_zero_matrix(self):
