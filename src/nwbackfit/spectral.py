@@ -43,10 +43,15 @@ c(z) = z - mean(z), for a smoother, dense or CSR alike, formed as
 ``certify(method="power")``, which the command line always uses, formed
 as S2* S1*.  The report's ``smoother_fallback`` and
 ``fallback`` say why a dense route ran.  ``method="dense"``, the library
-default, always takes the dense radius of the formed product, as does
-:func:`spectral_radius` for any square matrix; they are the reference the
-ARPACK route is tested against.  The smoothers take the same route under
-both methods.
+default, always takes all eigenvalues of the formed product, and
+:func:`spectral_radius` the largest modulus of any square matrix's; they
+are the reference the ARPACK route is tested against.  The smoothers
+take the same route under both methods.
+
+A NOT_CERTIFIED note gives ||(I - S2* S1*)^-1||_2 >= 1/|1 - lambda|
+(infinite when lambda = 1) from the product's eigenvalue lambda of largest
+modulus, which either route already holds, so a certificate forms S2* S1*
+only when ARPACK fails, when n < 3, or under ``method="dense"``.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .fitting import SingularSystemError, identity_minus, lu_condition
 from .kernels import BandwidthSpec, Kernel
 from .smoothers import Dataset, SmootherPair, apply_star, center
 
@@ -306,9 +310,9 @@ def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a square matrix, from all its eigenvalues.
 
     The largest modulus over ``numpy.linalg.eigvals(m)``: the dense
-    reference, which certificates under ``method="dense"`` use.  Under
-    ``method="power"`` they take rho(S2* S1*) from ARPACK and the same
-    ``eigvals`` only as their fallback.
+    reference the ARPACK route is tested against.  Certificates take the
+    same ``eigvals`` of the formed product under ``method="dense"``, and
+    under ``method="power"`` only as the fallback of ARPACK.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -361,9 +365,7 @@ def _arpack(matvec, n: int, k: int) -> tuple[np.ndarray, int]:
     return vals, applications
 
 
-def _extreme_eigenvalues(
-    matvec, n: int, k: int, form
-) -> tuple[np.ndarray, int, str | None, np.ndarray | None]:
+def _extreme_eigenvalues(matvec, n: int, k: int, form) -> tuple[np.ndarray, int, str | None]:
     """Eigenvalues of largest modulus of an n x n operator: ARPACK, else dense.
 
     :func:`_arpack` asks for k of them on the unformed operator
@@ -373,9 +375,9 @@ def _extreme_eigenvalues(
     ``numpy.linalg.eigvals`` returns all its eigenvalues.
 
     Returns the eigenvalues, the number of operator applications (0 on
-    the dense route), why the dense route ran ("n < 3", or
+    the dense route) and why the dense route ran ("n < 3", or
     "<exception class>: <message>" for the ARPACK error; None when ARPACK
-    converged) and the formed array (None when ARPACK converged).
+    converged).
     """
     if n < 3:
         fallback = "n < 3"
@@ -385,9 +387,8 @@ def _extreme_eigenvalues(
         except ArpackError as exc:
             fallback = f"{type(exc).__name__}: {exc}"
         else:
-            return vals, applications, None, None
-    formed = form()
-    return np.linalg.eigvals(formed), 0, fallback, formed
+            return vals, applications, None
+    return np.linalg.eigvals(form()), 0, fallback
 
 
 def _smoother_extremes(
@@ -415,7 +416,7 @@ def _smoother_extremes(
     converged).
     """
     n = s.shape[0]
-    vals, applications, fallback, _ = _extreme_eigenvalues(
+    vals, applications, fallback = _extreme_eigenvalues(
         lambda x: apply_star(s, x), n, 6, lambda: center(s)
     )
     theta = np.full(n, 1.0 / np.sqrt(n))
@@ -424,36 +425,34 @@ def _smoother_extremes(
     return complex(top), simple, float(np.abs(vals).max()), applications, fallback
 
 
-def _product_radius(
-    pair: SmootherPair,
-) -> tuple[float, str, int, np.ndarray | None, str | None]:
-    """rho(S2* S1*) by :func:`_extreme_eigenvalues` on the unformed product.
+def _product_radius(pair: SmootherPair) -> tuple[complex, str, int, str | None]:
+    """The eigenvalue of S2* S1* of largest modulus, by :func:`_extreme_eigenvalues`.
 
     The operator is x -> c(S2 c(S1 x)), c(z) = z - mean(z), formed as
     ``pair.star_product()`` only on the dense route.  ARPACK is asked for
-    the one eigenvalue of largest modulus, the only one the verdict
-    reads.
+    the one eigenvalue of largest modulus: the verdict reads its modulus,
+    rho(S2* S1*), and a NOT_CERTIFIED note its distance from 1.
 
-    Returns the radius, the route ("power" or "dense"), the number of
-    operator applications (0 on the dense route), the product if it was
-    formed, and why the dense route ran (None when ARPACK converged).
+    Returns that eigenvalue, the route ("power" or "dense"), the number
+    of operator applications (0 on the dense route) and why the dense
+    route ran (None when ARPACK converged).
     """
-    vals, applications, fallback, product = _extreme_eigenvalues(
+    vals, applications, fallback = _extreme_eigenvalues(
         lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n, 1, pair.star_product
     )
     used = "power" if fallback is None else "dense"
-    return float(np.abs(vals).max()), used, applications, product, fallback
+    return vals[np.abs(vals).argmax()], used, applications, fallback
 
 
 def _spectral_report(
     pair: SmootherPair, method: str, regular_s1: bool, regular_s2: bool
-) -> tuple[SpectralReport, np.ndarray | None]:
-    """The spectral report, and the product S2* S1* if it was formed.
+) -> tuple[SpectralReport, complex]:
+    """The spectral report, and the eigenvalue of S2* S1* of largest modulus.
 
     A regular smoother's spectrum is not computed (see
     :class:`SpectralReport`).  The product is formed only on the dense
     route: for ``method="dense"``, and when :func:`_product_radius`
-    falls back.
+    falls back.  ``rho_product`` is the eigenvalue's modulus.
     """
     theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
     s1_theta = pair.s1 @ theta
@@ -474,14 +473,14 @@ def _spectral_report(
     )
 
     if method == "power":
-        rho_product, used, iterations, product, fallback = _product_radius(pair)
+        lam, used, iterations, fallback = _product_radius(pair)
     else:
-        product = pair.star_product()
-        rho_product, used, iterations, fallback = spectral_radius(product), "dense", 0, None
+        vals = np.linalg.eigvals(pair.star_product())
+        lam, used, iterations, fallback = vals[np.abs(vals).argmax()], "dense", 0, None
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
-        rho_product=rho_product,
+        rho_product=float(np.abs(lam)),
         top_eigenvalue_s1=top,
         top_eigenvalue_simple=simple,
         perron_vector_check=perron_check,
@@ -491,7 +490,7 @@ def _spectral_report(
         smoother_iterations=(applications_s1, applications_s2),
         smoother_fallback=smoother_fallback or None,
     )
-    return report, product
+    return report, lam
 
 
 def certify(
@@ -508,7 +507,8 @@ def certify(
     verdict other than NOT_CERTIFIED requires it below 1 - 1e-8.  When the
     adjacent-gap conditions also hold on both coordinates the verdict is
     CERTIFIED_BY_GAP_CONDITIONS (the human-meaningful sufficient
-    condition); otherwise CERTIFIED_BY_SPECTRAL_RADIUS.
+    condition); otherwise CERTIFIED_BY_SPECTRAL_RADIUS.  A NOT_CERTIFIED
+    note bounds ||(I - S2* S1*)^-1||_2 from below (see the module notes).
     """
     if method not in ("dense", "power"):
         raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
@@ -516,7 +516,7 @@ def certify(
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
     regular_s1 = check_regularity(pair.s1)
     regular_s2 = check_regularity(pair.s2)
-    spectral, product = _spectral_report(pair, method, regular_s1, regular_s2)
+    spectral, lam = _spectral_report(pair, method, regular_s1, regular_s2)
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds
     rho = spectral.rho_product
@@ -536,15 +536,12 @@ def certify(
             )
     else:
         verdict = Verdict.NOT_CERTIFIED
-        if product is None:
-            product = pair.star_product()
-        try:
-            cond = lu_condition(identity_minus(product))[2]
-        except SingularSystemError as exc:
-            cond = exc.condition_estimate
+        distance = abs(1.0 - lam)
+        bound = 1.0 / distance if distance > 0.0 else float("inf")
         notes = (
             f"rho(S2* S1*) = {rho:.6e} >= 1 - {RHO_MARGIN:g}; "
-            f"LAPACK 1-norm condition estimate of (I - S2* S1*) is {cond:.3e}; "
+            f"its eigenvalue of largest modulus, lambda = {complex(lam):.6e}, gives "
+            f"||(I - S2* S1*)^-1||_2 >= 1/|1 - lambda| = {bound:.3e}; "
             "the backfitting system is not certified"
         )
     return ConvergenceCertificate(

@@ -140,6 +140,12 @@ def brute_force_regular(s):
     return False
 
 
+def note_bound(notes: str) -> float:
+    """The lower bound 1/|1 - lambda| on ||(I - S2* S1*)^-1||_2 that a
+    NOT_CERTIFIED note states."""
+    return float(notes.split("1/|1 - lambda| = ")[1].split(";")[0])
+
+
 def two_cluster_dataset(rng, spread: float, n_a: int = 6, n_b: int = 6) -> Dataset:
     """Two well-separated clusters, aligned across both coordinates.
 

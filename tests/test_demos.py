@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import note_bound
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -27,3 +29,6 @@ def test_demo_runs(demo, tmp_path):
         direct = [line for line in proc.stdout.splitlines() if line.startswith("direct:")]
         assert len(direct) == 1
         assert "singular or near-singular" in direct[0]
+        notes = [line for line in proc.stdout.splitlines() if line.startswith("  notes:")]
+        assert len(notes) == 1
+        assert note_bound(notes[0]) > 1e12

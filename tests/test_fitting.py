@@ -223,6 +223,34 @@ class TestDirectSolve:
         assert np.abs(fit.m1_hat - m1).max() <= 1e-12
         assert np.abs(fit.m2_hat - m2).max() <= 1e-12
 
+    def test_lu_fallback_where_gmres_stagnates(self, monkeypatch):
+        # a certified near-identity pair (rho(S2* S1*) = 0.99928): GMRES
+        # meets its target on the data's right-hand side but stalls on the
+        # uniqueness probe's, and the LU fallback returns the answer
+        data = generate(SimSpec(n=38, design=BivariateNormal(rho=0.0), seed=1870203459))
+        bw = RateBandwidth(0.8301857510925544)
+        pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
+        assert certify(pair, Kernel.GAUSSIAN, bw, bw, data).certified
+        solved, lu_calls = [], []
+
+        def gmres_spy(system, rhs, gmres=fitting._gmres):
+            x = gmres(system, rhs)
+            solved.append(x is not None)
+            return x
+
+        def lu_spy(pair, rhs, lu_direct=fitting._lu_direct):
+            lu_calls.append(pair.n)
+            return lu_direct(pair, rhs)
+
+        monkeypatch.setattr(fitting, "_gmres", gmres_spy)
+        monkeypatch.setattr(fitting, "_lu_direct", lu_spy)
+        fit = backfit_direct(pair, data.y)
+        assert solved == [True, False]
+        assert lu_calls == [38]
+        m1, m2 = lu_direct_oracle(pair, data.y)
+        assert np.abs(fit.m1_hat - m1).max() <= 1e-12
+        assert np.abs(fit.m2_hat - m2).max() <= 1e-12
+
     def test_lu_condition_factors_in_place(self):
         # a heavy first column makes the 1-norm condition number far larger
         # than the infinity-norm one, so the estimate must be of the former

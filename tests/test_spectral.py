@@ -34,6 +34,7 @@ from conftest import (
     ALL_KERNELS,
     brute_force_regular,
     gap_passing_constant,
+    note_bound,
     random_stochastic,
     smoother_extremes_oracle,
     two_cluster_dataset,
@@ -217,10 +218,10 @@ class TestSpectralRadius:
                 apply_s2_star=lambda x, m=m: m @ x,
                 star_product=m.copy,
             )
-            rho, used, _, _, fallback = _product_radius(pair)
+            lam, used, _, fallback = _product_radius(pair)
             assert used == ("power" if n >= 3 else "dense")
             assert fallback == (None if n >= 3 else "n < 3")
-            assert rho == pytest.approx(spectral_radius(m), abs=1e-7)
+            assert abs(lam) == pytest.approx(spectral_radius(m), abs=1e-7)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -319,8 +320,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_two_cluster_not_certified(self, uniform_cluster_problem, method):
-        # under "power" the note's condition estimate needs the product,
-        # which is formed only on this path
+        # the note bounds ||(I - S2* S1*)^-1||_2 from the eigenvalue the
+        # certificate found: infinite under "dense", where it is exactly 1
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
         cert = certify(pair, kernel, bw, bw, data, method=method)
@@ -330,8 +331,7 @@ class TestCertify:
         assert not cert.regular_s1 and not cert.regular_s2
         assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
         assert cert.spectral.rho_product >= 1.0 - 1e-8
-        assert "condition estimate" in cert.notes
-        assert float(cert.notes.split(" is ")[1].split(";")[0]) > 1e12
+        assert note_bound(cert.notes) > 1e12
 
     def test_verdict_invariants_sweep(self):
         for seed in range(12):
@@ -783,6 +783,33 @@ class TestSmootherArpackRoute:
         monkeypatch.undo()
         assert_matches_oracle(cert, pair, 1e-12)
 
+    def test_not_certified_csr_certificate_stays_sparse(self, monkeypatch):
+        # n = 1500, Epanechnikov at h = 0.01, u in two clusters split by
+        # a 0.2 gap and v following u within 0.002: both CSR smoothers
+        # are reducible, so the product keeps an eigenvalue at 1, and the
+        # note's bound comes from ARPACK's eigenvalue, not a formed product
+        rng = np.random.default_rng(7)
+        n = 1500
+        u = rng.uniform(size=n)
+        u = np.where(u < 0.5, u, u + 0.2)
+        v = u + rng.uniform(-0.002, 0.002, size=n)
+        data = Dataset(y=rng.normal(size=n), u=u, v=v)
+        bw = ConstantBandwidth(0.01)
+        pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
+        assert issparse(pair.s1) and issparse(pair.s2)
+
+        def refused(s):
+            raise AssertionError("a CSR smoother was made dense")
+
+        monkeypatch.setattr(smoothers, "as_dense", refused)
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
+        assert cert.verdict is Verdict.NOT_CERTIFIED
+        assert cert.spectral.method == "power"
+        assert note_bound(cert.notes) > 1e12
+        monkeypatch.undo()
+        want = spectral_radius(pair.star_product())
+        assert abs(cert.spectral.rho_product - want) <= 1e-12
+
     def test_knn_certificate_stays_sparse(self, monkeypatch):
         # the smooth-knn design: n = 4000 uniform points, Epanechnikov at
         # knn:30, CSR smoothers with clustered spectra; both are regular,
@@ -866,8 +893,8 @@ class TestArpackRetry:
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
         runs, applied = failing_first_attempt(monkeypatch, spent=10)
-        rho, used, applications, product, fallback = _product_radius(pair)
-        assert (used, product, fallback) == ("power", None, None) and runs == [1, 6]
+        lam, used, applications, fallback = _product_radius(pair)
+        assert (used, fallback) == ("power", None) and runs == [1, 6]
         assert applied.count(1) == 10 and applied.count(6) > 0
         assert applications == len(applied)
-        assert abs(rho - spectral_radius(pair.star_product())) <= 1e-12
+        assert abs(abs(lam) - spectral_radius(pair.star_product())) <= 1e-12
