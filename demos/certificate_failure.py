@@ -24,7 +24,6 @@ from nwbackfit import (
     build_pair,
     center,
     certify,
-    check_regularity,
     Dataset,
     spectral_radius,
 )
@@ -52,8 +51,11 @@ cert = certify(pair, kernel, bw, bw, data)
 print(f"verdict: {cert.verdict.value}")
 print(f"  gap condition on u holds: {cert.gap_u.condition_holds} "
       f"(max gap {cert.gap_u.max_gap:.2f} vs bandwidth 1.0)")
-print(f"  S1 regular (irreducible + aperiodic): {check_regularity(pair.s1)}")
-print(f"  rho(S1*) = {spectral_radius(center(pair.s1)):.6f}")
+print(f"  S1 regular (irreducible + aperiodic): {cert.regular_s1}")
+# two closed classes make rho(S1*) = 1 exactly; the certificate reads that
+# from S1's graph, and the dense spectrum of the formed S1* agrees
+print(f"  rho(S1*) from the graph = {cert.spectral.rho_s1_star} "
+      f"(dense reference {spectral_radius(center(pair.s1)):.6f})")
 print(f"  rho(S2* S1*) = {cert.spectral.rho_product:.6f}  (needs < 1)")
 print(f"  notes: {cert.notes}")
 print()

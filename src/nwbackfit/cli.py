@@ -11,7 +11,7 @@ report says why.  All reports embed a provenance block
 timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 unusable input (bad flags, malformed CSV, a
-sample too large for memory), 3 backfitting non-convergence, 4 not
+sample too large for memory) or a LAPACK solver failure, 3 backfitting non-convergence, 4 not
 certified under --require-certificate, 5 singular direct-solve system.
 """
 
@@ -329,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not the input's fault
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (DatasetFormatError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -8,10 +8,10 @@ n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array, which costs one n x n array: it is filled in
 place, a slab of ``BUILD_BLOCK`` rows at a time, across the CPUs the
 process may use.  Products with a vector (``@``) work on
-either, and so do the fitters and the matrix-free ARPACK routes; only the
-routes that need the dense matrix itself (the formed product S2* S1* and
-:func:`center`, which the dense eigenvalue fallbacks use) convert it,
-through :func:`as_dense`.  ``center`` applies the mean-removal
+either, and so do the fitters and the matrix-free ARPACK route; only the
+routes that need the dense matrix itself (the formed product S2* S1*,
+which the dense fallbacks use, and :func:`center`, a reference for tests
+and demos) convert it, through :func:`as_dense`.  ``center`` applies the mean-removal
 projector C = I - 11^T/n, which enforces the zero-mean identification
 constraint on fitted component vectors.  The backfitting equations use
 the centered smoothers S* = C S; this module is the one place that knows

@@ -21,32 +21,29 @@ sufficient routes are checked and reported:
 A verdict of NOT_CERTIFIED means "not certified by these tests", not
 "diverges".
 
-Solvers.  The verdict reads only rho(S2* S1*).  A regular smoother's
-other spectral quantities are settled by Perron-Frobenius (route 1): its
-top eigenvalue 1 is simple and its only one of modulus 1, so its
-spectrum is not computed; the report gives the Rayleigh quotient
-theta^T S1 theta, theta = 1/sqrt(n), as the top eigenvalue and leaves
-rho(S*) unset.  A non-regular smoother's rho(S*) is the diagnosis: a
-second unit eigenvalue gives rho(S*) = 1.  S* = S - 1 (1^T S / n) is a
-rank-one (Brauer) deflation of the unit eigenvalue, so the spectrum of
-S* is that of S with one eigenvalue 1 replaced by 0.  Every computed
-radius, of a non-regular smoother or of the product, takes one route
-(:func:`_extreme_eigenvalues`): one ARPACK call (``eigs``; Lehoucq,
-Sorensen & Yang, ARPACK Users' Guide, 1998) on an unformed operator,
-which asks for the eigenvalues of largest modulus (one for the product,
-six for a smoother, whose crowded top a run for one can miss) and, when
-a run for one does not converge, for six; and, when ARPACK fails or
-n < 3, all eigenvalues of the formed operator from
-``numpy.linalg.eigvals``.  The operator is x -> c(S x),
-c(z) = z - mean(z), for a smoother, dense or CSR alike, formed as
-``center(S)``; and x -> c(S2 c(S1 x)) for the product under
-``certify(method="power")``, which the command line always uses, formed
-as S2* S1*.  The report's ``smoother_fallback`` and
-``fallback`` say why a dense route ran.  ``method="dense"``, the library
-default, always takes all eigenvalues of the formed product, and
-:func:`spectral_radius` the largest modulus of any square matrix's; they
-are the reference the ARPACK route is tested against.  The smoothers
-take the same route under both methods.
+Solvers.  The verdict reads only rho(S2* S1*), the one computed radius.
+A smoother's other spectral facts are read from its positivity graph
+(Seneta, Non-negative Matrices and Markov Chains, 2nd ed., 1981, ch. 1;
+Meyer, Matrix Analysis and Applied Linear Algebra, 2000, section 8.4).
+The eigenvalues of modulus 1 of a stochastic S are 1, once per closed
+class (a strong component with no edge leaving it), and the other roots
+of unity of each periodic closed class; a transient block's radius is
+below 1.  S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation that
+swaps one eigenvalue 1 of S for 0.  So rho(S*) = 1 exactly when S has
+two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
+and the top eigenvalue 1 is simple exactly when S has one closed class;
+a regular smoother (route 1) has one, aperiodic.
+
+rho(S2* S1*) comes from :func:`_product_radius`.  Under
+``certify(method="power")``, which the command line always uses, ARPACK
+(``eigs``; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the
+unformed operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), for its
+eigenvalue of largest modulus, and for six when that run does not
+converge; when ARPACK fails or n < 3, ``numpy.linalg.eigvals`` of the
+formed S2* S1* takes over and the report's ``fallback`` says why.
+``method="dense"``, the library default, always takes ``eigvals`` of the
+formed product, and :func:`spectral_radius` of any square matrix; they
+are the reference the ARPACK route is tested against.
 
 A NOT_CERTIFIED note gives ||(I - S2* S1*)^-1||_2 >= 1/|1 - lambda|
 (infinite when lambda = 1) from the product's eigenvalue lambda of largest
@@ -65,7 +62,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair, apply_star, center
+from .smoothers import Dataset, SmootherPair
 
 __all__ = [
     "GapReport",
@@ -111,21 +108,15 @@ class GapReport:
 class SpectralReport:
     """Spectral quantities of a smoother pair.
 
-    For a regular smoother (see :func:`check_regularity`),
-    Perron-Frobenius settles the top eigenvalue 1 and its simplicity, and
-    no spectrum is computed: ``top_eigenvalue_s1`` is the Rayleigh
-    quotient theta^T S1 theta of the unit constant vector
-    theta = 1/sqrt(n), ``top_eigenvalue_simple`` is True, the smoother's
-    ``rho_s1_star`` or ``rho_s2_star`` is None and its entry of
-    ``smoother_iterations`` is 0.  For a non-regular smoother they come
-    from the extreme eigenvalues of its centered form S*, whatever
-    ``method``: an ARPACK run on the unformed S*, and all eigenvalues of
-    the formed S* when the run fails or n < 3.  ``smoother_iterations``
-    counts the ARPACK operator applications for [S1, S2] (0 on the dense
-    route), and ``smoother_fallback`` says why a smoother took the dense
-    route: "s1: n < 3" or "s1: <exception class>: <message>", likewise
-    "s2: ...", joined by "; " when both did; it is None when none did.
-    ``method`` records how ``rho_product`` was obtained ("power" when
+    The smoothers' quantities are read from their positivity graphs (see
+    the module notes), and no smoother spectrum is computed.
+    ``rho_s1_star`` is 1.0 when S1 has two or more closed classes or a
+    periodic one, which makes rho(S1*) = 1 exactly, and None otherwise,
+    meaning rho(S1*) < 1; a regular smoother's is None.  Likewise
+    ``rho_s2_star``.  ``top_eigenvalue_s1`` is the Rayleigh quotient
+    theta^T S1 theta of the unit constant vector theta = 1/sqrt(n), and
+    ``top_eigenvalue_simple`` is True exactly when S1 has one closed
+    class.  ``method`` records how ``rho_product`` was obtained ("power" when
     ARPACK converged on the matrix-free product, "dense" for the dense
     eigendecomposition of the formed product, including after an ARPACK
     failure or for n < 3), and ``iterations`` counts ARPACK's
@@ -145,8 +136,6 @@ class SpectralReport:
     method: str
     iterations: int
     fallback: str | None
-    smoother_iterations: tuple[int, int]
-    smoother_fallback: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -163,8 +152,6 @@ class SpectralReport:
             "method": self.method,
             "iterations": self.iterations,
             "fallback": self.fallback,
-            "smoother_iterations": list(self.smoother_iterations),
-            "smoother_fallback": self.smoother_fallback,
         }
 
 
@@ -239,10 +226,11 @@ def check_gap_conditions(
 def _validate_stochastic(s) -> np.ndarray | csr_array:
     """``s`` as a float array, dense or CSR, after checking it is row-stochastic.
 
-    A sparse ``s`` is checked on its stored entries and row sums, in O(nnz).
+    A sparse ``s`` is checked on its stored entries and row sums, in O(nnz),
+    and copied only when it is not a float ``csr_array``.
     """
     if issparse(s):
-        s = csr_array(s, dtype=float)
+        s = s if isinstance(s, csr_array) and s.dtype == float else csr_array(s, dtype=float)
         entries = s.data
     else:
         s = entries = np.asarray(s, dtype=float)
@@ -259,18 +247,44 @@ def _validate_stochastic(s) -> np.ndarray | csr_array:
     return s
 
 
-def _positive_pattern(s: np.ndarray | csr_array) -> csr_array | None:
-    """The positive entries of a square matrix, as a boolean CSR array.
+def _entries(s: np.ndarray | csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The entries s[rows[k], cols[k]] of a dense or CSR matrix.
 
-    None for a dense matrix whose entries are all positive, which is
-    irreducible and aperiodic, so that no n^2-entry CSR copy is made.
+    A CSR matrix is read by one binary search of each row's sorted column
+    indices, all rows at once, in O(len(rows) log(longest row)).  An
+    entry not stored reads 0; of equal stored indices the first is read.
     """
     if not issparse(s):
-        positive = s > 0.0
-        return None if positive.all() else csr_array(positive)
-    adj = csr_array((s.data > 0.0, s.indices, s.indptr), shape=s.shape)
-    adj.eliminate_zeros()
-    return adj
+        return s[rows, cols]
+    if not s.has_sorted_indices:
+        s = s.sorted_indices()
+    first = s.indptr[rows]
+    count = s.indptr[rows + 1] - first
+    last = s.nnz - 1
+    while count.any():
+        step = count // 2
+        mid = first + step
+        go = (count > 0) & (s.indices[np.minimum(mid, last)] < cols)
+        first = np.where(go, mid + 1, first)
+        count = np.where(go, count - step - 1, step)
+    at = np.minimum(first, last)
+    found = (first < s.indptr[rows + 1]) & (s.indices[at] == cols)
+    return np.where(found, s.data[at], 0.0)
+
+
+def _neighbours_and_loop(s: np.ndarray | csr_array, order: np.ndarray) -> bool:
+    """True when the sorted-neighbour entries and some diagonal entry are positive.
+
+    Positive S[o_i, o_{i+1}] and S[o_{i+1}, o_i] for i < n - 1 put every
+    node on one path walked both ways, so the positivity graph is
+    strongly connected; a positive diagonal entry is a cycle of length 1
+    in it, so it is aperiodic.  That makes S regular whatever the
+    permutation o; False only means that this read cannot tell.
+    """
+    n = s.shape[0]
+    a, b, diagonal = order[:-1], order[1:], np.arange(n)
+    read = _entries(s, np.concatenate([a, b, diagonal]), np.concatenate([b, a, diagonal])) > 0.0
+    return bool(read[: 2 * (n - 1)].all() and read[2 * (n - 1) :].any())
 
 
 def _graph_period(adj: csr_array) -> int:
@@ -287,23 +301,56 @@ def _graph_period(adj: csr_array) -> int:
     return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[adj.indices])))
 
 
-def check_regularity(s: np.ndarray | csr_array) -> bool:
+def _closed_classes(s: np.ndarray | csr_array) -> tuple[int, tuple[int, ...]]:
+    """The strong components of a matrix's positivity graph, and its closed classes.
+
+    The graph is a boolean CSR array with no stored False.  A closed
+    class is a strong component with no edge leaving it.  Its period is 1
+    when one of its nodes has a positive diagonal entry, and
+    :func:`_graph_period` of the class otherwise.  Returns the number of
+    strong components and the periods of the closed classes, ascending.
+    """
+    if issparse(s):
+        adj = csr_array((s.data > 0.0, s.indices, s.indptr), shape=s.shape)
+        adj.eliminate_zeros()
+    else:
+        adj = csr_array(s > 0.0)
+    n_components, labels = connected_components(adj, directed=True, connection="strong")
+    tails = labels[np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))]
+    heads = labels[adj.indices]
+    closed = np.ones(n_components, dtype=bool)
+    closed[tails[tails != heads]] = False
+    looped = np.zeros(n_components, dtype=bool)
+    looped[labels[adj.diagonal()]] = True
+    periods = sorted(
+        1 if looped[c] else _graph_period(adj[labels == c][:, labels == c])
+        for c in np.flatnonzero(closed)
+    )
+    return n_components, tuple(periods)
+
+
+def check_regularity(s: np.ndarray | csr_array, order: np.ndarray | None = None) -> bool:
     """True iff the positivity graph of a stochastic matrix is regular.
 
     Regular = irreducible (strongly connected) and aperiodic, i.e. some
-    power of the matrix is entrywise positive.  Any positive diagonal
-    entry of an irreducible matrix short-circuits the period computation.
-    ``s`` may be dense or sparse; a sparse one is checked in O(nnz).
+    power of the matrix is entrywise positive.  The check first reads the
+    2(n - 1) entries S[o_i, o_{i+1}], S[o_{i+1}, o_i] at adjacent
+    positions of ``order`` (a permutation o of 0..n-1, the identity by
+    default) and the diagonal (:func:`_neighbours_and_loop`); for a
+    smoother whose ``order`` sorts its coordinate, that is the paper's
+    adjacent-gap condition on the built weights.  When it cannot tell,
+    the strong components of the graph decide (:func:`_closed_classes`),
+    built in O(nnz) from a sparse ``s``'s stored entries.
     """
-    adj = _positive_pattern(_validate_stochastic(s))
-    if adj is None:
+    s = _validate_stochastic(s)
+    n = s.shape[0]
+    order = np.arange(n) if order is None else np.asarray(order)
+    if not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order must be a permutation of 0..{n - 1}")
+    if _neighbours_and_loop(s, order):
         return True
-    n_components, _ = connected_components(adj, directed=True, connection="strong")
-    if n_components != 1:
-        return False
-    if adj.diagonal().any():
-        return True
-    return _graph_period(adj) == 1
+    n_components, periods = _closed_classes(s)
+    return n_components == 1 and periods == (1,)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -320,21 +367,20 @@ def spectral_radius(m: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(m)).max())
 
 
-def _arpack(matvec, n: int, k: int) -> tuple[np.ndarray, int]:
-    """The k eigenvalues of largest modulus of an unformed n x n operator.
+def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
+    """The eigenvalue of largest modulus of an unformed n x n operator, n >= 3.
 
-    ARPACK's ``eigs`` computes min(k, n - 2) of them to machine precision
-    (``tol=0``) on x -> ``matvec(x)``.  When a run for fewer than
-    min(6, n - 2) raises ``ArpackNoConvergence`` it asks again for
-    min(6, n - 2), whose larger Krylov basis converges where the smaller
-    one stalls, as on an operator with several eigenvalues within 1e-13
-    of its top.  Each attempt's starting vector, and the vectors it draws
-    after finding an invariant subspace, come from a generator seeded
-    here, so reruns are bit-identical.  Every ``ArpackError`` of the
-    retry, and every other one of the first run, propagates to the
-    caller.
+    ARPACK's ``eigs`` computes it to machine precision (``tol=0``) on
+    x -> ``matvec(x)``.  When that run raises ``ArpackNoConvergence`` it
+    asks again for the min(6, n - 2) of largest modulus, whose larger
+    Krylov basis converges where the smaller one stalls, as on an
+    operator with several eigenvalues within 1e-13 of its top.  Each
+    attempt's starting vector, and the vectors it draws after finding an
+    invariant subspace, come from a generator seeded here, so reruns are
+    bit-identical.  Every ``ArpackError`` of the retry, and every other
+    one of the first run, propagates to the caller.
 
-    Returns the eigenvalues found (the first run's k, or the retry's)
+    Returns the eigenvalues found (the first run's one, or the retry's)
     and the number of operator applications over both attempts.
     """
     applications = 0
@@ -357,138 +403,82 @@ def _arpack(matvec, n: int, k: int) -> tuple[np.ndarray, int]:
         )
 
     try:
-        vals = run(min(k, n - 2))
+        vals = run(1)
     except ArpackNoConvergence:
-        if k >= min(6, n - 2):  # the retry would repeat the run
+        if n - 2 <= 1:  # the retry would repeat the run
             raise
         vals = run(min(6, n - 2))
     return vals, applications
 
 
-def _extreme_eigenvalues(matvec, n: int, k: int, form) -> tuple[np.ndarray, int, str | None]:
-    """Eigenvalues of largest modulus of an n x n operator: ARPACK, else dense.
+def _product_radius(pair: SmootherPair, method: str) -> tuple[complex, str, int, str | None]:
+    """The eigenvalue of S2* S1* of largest modulus (see the module notes).
 
-    :func:`_arpack` asks for k of them on the unformed operator
-    x -> ``matvec(x)``.  When it raises ``ArpackError`` (including
-    ``ArpackNoConvergence``), or n < 3 (ARPACK needs k <= n - 2),
-    ``form()`` makes the operator a dense n x n array and
-    ``numpy.linalg.eigvals`` returns all its eigenvalues.
-
-    Returns the eigenvalues, the number of operator applications (0 on
-    the dense route) and why the dense route ran ("n < 3", or
-    "<exception class>: <message>" for the ARPACK error; None when ARPACK
-    converged).
-    """
-    if n < 3:
-        fallback = "n < 3"
-    else:
-        try:
-            vals, applications = _arpack(matvec, n, k)
-        except ArpackError as exc:
-            fallback = f"{type(exc).__name__}: {exc}"
-        else:
-            return vals, applications, None
-    return np.linalg.eigvals(form()), 0, fallback
-
-
-def _smoother_extremes(
-    s: np.ndarray | csr_array,
-) -> tuple[complex, bool, float, int, str | None]:
-    """Top eigenvalue of a smoother, its simplicity, and rho(S*), computed.
-
-    :func:`certify` calls this only for a non-regular smoother; a regular
-    one's top eigenvalue is settled (see :class:`SpectralReport`).
-    :func:`_extreme_eigenvalues` runs on x -> S x - mean(S x), dense or
-    CSR alike, without copying S, and forms ``center(s)`` only on its
-    dense route; either way the eigenvalues it returns are those of S*.
-    rho(S*) is their largest modulus, the top eigenvalue is the Rayleigh
-    quotient theta^T S theta of the unit constant vector
-    theta = 1/sqrt(n), and it is simple when no returned eigenvalue lies
-    within 1e-8 of it.  ARPACK is asked for six eigenvalues: a smoother
-    with a small bandwidth is close to the identity, its eigenvalues
-    crowd below 1 with eigenvectors localised on a few points, and a run
-    for one can settle on a lower member of that crowd (0.99998867 for a
-    top of 1 - 1e-15 on an n = 38 Gaussian smoother), where the run for
-    six finds the top.
-
-    Returns the three quantities, the ARPACK operator applications (0 on
-    the dense route) and why the dense route ran (None when ARPACK
-    converged).
-    """
-    n = s.shape[0]
-    vals, applications, fallback = _extreme_eigenvalues(
-        lambda x: apply_star(s, x), n, 6, lambda: center(s)
-    )
-    theta = np.full(n, 1.0 / np.sqrt(n))
-    top = float(theta @ (s @ theta))
-    simple = not bool(np.any(np.abs(vals - top) <= 1e-8))
-    return complex(top), simple, float(np.abs(vals).max()), applications, fallback
-
-
-def _product_radius(pair: SmootherPair) -> tuple[complex, str, int, str | None]:
-    """The eigenvalue of S2* S1* of largest modulus, by :func:`_extreme_eigenvalues`.
-
-    The operator is x -> c(S2 c(S1 x)), c(z) = z - mean(z), formed as
-    ``pair.star_product()`` only on the dense route.  ARPACK is asked for
-    the one eigenvalue of largest modulus: the verdict reads its modulus,
-    rho(S2* S1*), and a NOT_CERTIFIED note its distance from 1.
+    ``method="power"`` runs :func:`_arpack`; on its ``ArpackError``, for
+    n < 3 (ARPACK needs k <= n - 2), and under ``method="dense"``,
+    ``numpy.linalg.eigvals`` of ``pair.star_product()`` runs instead, and
+    a LAPACK failure there is raised as a ``LinAlgError`` naming it.
 
     Returns that eigenvalue, the route ("power" or "dense"), the number
-    of operator applications (0 on the dense route) and why the dense
-    route ran (None when ARPACK converged).
+    of operator applications (0 on the dense route) and why a power run
+    took the dense route ("n < 3", or "<exception class>: <message>";
+    None when ARPACK converged or dense was asked for).
     """
-    vals, applications, fallback = _extreme_eigenvalues(
-        lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n, 1, pair.star_product
-    )
-    used = "power" if fallback is None else "dense"
-    return vals[np.abs(vals).argmax()], used, applications, fallback
+    fallback = None
+    if method == "power":
+        if pair.n < 3:
+            fallback = "n < 3"
+        else:
+            try:
+                vals, applications = _arpack(
+                    lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n
+                )
+            except ArpackError as exc:
+                fallback = f"{type(exc).__name__}: {exc}"
+            else:
+                return vals[np.abs(vals).argmax()], "power", applications, None
+    try:
+        vals = np.linalg.eigvals(pair.star_product())
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"LAPACK eigenvalue solver (numpy.linalg.eigvals) failed on the formed "
+            f"{pair.n} x {pair.n} S2* S1*: {exc}"
+        ) from exc
+    return vals[np.abs(vals).argmax()], "dense", 0, fallback
+
+
+def _unit_modulus(s: np.ndarray | csr_array, regular: bool) -> tuple[bool, float | None]:
+    """Whether a smoother's top eigenvalue 1 is simple, and rho(S*): 1.0, or None for < 1.
+
+    Read from its closed classes (see the module notes); a regular
+    smoother has one, aperiodic.
+    """
+    if regular:
+        return True, None
+    periods = _closed_classes(s)[1]
+    unit = len(periods) > 1 or periods[-1] > 1
+    return len(periods) == 1, 1.0 if unit else None
 
 
 def _spectral_report(
     pair: SmootherPair, method: str, regular_s1: bool, regular_s2: bool
 ) -> tuple[SpectralReport, complex]:
-    """The spectral report, and the eigenvalue of S2* S1* of largest modulus.
-
-    A regular smoother's spectrum is not computed (see
-    :class:`SpectralReport`).  The product is formed only on the dense
-    route: for ``method="dense"``, and when :func:`_product_radius`
-    falls back.  ``rho_product`` is the eigenvalue's modulus.
-    """
+    """The spectral report, and the eigenvalue of S2* S1* of largest modulus."""
     theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
     s1_theta = pair.s1 @ theta
-    perron_check = float(np.linalg.norm(s1_theta - theta))
-    # Perron-Frobenius: a regular stochastic matrix has the simple top
-    # eigenvalue 1; the top entry is read for S1 only
-    settled = (complex(theta @ s1_theta), True, None, 0, None)
-    top, simple, rho_s1_star, applications_s1, fallback_s1 = (
-        settled if regular_s1 else _smoother_extremes(pair.s1)
-    )
-    _, _, rho_s2_star, applications_s2, fallback_s2 = (
-        settled if regular_s2 else _smoother_extremes(pair.s2)
-    )
-    smoother_fallback = "; ".join(
-        f"{name}: {reason}"
-        for name, reason in (("s1", fallback_s1), ("s2", fallback_s2))
-        if reason is not None
-    )
-
-    if method == "power":
-        lam, used, iterations, fallback = _product_radius(pair)
-    else:
-        vals = np.linalg.eigvals(pair.star_product())
-        lam, used, iterations, fallback = vals[np.abs(vals).argmax()], "dense", 0, None
+    simple, rho_s1_star = _unit_modulus(pair.s1, regular_s1)
+    rho_s2_star = _unit_modulus(pair.s2, regular_s2)[1]
+    lam, used, iterations, fallback = _product_radius(pair, method)
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
         rho_product=float(np.abs(lam)),
-        top_eigenvalue_s1=top,
+        top_eigenvalue_s1=complex(theta @ s1_theta),
         top_eigenvalue_simple=simple,
-        perron_vector_check=perron_check,
+        perron_vector_check=float(np.linalg.norm(s1_theta - theta)),
         method=used,
         iterations=iterations,
         fallback=fallback,
-        smoother_iterations=(applications_s1, applications_s2),
-        smoother_fallback=smoother_fallback or None,
     )
     return report, lam
 
@@ -514,8 +504,8 @@ def certify(
         raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
     gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u")
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
-    regular_s1 = check_regularity(pair.s1)
-    regular_s2 = check_regularity(pair.s2)
+    regular_s1 = check_regularity(pair.s1, data.sort_u)
+    regular_s2 = check_regularity(pair.s2, data.sort_v)
     spectral, lam = _spectral_report(pair, method, regular_s1, regular_s2)
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds

@@ -29,6 +29,14 @@ def test_demo_runs(demo, tmp_path):
         direct = [line for line in proc.stdout.splitlines() if line.startswith("direct:")]
         assert len(direct) == 1
         assert "singular or near-singular" in direct[0]
+        graph = [
+            line for line in proc.stdout.splitlines()
+            if line.startswith("  rho(S1*) from the graph = ")
+        ]
+        assert len(graph) == 1
+        value, reference = graph[0].split(" = ")[1].split(" (dense reference ")
+        assert value == "1.0"
+        assert abs(float(reference.rstrip(")")) - 1.0) <= 1e-6
         notes = [line for line in proc.stdout.splitlines() if line.startswith("  notes:")]
         assert len(notes) == 1
         assert note_bound(notes[0]) > 1e12

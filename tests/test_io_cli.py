@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import ArpackError
 
 from nwbackfit.cli import main
 from nwbackfit.fitting import FitResult, backfit_direct
@@ -242,9 +243,10 @@ class TestCliFit:
         report = json.loads((out / "fit.json").read_text())
         assert report["provenance"]["package"] == "nwbackfit"
         assert report["certificate"]["verdict"] == "certified_by_gap_conditions"
-        # both smoothers are regular, so neither spectrum is computed
-        assert report["certificate"]["spectral"]["smoother_iterations"] == [0, 0]
-        assert report["certificate"]["spectral"]["smoother_fallback"] is None
+        # both smoothers are regular, so rho(S*) < 1 for each, as null
+        assert report["certificate"]["spectral"]["rho_s1_star"] is None
+        assert report["certificate"]["spectral"]["rho_s2_star"] is None
+        assert "smoother_iterations" not in report["certificate"]["spectral"]
         cols = read_fit_curves_csv(out / "curves.csv")
         # JSON floats round-trip through repr, so agreement is exact
         assert np.array_equal(cols["m1_hat"], np.array(report["fit"]["m1_hat"]))
@@ -395,6 +397,27 @@ class TestCliExitCodes:
         assert "for its smoother matrices (S1 CSR, S2 CSR)" in err
         assert "40 x 40" not in err
 
+    def test_lapack_failure_names_the_solver(self, sample_csv, tmp_path, monkeypatch, capsys):
+        # ARPACK fails, so the product's radius falls back to eigvals of
+        # the formed S2* S1*, and LAPACK fails there too
+        path, _ = sample_csv
+
+        def arpack_fails(*args, **kwargs):
+            raise ArpackError(-9999)
+
+        def lapack_fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("nwbackfit.spectral.eigs", arpack_fails)
+        monkeypatch.setattr(np.linalg, "eigvals", lapack_fails)
+        rc = main(["certify", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: solver failure: LAPACK eigenvalue solver (numpy.linalg.eigvals) failed "
+            "on the formed 40 x 40 S2* S1*: Eigenvalues did not converge\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
     def test_overflowing_bandwidth(self, sample_csv, tmp_path, capsys, kernel):
         # K(0)/h overflows to inf at h = 1e-320, so every weight would be
@@ -440,8 +463,8 @@ class TestCliCertify:
         assert "method" not in report["provenance"]["config"]["options"]
         assert cert["spectral"]["method"] == "power"
         assert cert["spectral"]["fallback"] is None
-        assert cert["spectral"]["smoother_iterations"] == [0, 0]
-        assert cert["spectral"]["smoother_fallback"] is None
+        assert cert["spectral"]["rho_s1_star"] is None and cert["spectral"]["rho_s2_star"] is None
+        assert "smoother_fallback" not in cert["spectral"]
 
 
 class TestCliSimulate:

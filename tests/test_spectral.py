@@ -28,7 +28,7 @@ from nwbackfit.spectral import (
     check_regularity,
     spectral_radius,
 )
-from nwbackfit.spectral import _product_radius, _smoother_extremes
+from nwbackfit.spectral import _product_radius, _unit_modulus
 
 from conftest import (
     ALL_KERNELS,
@@ -218,7 +218,7 @@ class TestSpectralRadius:
                 apply_s2_star=lambda x, m=m: m @ x,
                 star_product=m.copy,
             )
-            lam, used, _, fallback = _product_radius(pair)
+            lam, used, _, fallback = _product_radius(pair, "power")
             assert used == ("power" if n >= 3 else "dense")
             assert fallback == (None if n >= 3 else "n < 3")
             assert abs(lam) == pytest.approx(spectral_radius(m), abs=1e-7)
@@ -329,7 +329,7 @@ class TestCertify:
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert not cert.certified
         assert not cert.regular_s1 and not cert.regular_s2
-        assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
+        assert cert.spectral.rho_s1_star == 1.0
         assert cert.spectral.rho_product >= 1.0 - 1e-8
         assert note_bound(cert.notes) > 1e12
 
@@ -368,35 +368,58 @@ class TestCertify:
             certify(pair, kernel, bw_u, bw_v, data, method="qr")
 
 
-def assert_matches_oracle(cert, pair, tol):
-    """A certificate's smoother fields, and the smoothers' own spectral
-    runs, against the full-spectrum oracle.
+def diagnose(s):
+    """A smoother's graph diagnosis, as a certificate reports it: whether
+    its top eigenvalue is simple, and rho(S*) (1.0, or None for < 1)."""
+    return _unit_modulus(s, check_regularity(s))
 
-    :func:`_smoother_extremes` must match the oracle on every smoother.
-    The report computes a smoother's radius only when it is not regular;
-    a regular one's is None and its top eigenvalue is simple by
-    Perron-Frobenius, even where a second eigenvalue lies within 1e-8.
+
+def assert_diagnosis_matches_oracle(s, simple, rho_star):
+    """A smoother's graph diagnosis against the full-spectrum oracle.
+
+    Where the graph proves rho(S*) = 1 the oracle's radius is within
+    1e-12 of 1, and where it says < 1 (None) the oracle's is below
+    1 + 1e-12.  A top eigenvalue 1 the graph finds repeated (two or more
+    closed classes) is not simple in the oracle either, where the
+    oracle's top is 1 and not another root of unity of a periodic class.
+    The converse cannot be asked of the oracle, which calls a top
+    eigenvalue 1 with another within 1e-8 of it (a near-identity
+    smoother's) not simple.
+    """
+    want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
+    if rho_star is None:
+        assert want_rho_star < 1.0 + 1e-12
+    else:
+        assert rho_star == 1.0
+        assert abs(want_rho_star - 1.0) <= 1e-12
+    if not simple and abs(want_top - 1.0) <= 1e-8:
+        assert not want_simple
+
+
+def assert_matches_oracle(cert, pair, tol):
+    """A certificate's smoother fields: the graph's diagnosis of each
+    smoother, which the full-spectrum oracle confirms.
+
+    A regular smoother's radius is None, and ``top_eigenvalue_s1``
+    matches the oracle's top eigenvalue of S1 within ``tol``.
     """
     smoothers = ((pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
                  (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star))
     for s, regular, rho_star in smoothers:
-        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-        top, simple, got_rho_star = _smoother_extremes(s)[:3]
-        assert abs(top - want_top) <= tol
-        assert simple == want_simple
-        assert abs(got_rho_star - want_rho_star) <= tol
+        simple, want_rho_star = diagnose(s)
+        assert rho_star == want_rho_star
         if regular:
-            assert rho_star is None
-        else:
-            assert abs(rho_star - want_rho_star) <= tol
-    want_top, want_simple, _ = smoother_extremes_oracle(pair.s1)
+            assert rho_star is None and simple
+        assert_diagnosis_matches_oracle(s, simple, rho_star)
+    assert cert.spectral.top_eigenvalue_simple == diagnose(pair.s1)[0]
+    want_top = smoother_extremes_oracle(pair.s1)[0]
     assert abs(cert.spectral.top_eigenvalue_s1 - want_top) <= tol
-    assert cert.spectral.top_eigenvalue_simple == (cert.regular_s1 or want_simple)
 
 
 class TestSpectralRoutes:
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_centered_radii_match_centered_matrices(self, method):
+        # the graph's rho(S*) against the dense spectral_radius(center(s))
         rng = np.random.default_rng(62)
         for trial, kernel in enumerate(ALL_KERNELS):
             data = generate(SimSpec(n=35, design=BivariateNormal(rho=0.5), seed=62 + trial))
@@ -411,13 +434,16 @@ class TestSpectralRoutes:
                     (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star),
                 ):
                     want = spectral_radius(center(s))
-                    assert _smoother_extremes(s)[2] == pytest.approx(want, abs=1e-12)
+                    assert rho_star == diagnose(s)[1]
                     if regular:
                         assert rho_star is None
+                    if rho_star is None:
+                        assert want < 1.0 + 1e-12
                     else:
-                        assert rho_star == pytest.approx(want, abs=1e-12)
+                        assert abs(want - 1.0) <= 1e-12
 
     def test_knn_and_per_point_take_general_route(self):
+        # the graph route, which needs no symmetry of the smoother
         rng = np.random.default_rng(63)
         x = rng.normal(size=40)
         for kernel in ALL_KERNELS:
@@ -426,23 +452,20 @@ class TestSpectralRoutes:
                 PerPointBandwidth(rng.uniform(1.0, 3.0, 40)),
             ):
                 s = build_smoother(x, kernel, bw)
-                top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-                assert applications > 0 and fallback is None
-                want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-                assert abs(top - want_top) <= 1e-12
-                assert simple == want_simple
-                assert abs(rho_star - want_rho_star) <= 1e-12
+                assert_diagnosis_matches_oracle(s, *diagnose(s))
 
     @pytest.mark.parametrize("method", ["dense", "power"])
     def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, method):
         # two closed classes: S keeps a second unit eigenvalue after the
-        # constant vector's is deflated, so rho(S*) stays at 1
+        # constant vector's is deflated, so rho(S*) stays at 1, which the
+        # graph proves and the oracle confirms
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
         cert = certify(pair, kernel, bw, bw, data, method=method)
         assert not cert.spectral.top_eigenvalue_simple
-        assert cert.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-6)
-        assert cert.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-6)
+        assert cert.spectral.rho_s1_star == 1.0
+        assert cert.spectral.rho_s2_star == 1.0
+        assert_matches_oracle(cert, pair, 1e-12)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
         # a regular pair needs no spectral work beyond the product, and
@@ -510,8 +533,8 @@ class TestArpackRoute:
 
     def test_two_points_take_dense_route(self):
         # with the uniform kernel each point lies outside the other's
-        # bandwidth, so S1 = S2 = I is not regular and its spectrum is
-        # computed, by the same dense route as the product's
+        # bandwidth, so S1 = S2 = I is not regular: two closed classes,
+        # read from the graph, give rho(S*) = 1 exactly
         data = Dataset(y=np.array([0.0, 1.0]), u=np.array([0.0, 1.0]), v=np.array([0.5, 0.2]))
         for kernel, h in ((Kernel.GAUSSIAN, 0.8), (Kernel.UNIFORM, 0.2)):
             bw = ConstantBandwidth(h)
@@ -523,21 +546,23 @@ class TestArpackRoute:
             assert power.to_dict()["spectral"]["fallback"] == "n < 3"
             assert power.spectral.rho_product == dense.spectral.rho_product
             assert power.verdict is dense.verdict
-            assert power.spectral.smoother_iterations == (0, 0)
+            assert "smoother_fallback" not in power.to_dict()["spectral"]
             if kernel is Kernel.UNIFORM:
                 assert not power.regular_s1 and not power.regular_s2
-                assert power.spectral.smoother_fallback == "s1: n < 3; s2: n < 3"
-                assert power.spectral.rho_s1_star == pytest.approx(1.0, abs=1e-12)
-                assert power.spectral.rho_s2_star == pytest.approx(1.0, abs=1e-12)
+                assert power.spectral.rho_s1_star == 1.0
+                assert power.spectral.rho_s2_star == 1.0
                 assert not power.spectral.top_eigenvalue_simple
                 assert power.verdict is Verdict.NOT_CERTIFIED
             else:
                 assert power.regular_s1 and power.regular_s2
-                assert power.spectral.smoother_fallback is None
+                assert power.spectral.rho_s1_star is None
+                assert power.spectral.rho_s2_star is None
+            assert_matches_oracle(power, pair, 1e-12)
 
     def test_parity_sweep(self):
-        # same verdict, radii within 1e-12, smoother fields as the
-        # full-spectrum oracle, and a bit-identical rerun of the ARPACK route
+        # same verdict, radii within 1e-12, smoother fields from the graph
+        # as the full-spectrum oracle confirms them, and a bit-identical
+        # rerun of the ARPACK route
         verdicts = set()
         near_critical = 0
         for i, _, pair, certify_pair in parity_replicates():
@@ -548,8 +573,6 @@ class TestArpackRoute:
             assert power.verdict is dense.verdict, i
             assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
             assert again.spectral == power.spectral, i
-            ran = [applications > 0 for applications in power.spectral.smoother_iterations]
-            assert ran == [not power.regular_s1, not power.regular_s2], i
             assert_matches_oracle(power, pair, 1e-12)
             verdicts.add(dense.verdict)
             near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
@@ -593,14 +616,15 @@ def parity_replicates():
 
 
 class TestSmootherArpackRoute:
-    """Smoother extremes by ARPACK on x -> S x - mean(S x), at every n >= 3."""
+    """Smoothers under the certificate's ARPACK route, which only the
+    product takes: a smoother's rho(S*) and simplicity are read from its
+    positivity graph."""
 
     def test_parity_sweep(self):
-        # every smoother (n >= 8 here), knn and per-point ones too, takes
-        # ARPACK: its output matches the full-spectrum oracle, the verdicts
-        # of both certify methods agree, reruns are bit-identical and both
-        # methods take the same route; a certificate runs ARPACK on exactly
-        # its non-regular smoothers
+        # every smoother of the sweep (n >= 8), knn and per-point ones too:
+        # both certify methods report the same smoother fields, reruns are
+        # bit-identical, and a regular smoother's radius is None; the
+        # oracle checks are in TestArpackRoute.test_parity_sweep
         for i, _, pair, certify_pair in parity_replicates():
             power = certify_pair("power")
             again = certify_pair("power")
@@ -610,28 +634,66 @@ class TestSmootherArpackRoute:
             assert dataclasses.replace(
                 dense.spectral, rho_product=0.0, method="", iterations=0
             ) == dataclasses.replace(power.spectral, rho_product=0.0, method="", iterations=0), i
-            assert_matches_oracle(power, pair, 1e-12)
-            assert power.spectral.smoother_fallback is None, i
-            for s, regular, ran in zip(
-                (pair.s1, pair.s2),
-                (power.regular_s1, power.regular_s2),
-                power.spectral.smoother_iterations,
+            for regular, rho_star in (
+                (power.regular_s1, power.spectral.rho_s1_star),
+                (power.regular_s2, power.spectral.rho_s2_star),
             ):
-                assert (ran == 0) == regular, i
-                applications, fallback = _smoother_extremes(s)[3:]
-                assert applications > 0 and fallback is None, i
+                assert rho_star is None or (rho_star == 1.0 and not regular), i
         rng = np.random.default_rng(69)
         for trial in range(48):
             x = rng.normal(size=int(rng.integers(8, 41)))
             h = max_gap(x) * rng.uniform(0.7, 2.5, len(x))
             s = build_smoother(x, ALL_KERNELS[trial % 4], PerPointBandwidth(h))
-            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-            assert _smoother_extremes(s) == (top, simple, rho_star, applications, fallback)
-            assert applications > 0 and fallback is None, trial
-            want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-            assert abs(top - want_top) <= 1e-12, trial
-            assert simple == want_simple, trial
-            assert abs(rho_star - want_rho_star) <= 1e-12, trial
+            assert_diagnosis_matches_oracle(s, *diagnose(s))
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "uniform_cluster_problem",
+            "triangular_cluster_problem",
+            "crossed_cluster_problem",
+            "near_critical_problem",
+        ],
+    )
+    def test_fixtures(self, fixture, request):
+        data, kernel, bw = request.getfixturevalue(fixture)
+        pair = build_pair(data, kernel, bw, bw)
+        for method in ("dense", "power"):
+            assert_matches_oracle(certify(pair, kernel, bw, bw, data, method=method), pair, 1e-12)
+
+    def test_periodic_closed_classes(self):
+        # matrices with a zero diagonal, which no smoother has.  A 3-cycle
+        # that two transient nodes feed: one closed class, of period 3,
+        # whose cube roots of unity keep rho(S*) at 1 while the top
+        # eigenvalue 1 stays simple.  And steps of 1 and 4 around a
+        # 300-cycle, one class of period 3
+        m = np.zeros((5, 5))
+        m[[0, 1, 2], [1, 2, 0]] = 1.0
+        m[3, [0, 4]] = 0.5
+        m[4, [1, 3]] = 0.5
+        assert spectral._closed_classes(m) == (2, (3,))
+        n = 300
+        ring = np.zeros((n, n))
+        for step in (1, 4):
+            ring[np.arange(n), (np.arange(n) + step) % n] = 0.5
+        assert spectral._closed_classes(csr_array(ring)) == (1, (3,))
+        for s in (m, ring, csr_array(ring)):
+            assert not check_regularity(s)
+            assert diagnose(s) == (True, 1.0)
+            assert_diagnosis_matches_oracle(s, *diagnose(s))
+        # two closed classes, one periodic, and a transient node
+        both = np.zeros((5, 5))
+        both[0, 1] = both[1, 0] = 1.0
+        both[2, 2] = both[3, 3] = 1.0
+        both[4, [0, 2, 4]] = 1.0 / 3.0
+        assert spectral._closed_classes(both) == (4, (1, 1, 2))
+        assert diagnose(both) == (False, 1.0)
+        assert_diagnosis_matches_oracle(both, *diagnose(both))
+        # one aperiodic closed class fed by a transient node: rho(S*) < 1
+        leak = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.0, 0.8]])
+        assert spectral._closed_classes(leak) == (2, (1,))
+        assert diagnose(leak) == (True, None)
+        assert_diagnosis_matches_oracle(leak, *diagnose(leak))
 
     def test_large_smoother_never_takes_eigvals(self, monkeypatch):
         data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
@@ -644,72 +706,38 @@ class TestSmootherArpackRoute:
         monkeypatch.setattr(np.linalg, "eigvals", unused)
         cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
         assert certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power").spectral == cert.spectral
-        # both smoothers are regular, so the certificate runs neither
         assert cert.regular_s1 and cert.regular_s2
-        assert cert.spectral.smoother_fallback is None
-        assert cert.spectral.smoother_iterations == (0, 0)
         assert cert.spectral.top_eigenvalue_simple
         as_json = cert.to_dict()["spectral"]
-        assert as_json["smoother_iterations"] == [0, 0]
+        assert "smoother_iterations" not in as_json and "smoother_fallback" not in as_json
         assert as_json["rho_s1_star"] is None and as_json["rho_s2_star"] is None
-        for s in (pair.s1, pair.s2):
-            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-            assert _smoother_extremes(s) == (top, simple, rho_star, applications, fallback)
-            assert fallback is None
-            assert 0 < applications <= 80
-            assert simple
 
-    def test_arpack_failure_falls_back_to_eigvals(
-        self, monkeypatch, uniform_cluster_problem
-    ):
-        # the dense product route keeps ARPACK out of the product, so only
-        # the smoother runs meet the failing eigs: run directly on the
-        # regular smoothers of a certified problem, and by the certificate
-        # on the non-regular ones of the two-cluster problem; the dense
-        # route gives the ARPACK route's results to 1e-12
-        data, kernel, bw_u, bw_v = certified_problem(7)
-        pair = build_pair(data, kernel, bw_u, bw_v)
-        full = certify(pair, kernel, bw_u, bw_v, data, method="dense")
-        by_arpack = [_smoother_extremes(s) for s in (pair.s1, pair.s2)]
-        cluster_data, cluster_kernel, bw = uniform_cluster_problem
-        cluster_pair = build_pair(cluster_data, cluster_kernel, bw, bw)
-        cluster_full = certify(cluster_pair, cluster_kernel, bw, bw, cluster_data, method="dense")
+    def test_arpack_failure_falls_back_to_eigvals(self, monkeypatch, uniform_cluster_problem):
+        # the non-regular smoothers of the two-cluster problem are
+        # diagnosed without ARPACK: with eigs failing, only the product's
+        # radius falls back to eigvals, and every smoother field stays
+        data, kernel, bw = uniform_cluster_problem
+        pair = build_pair(data, kernel, bw, bw)
+        before = {m: certify(pair, kernel, bw, bw, data, method=m) for m in ("dense", "power")}
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         def failing(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(spectral, "eigs", failing)
-        reason = f"ArpackNoConvergence: {error}"
-        for s, want in zip((pair.s1, pair.s2), by_arpack):
-            assert want[3] > 0 and want[4] is None
-            top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-            assert (applications, fallback) == (0, reason)
-            assert abs(top - want[0]) <= 1e-12
-            assert simple == want[1]
-            assert abs(rho_star - want[2]) <= 1e-12
-        cert = certify(pair, kernel, bw_u, bw_v, data, method="dense")
-        assert cert.regular_s1 and cert.regular_s2
-        assert cert.spectral == full.spectral
-        assert cert.verdict is full.verdict
-
-        cluster = certify(cluster_pair, cluster_kernel, bw, bw, cluster_data, method="dense")
-        assert not cluster.regular_s1 and not cluster.regular_s2
-        assert cluster.spectral.smoother_fallback == f"s1: {reason}; s2: {reason}"
-        assert cluster.spectral.smoother_iterations == (0, 0)
-        assert cluster_full.spectral.smoother_fallback is None
-        assert all(ran > 0 for ran in cluster_full.spectral.smoother_iterations)
-        for name in ("rho_s1_star", "rho_s2_star"):
-            got, want = getattr(cluster.spectral, name), getattr(cluster_full.spectral, name)
-            assert abs(got - want) <= 1e-12, name
-        assert cluster.spectral == dataclasses.replace(
-            cluster_full.spectral,
-            rho_s1_star=cluster.spectral.rho_s1_star,
-            rho_s2_star=cluster.spectral.rho_s2_star,
-            smoother_iterations=(0, 0),
-            smoother_fallback=cluster.spectral.smoother_fallback,
+        dense = certify(pair, kernel, bw, bw, data, method="dense")
+        assert dense.spectral == before["dense"].spectral
+        power = certify(pair, kernel, bw, bw, data, method="power")
+        assert power.spectral.fallback == f"ArpackNoConvergence: {error}"
+        assert power.spectral == dataclasses.replace(
+            before["power"].spectral,
+            rho_product=power.spectral.rho_product,
+            method="dense",
+            iterations=0,
+            fallback=power.spectral.fallback,
         )
-        assert cluster.verdict is cluster_full.verdict
+        assert not power.regular_s1 and not power.regular_s2
+        assert power.verdict is dense.verdict is Verdict.NOT_CERTIFIED
 
     @pytest.mark.parametrize(
         "x, kernel, bw, sparse, regular",
@@ -738,31 +766,24 @@ class TestSmootherArpackRoute:
         ],
         ids=["csr-n410", "dense-n200", "near-identity-n38"],
     )
-    def test_clustered_smoother_converges_by_arpack(self, x, kernel, bw, sparse, regular):
+    def test_clustered_smoother_from_graph(self, x, kernel, bw, sparse, regular):
         # clustered spectra.  A uniform kernel at a small bandwidth: at
-        # n = 410, h = 0.02 a regular CSR smoother (rho(S*) = 0.9997, 257
-        # applications); at n = 200, h = 0.04 the simulate workload's
-        # design, where this seed's largest gap exceeds h and the dense
-        # smoother is not regular (rho(S*) = 1, 99 applications).  And a
-        # Gaussian smoother at rate:0.83, nearly the identity: S* has four
-        # eigenvalues within 1e-11 of 1, with eigenvectors localised on a
-        # few points, and dozens more within 3e-4 of them; ARPACK asked
-        # for one eigenvalue settles on 0.99998848 as converged, asked for
-        # six it finds the top
+        # n = 410, h = 0.02 a regular CSR smoother (rho(S*) = 0.9997); at
+        # n = 200, h = 0.04 the simulate workload's design, where this
+        # seed's largest gap exceeds h and the dense smoother is not
+        # regular (rho(S*) = 1).  And a Gaussian smoother at rate:0.83,
+        # nearly the identity: S* has four eigenvalues within 1e-11 of 1,
+        # which no eigensolver separates from a second unit eigenvalue,
+        # while its graph is regular.  Read in sorted order and in sample
+        # order alike
         s = build_smoother(x, kernel, bw)
         assert issparse(s) == sparse
-        assert check_regularity(s) == regular
-        top, simple, rho_star, applications, fallback = _smoother_extremes(s)
-        assert applications > 0 and fallback is None
-        want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-        assert abs(top - want_top) <= 1e-12
-        assert simple == want_simple
-        assert abs(rho_star - want_rho_star) <= 1e-12
+        assert check_regularity(s, np.argsort(x)) == check_regularity(s) == regular
+        assert_diagnosis_matches_oracle(s, *diagnose(s))
 
     def test_csr_smoothers_stay_sparse(self, monkeypatch):
-        # n = 2000, uniform kernel at h = 0.03: CSR smoothers whose ARPACK
-        # runs converge (137 applications for S1), and a certified
-        # power-route certificate, neither of which makes them dense
+        # n = 2000, uniform kernel at h = 0.03: CSR smoothers, regular, and
+        # a certified power-route certificate that never makes them dense
         data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
         bw = ConstantBandwidth(0.03)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
@@ -775,19 +796,16 @@ class TestSmootherArpackRoute:
         cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method="power")
         assert cert.certified
         assert cert.spectral.method == "power"
-        assert cert.spectral.smoother_fallback is None
-        assert cert.spectral.smoother_iterations == (0, 0)
-        for s in (pair.s1, pair.s2):
-            applications, fallback = _smoother_extremes(s)[3:]
-            assert 0 < applications <= 200 and fallback is None
+        assert cert.regular_s1 and cert.regular_s2
         monkeypatch.undo()
         assert_matches_oracle(cert, pair, 1e-12)
 
     def test_not_certified_csr_certificate_stays_sparse(self, monkeypatch):
         # n = 1500, Epanechnikov at h = 0.01, u in two clusters split by
         # a 0.2 gap and v following u within 0.002: both CSR smoothers
-        # are reducible, so the product keeps an eigenvalue at 1, and the
-        # note's bound comes from ARPACK's eigenvalue, not a formed product
+        # have two closed classes, so rho(S*) = 1 from the graph and the
+        # product keeps an eigenvalue at 1; the note's bound comes from
+        # ARPACK's eigenvalue, not a formed product
         rng = np.random.default_rng(7)
         n = 1500
         u = rng.uniform(size=n)
@@ -805,6 +823,8 @@ class TestSmootherArpackRoute:
         cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert cert.spectral.method == "power"
+        assert not cert.spectral.top_eigenvalue_simple
+        assert cert.spectral.rho_s1_star == 1.0 and cert.spectral.rho_s2_star == 1.0
         assert note_bound(cert.notes) > 1e12
         monkeypatch.undo()
         want = spectral_radius(pair.star_product())
@@ -813,10 +833,9 @@ class TestSmootherArpackRoute:
     def test_knn_certificate_stays_sparse(self, monkeypatch):
         # the smooth-knn design: n = 4000 uniform points, Epanechnikov at
         # knn:30, CSR smoothers with clustered spectra; both are regular,
-        # so the certificate computes neither spectrum and never makes
-        # them dense.  Split u into two clusters by a 0.2 gap and S1 is no
-        # longer regular: a second unit eigenvalue gives rho(S1*) = 1, and
-        # ARPACK finds it (in about 2200 applications) without a dense copy
+        # and the certificate never makes them dense.  Split u into two
+        # clusters by a 0.2 gap and S1 is no longer regular: its graph has
+        # two closed classes, so rho(S1*) = 1, read without a dense copy
         rng = np.random.default_rng(71)
         n = 4000
         data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
@@ -835,13 +854,10 @@ class TestSmootherArpackRoute:
         assert cert.certified
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.method == "power"
-        assert cert.spectral.smoother_fallback is None
-        assert cert.spectral.smoother_iterations == (0, 0)
-        assert not check_regularity(split)
-        top, simple, rho_star, applications, fallback = _smoother_extremes(split)
-        assert applications > 0 and fallback is None
-        assert abs(rho_star - 1.0) <= 1e-12
-        assert not simple
+        assert cert.spectral.rho_s1_star is None and cert.spectral.rho_s2_star is None
+        assert not check_regularity(split, data.sort_u)
+        assert spectral._closed_classes(split) == (2, (1, 1))
+        assert diagnose(split) == (False, 1.0)
 
 
 def failing_first_attempt(monkeypatch, spent):
@@ -893,7 +909,7 @@ class TestArpackRetry:
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
         runs, applied = failing_first_attempt(monkeypatch, spent=10)
-        lam, used, applications, fallback = _product_radius(pair)
+        lam, used, applications, fallback = _product_radius(pair, "power")
         assert (used, fallback) == ("power", None) and runs == [1, 6]
         assert applied.count(1) == 10 and applied.count(6) > 0
         assert applications == len(applied)
