@@ -46,7 +46,7 @@ print("two aligned clusters, triangular kernel, bandwidth 1.0")
 print(f"S1 block structure: cross-cluster weight mass = {pair.s1[:n_a, n_a:].sum():.1f}")
 print()
 
-# The certificate fails on every route.
+# The certificate fails.
 cert = certify(pair, kernel, bw, bw, data)
 print(f"verdict: {cert.verdict.value}")
 print(f"  gap condition on u holds: {cert.gap_u.condition_holds} "

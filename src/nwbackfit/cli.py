@@ -3,12 +3,11 @@
 Subcommands: ``fit`` (read a CSV, fit the additive model, emit JSON +
 curve CSV), ``certify`` (emit a convergence certificate JSON),
 ``simulate`` (replicated Monte-Carlo study), ``bound`` (print analytic
-max-gap exceedance bounds).  Certificates take rho(S2* S1*) from
-ARPACK on the unformed product; when ARPACK fails, or n < 3, they use the
-dense eigenvalues of the formed product and ``spectral.fallback`` in the
-report says why.  All reports embed a provenance block
-(package and library versions plus the full config echo) and carry no
-timestamps, so identical invocations produce byte-identical files.
+max-gap exceedance bounds).  Certificates take rho(S2* S1*) by
+``spectral.certify``'s one route, and ``spectral.fallback`` in the report
+says when and why its dense fallback ran.  All reports embed a provenance
+block (package and library versions plus the full config echo) and carry
+no timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 unusable input (bad flags, malformed CSV, a
 sample too large for memory) or a LAPACK solver failure, 3 backfitting non-convergence, 4 not

@@ -34,21 +34,18 @@ two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
 and the top eigenvalue 1 is simple exactly when S has one closed class;
 a regular smoother (route 1) has one, aperiodic.
 
-rho(S2* S1*) comes from :func:`_product_radius`.  Under
-``certify(method="power")``, which the command line always uses, ARPACK
-(``eigs``; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the
-unformed operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), for its
-eigenvalue of largest modulus, and for six when that run does not
-converge; when ARPACK fails or n < 3, ``numpy.linalg.eigvals`` of the
-formed S2* S1* takes over and the report's ``fallback`` says why.
-``method="dense"``, the library default, always takes ``eigvals`` of the
-formed product, and :func:`spectral_radius` of any square matrix; they
-are the reference the ARPACK route is tested against.
+rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
+Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
+operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), for its eigenvalue of
+largest modulus, and for six when that run does not converge.  Only when
+ARPACK fails, or n < 3, does ``numpy.linalg.eigvals`` of the formed
+S2* S1* take over, and the report's ``fallback`` says why.
+:func:`spectral_radius` of the formed product is the dense reference
+that route is tested against.
 
 A NOT_CERTIFIED note gives ||(I - S2* S1*)^-1||_2 >= 1/|1 - lambda|
 (infinite when lambda = 1) from the product's eigenvalue lambda of largest
-modulus, which either route already holds, so a certificate forms S2* S1*
-only when ARPACK fails, when n < 3, or under ``method="dense"``.
+modulus, which the certificate already holds.
 """
 
 from __future__ import annotations
@@ -116,14 +113,12 @@ class SpectralReport:
     ``rho_s2_star``.  ``top_eigenvalue_s1`` is the Rayleigh quotient
     theta^T S1 theta of the unit constant vector theta = 1/sqrt(n), and
     ``top_eigenvalue_simple`` is True exactly when S1 has one closed
-    class.  ``method`` records how ``rho_product`` was obtained ("power" when
-    ARPACK converged on the matrix-free product, "dense" for the dense
-    eigendecomposition of the formed product, including after an ARPACK
-    failure or for n < 3), and ``iterations`` counts ARPACK's
-    applications of the product operator (0 for "dense").
-    ``fallback`` says why a power run took the dense route: "n < 3", or
-    "<exception class>: <message>" for the ARPACK error; it is None when
-    ARPACK converged and when dense was asked for.
+    class.  ``iterations`` counts ARPACK's applications of the product
+    operator (0 when it did not answer), and ``fallback`` says why
+    ``eigvals`` of the formed product gave ``rho_product`` instead: "n < 3",
+    or "<exception class>: <message>" for the ARPACK error; it is None
+    when ARPACK converged.  ``method`` is derived from it: "power" when
+    ARPACK answered, "dense" when the fallback ran.
     ``perron_vector_check`` is the residual ||S1 theta - theta||.
     """
 
@@ -133,9 +128,12 @@ class SpectralReport:
     top_eigenvalue_s1: complex
     top_eigenvalue_simple: bool
     perron_vector_check: float
-    method: str
     iterations: int
     fallback: str | None
+
+    @property
+    def method(self) -> str:
+        return "power" if self.fallback is None else "dense"
 
     def to_dict(self) -> dict:
         return {
@@ -356,10 +354,9 @@ def check_regularity(s: np.ndarray | csr_array, order: np.ndarray | None = None)
 def spectral_radius(m: np.ndarray) -> float:
     """Spectral radius of a square matrix, from all its eigenvalues.
 
-    The largest modulus over ``numpy.linalg.eigvals(m)``: the dense
-    reference the ARPACK route is tested against.  Certificates take the
-    same ``eigvals`` of the formed product under ``method="dense"``, and
-    under ``method="power"`` only as the fallback of ARPACK.
+    The largest modulus over ``numpy.linalg.eigvals(m)``; of
+    ``pair.star_product()``, the dense reference a certificate's radius
+    is tested against.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -411,32 +408,29 @@ def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
     return vals, applications
 
 
-def _product_radius(pair: SmootherPair, method: str) -> tuple[complex, str, int, str | None]:
+def _product_radius(pair: SmootherPair) -> tuple[complex, int, str | None]:
     """The eigenvalue of S2* S1* of largest modulus (see the module notes).
 
-    ``method="power"`` runs :func:`_arpack`; on its ``ArpackError``, for
-    n < 3 (ARPACK needs k <= n - 2), and under ``method="dense"``,
-    ``numpy.linalg.eigvals`` of ``pair.star_product()`` runs instead, and
-    a LAPACK failure there is raised as a ``LinAlgError`` naming it.
+    :func:`_arpack` runs on the unformed operator; on its ``ArpackError``,
+    and for n < 3 (ARPACK needs k <= n - 2), ``numpy.linalg.eigvals`` of
+    ``pair.star_product()`` runs instead, and a LAPACK failure there is
+    raised as a ``LinAlgError`` naming it.
 
-    Returns that eigenvalue, the route ("power" or "dense"), the number
-    of operator applications (0 on the dense route) and why a power run
-    took the dense route ("n < 3", or "<exception class>: <message>";
-    None when ARPACK converged or dense was asked for).
+    Returns that eigenvalue, the number of operator applications (0 when
+    ``eigvals`` gave it) and why ``eigvals`` ran ("n < 3", or
+    "<exception class>: <message>"; None when ARPACK converged).
     """
-    fallback = None
-    if method == "power":
-        if pair.n < 3:
-            fallback = "n < 3"
+    if pair.n < 3:
+        fallback = "n < 3"
+    else:
+        try:
+            vals, applications = _arpack(
+                lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n
+            )
+        except ArpackError as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
         else:
-            try:
-                vals, applications = _arpack(
-                    lambda x: pair.apply_s2_star(pair.apply_s1_star(x)), pair.n
-                )
-            except ArpackError as exc:
-                fallback = f"{type(exc).__name__}: {exc}"
-            else:
-                return vals[np.abs(vals).argmax()], "power", applications, None
+            return vals[np.abs(vals).argmax()], applications, None
     try:
         vals = np.linalg.eigvals(pair.star_product())
     except np.linalg.LinAlgError as exc:
@@ -444,7 +438,7 @@ def _product_radius(pair: SmootherPair, method: str) -> tuple[complex, str, int,
             f"LAPACK eigenvalue solver (numpy.linalg.eigvals) failed on the formed "
             f"{pair.n} x {pair.n} S2* S1*: {exc}"
         ) from exc
-    return vals[np.abs(vals).argmax()], "dense", 0, fallback
+    return vals[np.abs(vals).argmax()], 0, fallback
 
 
 def _unit_modulus(s: np.ndarray | csr_array, regular: bool) -> tuple[bool, float | None]:
@@ -461,14 +455,14 @@ def _unit_modulus(s: np.ndarray | csr_array, regular: bool) -> tuple[bool, float
 
 
 def _spectral_report(
-    pair: SmootherPair, method: str, regular_s1: bool, regular_s2: bool
+    pair: SmootherPair, regular_s1: bool, regular_s2: bool
 ) -> tuple[SpectralReport, complex]:
     """The spectral report, and the eigenvalue of S2* S1* of largest modulus."""
     theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
     s1_theta = pair.s1 @ theta
     simple, rho_s1_star = _unit_modulus(pair.s1, regular_s1)
     rho_s2_star = _unit_modulus(pair.s2, regular_s2)[1]
-    lam, used, iterations, fallback = _product_radius(pair, method)
+    lam, iterations, fallback = _product_radius(pair)
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
         rho_s2_star=rho_s2_star,
@@ -476,7 +470,6 @@ def _spectral_report(
         top_eigenvalue_s1=complex(theta @ s1_theta),
         top_eigenvalue_simple=simple,
         perron_vector_check=float(np.linalg.norm(s1_theta - theta)),
-        method=used,
         iterations=iterations,
         fallback=fallback,
     )
@@ -489,24 +482,31 @@ def certify(
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,
     data: Dataset,
-    method: str = "dense",
+    *,
+    # kept only for bench/tracing.py::_observe_certify; deleted with ROADMAP item 1
+    method: str = "power",
 ) -> ConvergenceCertificate:
     """Certify convergence of the backfitting iteration for this pair.
 
-    The operative test is the computed spectral radius of S2* S1*: a
-    verdict other than NOT_CERTIFIED requires it below 1 - 1e-8.  When the
+    The operative test is rho(S2* S1*), computed as the module notes say:
+    a verdict other than NOT_CERTIFIED requires it below 1 - 1e-8.  When the
     adjacent-gap conditions also hold on both coordinates the verdict is
     CERTIFIED_BY_GAP_CONDITIONS (the human-meaningful sufficient
     condition); otherwise CERTIFIED_BY_SPECTRAL_RADIUS.  A NOT_CERTIFIED
     note bounds ||(I - S2* S1*)^-1||_2 from below (see the module notes).
     """
-    if method not in ("dense", "power"):
-        raise ValueError(f"unknown method {method!r}; choose 'dense' or 'power'")
+    if data.n != pair.n:
+        raise ValueError(f"pair has n={pair.n} but dataset has n={data.n}")
+    if method != "power":
+        raise ValueError(
+            f"unknown method {method!r}; certify takes only 'power', and "
+            "spectral_radius(pair.star_product()) is the dense reference"
+        )
     gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u")
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
     regular_s1 = check_regularity(pair.s1, data.sort_u)
     regular_s2 = check_regularity(pair.s2, data.sort_v)
-    spectral, lam = _spectral_report(pair, method, regular_s1, regular_s2)
+    spectral, lam = _spectral_report(pair, regular_s1, regular_s2)
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds
     rho = spectral.rho_product

@@ -8,6 +8,7 @@ from scipy.sparse import issparse
 from nwbackfit.kernels import ZERO_THRESHOLD, ConstantBandwidth, Kernel
 from nwbackfit.simulate import max_gap
 from nwbackfit.smoothers import Dataset
+from nwbackfit.spectral import RHO_MARGIN, Verdict, check_gap_conditions, spectral_radius
 
 ALL_KERNELS = [Kernel.UNIFORM, Kernel.EPANECHNIKOV, Kernel.TRIANGULAR, Kernel.GAUSSIAN]
 
@@ -105,6 +106,30 @@ def smoother_extremes_oracle(s) -> tuple[complex, bool, float]:
     simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
     rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
     return complex(top), simple, float(np.abs(rest).max(initial=0.0))
+
+
+def certify_oracle(pair, kernel, bw_u, bw_v, data) -> tuple[Verdict, float]:
+    """Oracle for a certificate's verdict and rho(S2* S1*).
+
+    The radius is the dense reference ``spectral_radius`` of the formed
+    product, and the verdict applies ``certify``'s rule to it: below
+    1 - ``RHO_MARGIN`` it certifies, by the gap conditions when they hold
+    on both coordinates.
+    """
+    rho = spectral_radius(pair.star_product())
+    if rho >= 1.0 - RHO_MARGIN:
+        return Verdict.NOT_CERTIFIED, rho
+    gaps = check_gap_conditions(data.u, kernel, bw_u), check_gap_conditions(data.v, kernel, bw_v)
+    if all(g.condition_holds for g in gaps):
+        return Verdict.CERTIFIED_BY_GAP_CONDITIONS, rho
+    return Verdict.CERTIFIED_BY_SPECTRAL_RADIUS, rho
+
+
+def assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data, tol=1e-12):
+    """A certificate's verdict equals the oracle's, and its radius is within ``tol``."""
+    verdict, rho = certify_oracle(pair, kernel, bw_u, bw_v, data)
+    assert cert.verdict is verdict
+    assert abs(cert.spectral.rho_product - rho) <= tol
 
 
 def random_stochastic(rng, n, style):

@@ -29,7 +29,13 @@ from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, gen
 from nwbackfit.smoothers import Dataset, build_pair, center
 from nwbackfit.spectral import Verdict, _closed_classes, certify, check_regularity
 
-from conftest import ALL_KERNELS, eval_scaled, lu_direct_oracle, two_cluster_dataset
+from conftest import (
+    ALL_KERNELS,
+    assert_certify_matches_oracle,
+    eval_scaled,
+    lu_direct_oracle,
+    two_cluster_dataset,
+)
 
 
 def gaussian_problem(seed, n=60, rho=None):
@@ -92,9 +98,9 @@ class TestSparseSmoothers:
             results[layout] = [
                 outcome(backfit_iterative, pair, data.y),
                 outcome(backfit_direct, pair, data.y),
-                certify(pair, kernel, bw, bw, data, method="power"),
-                certify(pair, kernel, bw, bw, data, method="dense"),
+                certify(pair, kernel, bw, bw, data),
             ]
+            assert_certify_matches_oracle(results[layout][-1], pair, kernel, bw, bw, data)
         for got, want in zip(results["csr"], results["dense"]):
             if isinstance(want, type):
                 assert got is want
@@ -287,10 +293,11 @@ class TestDirectSolve:
         pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="dense")
+            cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
             with pytest.raises(SingularSystemError) as exc:
                 backfit_direct(pair, data.y)
         assert cert.verdict is Verdict.NOT_CERTIFIED
+        assert_certify_matches_oracle(cert, pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert exc.value.condition_estimate > 1e12
 
 

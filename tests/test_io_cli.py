@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import ArpackError
 
+from nwbackfit import cli, simulate
 from nwbackfit.cli import main
 from nwbackfit.fitting import FitResult, backfit_direct
 from nwbackfit.io import (
@@ -465,6 +466,31 @@ class TestCliCertify:
         assert cert["spectral"]["fallback"] is None
         assert cert["spectral"]["rho_s1_star"] is None and cert["spectral"]["rho_s2_star"] is None
         assert "smoother_fallback" not in cert["spectral"]
+
+
+class TestBenchmarkContract:
+    def test_every_certify_call_passes_method_by_keyword(self, sample_csv, tmp_path, monkeypatch):
+        # bench/tracing.py:84 counts a certificate as a power attempt only
+        # when its call passes method="power" by keyword; without it
+        # spectral.power_attempts silently reads 0.  The keyword goes with
+        # ROADMAP item 1, and this test with it
+        calls = []
+
+        def recording(certify):
+            def wrapper(*args, **kwargs):
+                calls.append((len(args), kwargs.get("method")))
+                return certify(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "certify", recording(cli.certify))
+        monkeypatch.setattr(simulate, "certify", recording(simulate.certify))
+        path, _ = sample_csv
+        for subcommand in ("fit", "certify"):
+            assert main([subcommand, "--input", str(path), "--out", str(tmp_path)]) == 0
+        bw = RateBandwidth(0.3)
+        run_monte_carlo(SimSpec(n=30, seed=1), Kernel.GAUSSIAN, bw, bw, replicates=3)
+        assert calls == [(5, "power")] * 5
 
 
 class TestCliSimulate:

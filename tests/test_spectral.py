@@ -32,6 +32,8 @@ from nwbackfit.spectral import _product_radius, _unit_modulus
 
 from conftest import (
     ALL_KERNELS,
+    assert_certify_matches_oracle,
+    certify_oracle,
     brute_force_regular,
     gap_passing_constant,
     note_bound,
@@ -218,8 +220,7 @@ class TestSpectralRadius:
                 apply_s2_star=lambda x, m=m: m @ x,
                 star_product=m.copy,
             )
-            lam, used, _, fallback = _product_radius(pair, "power")
-            assert used == ("power" if n >= 3 else "dense")
+            lam, _, fallback = _product_radius(pair)
             assert fallback == (None if n >= 3 else "n < 3")
             assert abs(lam) == pytest.approx(spectral_radius(m), abs=1e-7)
 
@@ -295,11 +296,11 @@ class TestCertify:
         data = generate(spec)
         bw = ConstantBandwidth(1e6)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
-        for method in ("dense", "power"):
-            cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method=method)
-            assert cert.spectral.method == method
-            assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
-            assert cert.spectral.rho_product <= 1e-14
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        assert cert.spectral.method == "power"
+        assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
+        assert cert.spectral.rho_product <= 1e-14
+        assert_certify_matches_oracle(cert, pair, Kernel.UNIFORM, bw, bw, data)
 
     def test_spectral_route_when_gaps_fail(self):
         # u splits into two clusters at its bandwidth, but a huge v
@@ -318,14 +319,14 @@ class TestCertify:
         assert cert.verdict is Verdict.CERTIFIED_BY_SPECTRAL_RADIUS
         assert cert.spectral.rho_product < 1e-8
 
-    @pytest.mark.parametrize("method", ["dense", "power"])
-    def test_two_cluster_not_certified(self, uniform_cluster_problem, method):
+    def test_two_cluster_not_certified(self, uniform_cluster_problem):
         # the note bounds ||(I - S2* S1*)^-1||_2 from the eigenvalue the
-        # certificate found: infinite under "dense", where it is exactly 1
+        # certificate found
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
-        cert = certify(pair, kernel, bw, bw, data, method=method)
-        assert cert.spectral.method == method
+        cert = certify(pair, kernel, bw, bw, data)
+        assert cert.spectral.method == "power"
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert not cert.certified
         assert not cert.regular_s1 and not cert.regular_s2
@@ -347,12 +348,9 @@ class TestCertify:
     def test_power_method_matches_dense(self):
         data, kernel, bw_u, bw_v = certified_problem(3)
         pair = build_pair(data, kernel, bw_u, bw_v)
-        dense = certify(pair, kernel, bw_u, bw_v, data, method="dense")
-        power = certify(pair, kernel, bw_u, bw_v, data, method="power")
-        assert power.verdict is dense.verdict
-        assert power.spectral.rho_product == pytest.approx(
-            dense.spectral.rho_product, abs=1e-7
-        )
+        cert = certify(pair, kernel, bw_u, bw_v, data)
+        assert cert.spectral.method == "power"
+        assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data, tol=1e-7)
 
     def test_certificate_serializes(self):
         data, kernel, bw_u, bw_v = certified_problem(4)
@@ -362,10 +360,30 @@ class TestCertify:
         assert "verdict" in blob
 
     def test_unknown_method(self):
+        # "power" is the one route; the dense one is spectral_radius of the
+        # formed product, which the message names
         data, kernel, bw_u, bw_v = certified_problem(5)
         pair = build_pair(data, kernel, bw_u, bw_v)
-        with pytest.raises(ValueError):
-            certify(pair, kernel, bw_u, bw_v, data, method="qr")
+        for method in ("dense", "qr"):
+            with pytest.raises(ValueError, match=r"spectral_radius\(pair\.star_product\(\)\)"):
+                certify(pair, kernel, bw_u, bw_v, data, method=method)
+        with pytest.raises(TypeError):
+            certify(pair, kernel, bw_u, bw_v, data, "power")
+
+    @pytest.mark.parametrize("n_data", [12, 8])
+    def test_dataset_of_another_size(self, n_data, monkeypatch):
+        # a dataset whose size is not the pair's is refused before any
+        # check runs, naming both sizes
+        bw = RateBandwidth(0.3)
+        pair = build_pair(generate(SimSpec(n=10, seed=61)), Kernel.GAUSSIAN, bw, bw)
+        data = generate(SimSpec(n=n_data, seed=61))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("a check ran on a mismatched dataset")
+
+        monkeypatch.setattr(spectral, "check_gap_conditions", unused)
+        with pytest.raises(ValueError, match=f"^pair has n=10 but dataset has n={n_data}$"):
+            certify(pair, Kernel.GAUSSIAN, bw, bw, data)
 
 
 def diagnose(s):
@@ -417,8 +435,7 @@ def assert_matches_oracle(cert, pair, tol):
 
 
 class TestSpectralRoutes:
-    @pytest.mark.parametrize("method", ["dense", "power"])
-    def test_centered_radii_match_centered_matrices(self, method):
+    def test_centered_radii_match_centered_matrices(self):
         # the graph's rho(S*) against the dense spectral_radius(center(s))
         rng = np.random.default_rng(62)
         for trial, kernel in enumerate(ALL_KERNELS):
@@ -428,7 +445,8 @@ class TestSpectralRoutes:
                 (RateBandwidth(0.2), RateBandwidth(0.2)),
             ):
                 pair = build_pair(data, kernel, bw_u, bw_v)
-                cert = certify(pair, kernel, bw_u, bw_v, data, method=method)
+                cert = certify(pair, kernel, bw_u, bw_v, data)
+                assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data)
                 for s, regular, rho_star in (
                     (pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
                     (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star),
@@ -454,23 +472,22 @@ class TestSpectralRoutes:
                 s = build_smoother(x, kernel, bw)
                 assert_diagnosis_matches_oracle(s, *diagnose(s))
 
-    @pytest.mark.parametrize("method", ["dense", "power"])
-    def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, method):
+    def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem):
         # two closed classes: S keeps a second unit eigenvalue after the
         # constant vector's is deflated, so rho(S*) stays at 1, which the
         # graph proves and the oracle confirms
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
-        cert = certify(pair, kernel, bw, bw, data, method=method)
+        cert = certify(pair, kernel, bw, bw, data)
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
         assert not cert.spectral.top_eigenvalue_simple
         assert cert.spectral.rho_s1_star == 1.0
         assert cert.spectral.rho_s2_star == 1.0
         assert_matches_oracle(cert, pair, 1e-12)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
-        # a regular pair needs no spectral work beyond the product, and
-        # under "power" the product is never formed: the pair's
-        # product-forming method raises once the dense run is done
+        # a regular pair needs no spectral work beyond the product's one
+        # ARPACK run: no eigvals, and no strong components
         data = generate(SimSpec(n=60, design=BivariateNormal(rho=0.5), seed=64))
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
@@ -490,19 +507,36 @@ class TestSpectralRoutes:
             "connected_components",
             counting("components", spectral.connected_components),
         )
-        dense = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="dense")
-        assert calls == {"eigvals": 1, "eigs": 0, "components": 0}
+        cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data)
+        assert calls == {"eigvals": 0, "eigs": 1, "components": 0}
+        assert cert.certified and cert.regular_s1 and cert.regular_s2
 
-        def unformed():
-            raise AssertionError("the power route formed S2* S1*")
+    @pytest.mark.parametrize(
+        "n, design, kernel, bw",
+        [
+            (200, BivariateNormal(rho=0.5), Kernel.GAUSSIAN, RateBandwidth(0.2)),
+            (410, IndependentUniform(), Kernel.UNIFORM, ConstantBandwidth(0.02)),
+        ],
+        ids=["dense-n200", "csr-n410"],
+    )
+    def test_default_route_never_forms_the_product(self, monkeypatch, n, design, kernel, bw):
+        # with no method given, a certificate whose ARPACK run converges
+        # neither forms S2* S1* nor takes any dense eigenvalues
+        data = generate(SimSpec(n=n, design=design, seed=72))
+        pair = build_pair(data, kernel, bw, bw)
+        assert issparse(pair.s1) == (kernel is Kernel.UNIFORM)
 
-        monkeypatch.setattr(pair, "star_product", unformed)
-        power = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
-        assert power.spectral.method == "power"
-        assert power.certified
-        assert power.spectral.iterations > 0
-        assert calls == {"eigvals": 1, "eigs": 1, "components": 0}
-        assert dense.regular_s1 and dense.regular_s2
+        def refused(*args, **kwargs):
+            raise AssertionError("the certificate formed S2* S1* or ran eigvals")
+
+        monkeypatch.setattr(smoothers.SmootherPair, "star_product", refused)
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        cert = certify(pair, kernel, bw, bw, data)
+        assert cert.spectral.method == "power"
+        assert cert.spectral.fallback is None
+        assert cert.spectral.iterations > 0
+        monkeypatch.undo()
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
 
 
 class TestArpackRoute:
@@ -517,19 +551,17 @@ class TestArpackRoute:
     def test_arpack_failure_falls_back_to_dense(self, monkeypatch, error):
         data, kernel, bw_u, bw_v = certified_problem(6)
         pair = build_pair(data, kernel, bw_u, bw_v)
-        dense = certify(pair, kernel, bw_u, bw_v, data, method="dense")
 
         def failing(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(spectral, "eigs", failing)
-        power = certify(pair, kernel, bw_u, bw_v, data, method="power")
-        assert power.spectral.method == "dense"
-        assert power.spectral.iterations == 0
-        assert power.spectral.fallback == f"{type(error).__name__}: {error}"
-        assert dense.spectral.fallback is None
-        assert power.spectral.rho_product == dense.spectral.rho_product
-        assert power.verdict is dense.verdict
+        cert = certify(pair, kernel, bw_u, bw_v, data)
+        assert cert.spectral.method == "dense"
+        assert cert.spectral.iterations == 0
+        assert cert.spectral.fallback == f"{type(error).__name__}: {error}"
+        # the fallback is the oracle's eigvals of the same formed product
+        assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data, tol=0.0)
 
     def test_two_points_take_dense_route(self):
         # with the uniform kernel each point lies outside the other's
@@ -539,43 +571,42 @@ class TestArpackRoute:
         for kernel, h in ((Kernel.GAUSSIAN, 0.8), (Kernel.UNIFORM, 0.2)):
             bw = ConstantBandwidth(h)
             pair = build_pair(data, kernel, bw, bw)
-            power = certify(pair, kernel, bw, bw, data, method="power")
-            dense = certify(pair, kernel, bw, bw, data, method="dense")
-            assert power.spectral.method == "dense"
-            assert power.spectral.fallback == "n < 3"
-            assert power.to_dict()["spectral"]["fallback"] == "n < 3"
-            assert power.spectral.rho_product == dense.spectral.rho_product
-            assert power.verdict is dense.verdict
-            assert "smoother_fallback" not in power.to_dict()["spectral"]
+            cert = certify(pair, kernel, bw, bw, data)
+            assert cert.spectral.method == "dense"
+            assert cert.spectral.fallback == "n < 3"
+            assert cert.to_dict()["spectral"]["fallback"] == "n < 3"
+            assert cert.to_dict()["spectral"]["method"] == "dense"
+            assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data, tol=0.0)
+            assert "smoother_fallback" not in cert.to_dict()["spectral"]
             if kernel is Kernel.UNIFORM:
-                assert not power.regular_s1 and not power.regular_s2
-                assert power.spectral.rho_s1_star == 1.0
-                assert power.spectral.rho_s2_star == 1.0
-                assert not power.spectral.top_eigenvalue_simple
-                assert power.verdict is Verdict.NOT_CERTIFIED
+                assert not cert.regular_s1 and not cert.regular_s2
+                assert cert.spectral.rho_s1_star == 1.0
+                assert cert.spectral.rho_s2_star == 1.0
+                assert not cert.spectral.top_eigenvalue_simple
+                assert cert.verdict is Verdict.NOT_CERTIFIED
             else:
-                assert power.regular_s1 and power.regular_s2
-                assert power.spectral.rho_s1_star is None
-                assert power.spectral.rho_s2_star is None
-            assert_matches_oracle(power, pair, 1e-12)
+                assert cert.regular_s1 and cert.regular_s2
+                assert cert.spectral.rho_s1_star is None
+                assert cert.spectral.rho_s2_star is None
+            assert_matches_oracle(cert, pair, 1e-12)
 
     def test_parity_sweep(self):
-        # same verdict, radii within 1e-12, smoother fields from the graph
-        # as the full-spectrum oracle confirms them, and a bit-identical
-        # rerun of the ARPACK route
+        # the oracle's verdict, its radius within 1e-12, smoother fields
+        # from the graph as the full-spectrum oracle confirms them, and a
+        # bit-identical rerun
         verdicts = set()
         near_critical = 0
-        for i, _, pair, certify_pair in parity_replicates():
-            dense = certify_pair("dense")
-            power = certify_pair("power")
-            again = certify_pair("power")
-            assert power.spectral.method == "power", i
-            assert power.verdict is dense.verdict, i
-            assert abs(power.spectral.rho_product - dense.spectral.rho_product) <= 1e-12, i
-            assert again.spectral == power.spectral, i
-            assert_matches_oracle(power, pair, 1e-12)
-            verdicts.add(dense.verdict)
-            near_critical += 0.99 <= dense.spectral.rho_product < 1.0 - 1e-8
+        for i, pair, problem in parity_replicates():
+            cert = certify(pair, *problem)
+            again = certify(pair, *problem)
+            verdict, rho = certify_oracle(pair, *problem)
+            assert cert.spectral.method == "power", i
+            assert cert.verdict is verdict, i
+            assert abs(cert.spectral.rho_product - rho) <= 1e-12, i
+            assert again.spectral == cert.spectral, i
+            assert_matches_oracle(cert, pair, 1e-12)
+            verdicts.add(verdict)
+            near_critical += 0.99 <= rho < 1.0 - 1e-8
         assert verdicts == set(Verdict)
         assert near_critical >= 10
 
@@ -585,8 +616,8 @@ def parity_replicates():
 
     They run over four kernels and three bandwidth kinds (constant, rate,
     knn), with aligned clusters (not certified) and a design correlated
-    at 0.999 (near-critical).  Yields the index, the bandwidth kind, the
-    pair, and a function of the ``certify`` method that certifies it.
+    at 0.999 (near-critical).  Yields the index, the pair, and the rest
+    of its ``certify`` arguments: kernel, the two bandwidths and the data.
     """
     designs = [IndependentUniform(), BivariateNormal(rho=0.5), BivariateNormal(rho=0.999)]
     rng = np.random.default_rng(65)
@@ -607,12 +638,7 @@ def parity_replicates():
             bw_u = bw_v = RateBandwidth(float(rng.uniform(0.1, 0.9)))
         else:
             bw_u = bw_v = KNearestBandwidth(int(rng.integers(2, 6)))
-        pair = build_pair(data, kernel, bw_u, bw_v)
-
-        def certify_pair(method, pair=pair, kernel=kernel, bw_u=bw_u, bw_v=bw_v, data=data):
-            return certify(pair, kernel, bw_u, bw_v, data, method=method)
-
-        yield i, kind, pair, certify_pair
+        yield i, build_pair(data, kernel, bw_u, bw_v), (kernel, bw_u, bw_v, data)
 
 
 class TestSmootherArpackRoute:
@@ -620,23 +646,32 @@ class TestSmootherArpackRoute:
     product takes: a smoother's rho(S*) and simplicity are read from its
     positivity graph."""
 
-    def test_parity_sweep(self):
+    def test_parity_sweep(self, monkeypatch):
         # every smoother of the sweep (n >= 8), knn and per-point ones too:
-        # both certify methods report the same smoother fields, reruns are
+        # the smoother fields do not depend on how the product's radius was
+        # found (ARPACK, or eigvals after an ARPACK failure), reruns are
         # bit-identical, and a regular smoother's radius is None; the
         # oracle checks are in TestArpackRoute.test_parity_sweep
-        for i, _, pair, certify_pair in parity_replicates():
-            power = certify_pair("power")
-            again = certify_pair("power")
-            dense = certify_pair("dense")
-            assert again.spectral == power.spectral, i
-            assert power.verdict is dense.verdict, i
+        error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        def failing(*args, **kwargs):
+            raise error
+
+        for i, pair, problem in parity_replicates():
+            cert = certify(pair, *problem)
+            again = certify(pair, *problem)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "eigs", failing)
+                fallback = certify(pair, *problem)
+            assert again.spectral == cert.spectral, i
+            assert fallback.verdict is cert.verdict, i
+            assert fallback.spectral.method == "dense", i
             assert dataclasses.replace(
-                dense.spectral, rho_product=0.0, method="", iterations=0
-            ) == dataclasses.replace(power.spectral, rho_product=0.0, method="", iterations=0), i
+                fallback.spectral, rho_product=0.0, iterations=0, fallback=None
+            ) == dataclasses.replace(cert.spectral, rho_product=0.0, iterations=0), i
             for regular, rho_star in (
-                (power.regular_s1, power.spectral.rho_s1_star),
-                (power.regular_s2, power.spectral.rho_s2_star),
+                (cert.regular_s1, cert.spectral.rho_s1_star),
+                (cert.regular_s2, cert.spectral.rho_s2_star),
             ):
                 assert rho_star is None or (rho_star == 1.0 and not regular), i
         rng = np.random.default_rng(69)
@@ -658,8 +693,9 @@ class TestSmootherArpackRoute:
     def test_fixtures(self, fixture, request):
         data, kernel, bw = request.getfixturevalue(fixture)
         pair = build_pair(data, kernel, bw, bw)
-        for method in ("dense", "power"):
-            assert_matches_oracle(certify(pair, kernel, bw, bw, data, method=method), pair, 1e-12)
+        cert = certify(pair, kernel, bw, bw, data)
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
+        assert_matches_oracle(cert, pair, 1e-12)
 
     def test_periodic_closed_classes(self):
         # matrices with a zero diagonal, which no smoother has.  A 3-cycle
@@ -704,8 +740,8 @@ class TestSmootherArpackRoute:
             raise AssertionError("eigvals ran on an n = 800 Gaussian smoother")
 
         monkeypatch.setattr(np.linalg, "eigvals", unused)
-        cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power")
-        assert certify(pair, Kernel.GAUSSIAN, bw, bw, data, method="power").spectral == cert.spectral
+        cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data)
+        assert certify(pair, Kernel.GAUSSIAN, bw, bw, data).spectral == cert.spectral
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.top_eigenvalue_simple
         as_json = cert.to_dict()["spectral"]
@@ -718,26 +754,25 @@ class TestSmootherArpackRoute:
         # radius falls back to eigvals, and every smoother field stays
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
-        before = {m: certify(pair, kernel, bw, bw, data, method=m) for m in ("dense", "power")}
+        before = certify(pair, kernel, bw, bw, data)
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         def failing(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(spectral, "eigs", failing)
-        dense = certify(pair, kernel, bw, bw, data, method="dense")
-        assert dense.spectral == before["dense"].spectral
-        power = certify(pair, kernel, bw, bw, data, method="power")
-        assert power.spectral.fallback == f"ArpackNoConvergence: {error}"
-        assert power.spectral == dataclasses.replace(
-            before["power"].spectral,
-            rho_product=power.spectral.rho_product,
-            method="dense",
+        cert = certify(pair, kernel, bw, bw, data)
+        assert cert.spectral.fallback == f"ArpackNoConvergence: {error}"
+        assert cert.spectral.method == "dense"
+        assert cert.spectral == dataclasses.replace(
+            before.spectral,
+            rho_product=cert.spectral.rho_product,
             iterations=0,
-            fallback=power.spectral.fallback,
+            fallback=cert.spectral.fallback,
         )
-        assert not power.regular_s1 and not power.regular_s2
-        assert power.verdict is dense.verdict is Verdict.NOT_CERTIFIED
+        assert not cert.regular_s1 and not cert.regular_s2
+        assert cert.verdict is before.verdict is Verdict.NOT_CERTIFIED
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data, tol=0.0)
 
     @pytest.mark.parametrize(
         "x, kernel, bw, sparse, regular",
@@ -793,7 +828,7 @@ class TestSmootherArpackRoute:
             raise AssertionError("a CSR smoother was made dense")
 
         monkeypatch.setattr(smoothers, "as_dense", refused)
-        cert = certify(pair, Kernel.UNIFORM, bw, bw, data, method="power")
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
         assert cert.certified
         assert cert.spectral.method == "power"
         assert cert.regular_s1 and cert.regular_s2
@@ -820,7 +855,7 @@ class TestSmootherArpackRoute:
             raise AssertionError("a CSR smoother was made dense")
 
         monkeypatch.setattr(smoothers, "as_dense", refused)
-        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert cert.spectral.method == "power"
         assert not cert.spectral.top_eigenvalue_simple
@@ -850,7 +885,7 @@ class TestSmootherArpackRoute:
             raise AssertionError("a CSR smoother was made dense")
 
         monkeypatch.setattr(smoothers, "as_dense", refused)
-        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data, method="power")
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert cert.certified
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.method == "power"
@@ -895,7 +930,7 @@ class TestArpackRetry:
         data, kernel, bw_u, bw_v = certified_problem(8)
         pair = build_pair(data, kernel, bw_u, bw_v)
         runs, applied = failing_first_attempt(monkeypatch, spent=0)
-        cert = certify(pair, kernel, bw_u, bw_v, data, method="power")
+        cert = certify(pair, kernel, bw_u, bw_v, data)
         assert cert.spectral.method == "power"
         assert cert.spectral.fallback is None
         assert runs == [1, 6] and set(applied) == {6}
@@ -909,8 +944,8 @@ class TestArpackRetry:
         bw = RateBandwidth(0.2)
         pair = build_pair(data, Kernel.GAUSSIAN, bw, bw)
         runs, applied = failing_first_attempt(monkeypatch, spent=10)
-        lam, used, applications, fallback = _product_radius(pair, "power")
-        assert (used, fallback) == ("power", None) and runs == [1, 6]
+        lam, applications, fallback = _product_radius(pair)
+        assert fallback is None and runs == [1, 6]
         assert applied.count(1) == 10 and applied.count(6) > 0
         assert applications == len(applied)
         assert abs(abs(lam) - spectral_radius(pair.star_product())) <= 1e-12
