@@ -25,7 +25,7 @@ from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair, support_window
+from .smoothers import Dataset, SmootherPair
 
 __all__ = [
     "FitResult",
@@ -311,12 +311,17 @@ def predict(
     """Predict at a query point (u, v).
 
     Returns alpha_hat plus the kernel-weighted averages of the fitted
-    component values at u and at v.  A compact kernel is evaluated only on
-    the sample points of its window around the query
-    (:func:`~nwbackfit.smoothers.support_window`, found through
-    ``data.sort_u`` and ``data.sort_v``), since it weighs every other
-    point zero.  Raises when a compact kernel places zero total mass on
-    the sample at the query, or when the total mass is not finite.
+    component values at u and at v.  Each coordinate's bandwidth spec
+    answers the query through ``data.sort_u`` or ``data.sort_v``
+    (``off_sample``, see :mod:`nwbackfit.kernels`): the bandwidth h at the
+    query and a window of sorted positions holding every point within h
+    of it.  A compact kernel is evaluated only on that window, since it
+    weighs every other point zero, so a query costs O(log n) plus the
+    window under a constant bandwidth (a rate one adds its O(n) sample
+    sd) and O(k + log n) under a k-nearest one; the Gaussian weighs all
+    n points.  Raises when a compact kernel
+    places zero total mass on the sample at the query, or when the total
+    mass is not finite.
     """
     if fit.n != data.n:
         raise ValueError(f"fit has n={fit.n} but dataset has n={data.n}")
@@ -324,14 +329,12 @@ def predict(
     if not (np.isfinite(u) and np.isfinite(v)):
         raise ValueError(f"query point must be finite, got {at}")
     out = fit.alpha_hat
-    for x, order, comp, q, label in (
-        (data.u, data.sort_u, fit.m1_hat, u, "u"),
-        (data.v, data.sort_v, fit.m2_hat, v, "v"),
+    for x, order, comp, q, bw, label in (
+        (data.u, data.sort_u, fit.m1_hat, u, bw_u, "u"),
+        (data.v, data.sort_v, fit.m2_hat, v, bw_v, "v"),
     ):
-        bw = bw_u if label == "u" else bw_v
-        h = bw.off_sample(x, q)
+        h, lo, hi = bw.off_sample(x, order, q)
         if kernel.compact_support:
-            lo, hi = support_window(x, order, q, h)
             near = order[lo:hi]
             x, comp = x[near], comp[near]
         w = kernel.evaluate((q - x) / h) / h

@@ -25,8 +25,11 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Raw kernel values below this are flushed to exact zero so that strict
+# Raw Gaussian values below this are flushed to exact zero so that strict
 # positivity tests on kernel evaluations are never decided by denormals.
+# The compact shapes need no flush: their smallest positive values, at
+# t = nextafter(1, 0), are 0.5 (uniform), 0.75 * 2**-52 (Epanechnikov) and
+# 2**-53 (triangular).
 ZERO_THRESHOLD = 1e-300
 
 
@@ -56,7 +59,7 @@ class Kernel(enum.Enum):
         return self is not Kernel.GAUSSIAN
 
     def evaluate(self, t, out: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate K(t) elementwise, with no temporaries beyond one mask.
+        """Evaluate K(t) elementwise, with no temporaries beyond the Gaussian's mask.
 
         Every step is an in-place ufunc on the result, so ``out`` may be
         ``t`` itself: the dense smoother build evaluates each slab of its
@@ -73,8 +76,8 @@ class Kernel(enum.Enum):
         Returns
         -------
         ndarray
-            ``out``: nonnegative kernel values, with sub-``ZERO_THRESHOLD``
-            values flushed to exact zero.
+            ``out``: nonnegative kernel values; Gaussian values below
+            ``ZERO_THRESHOLD`` are flushed to exact zero.
         """
         t = np.asarray(t, dtype=float)
         if out is None:
@@ -91,18 +94,47 @@ class Kernel(enum.Enum):
         else:  # Gaussian
             np.multiply(np.square(t, out=out), -0.5, out=out)
             np.divide(np.exp(out, out=out), _SQRT_2PI, out=out)
-        np.copyto(out, 0.0, where=out < ZERO_THRESHOLD)
+            np.copyto(out, 0.0, where=out < ZERO_THRESHOLD)
         return out
+
+
+def support_window(
+    x: np.ndarray, order: np.ndarray, centre, h
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in sorted order of the points a compact kernel can weigh.
+
+    A compact kernel weighs x_j at ``centre`` c and bandwidth h only when
+    (c - x_j) / h, computed in floating point, lies strictly inside
+    (-1, 1).  Rounding is monotone and h is a float, so that requires
+    |c - x_j| < h exactly.  The searched edges c -/+ h are widened by four
+    ulps of |c| + h, more than their own rounding can move them, so
+    ``x[order][lo:hi]`` holds every such point, and perhaps a few that the
+    kernel weighs zero.
+    ``order`` sorts ``x`` (an argsort permutation); ``centre`` and ``h``
+    may be scalars or arrays of one shape.  Two binary searches: O(log n)
+    per centre.  The smoother builds use it for every row, and a constant
+    or rate spec's ``off_sample`` for a query.
+    """
+    pad = 4.0 * np.spacing(np.abs(centre) + h)
+    lo = np.searchsorted(x, centre - h - pad, side="left", sorter=order)
+    hi = np.searchsorted(x, centre + h + pad, side="right", sorter=order)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
 # Bandwidth specifications
 # ---------------------------------------------------------------------------
 # Every spec resolves against a coordinate vector to a strictly positive
-# per-point bandwidth array of matching length.  ``off_sample(x, at)`` gives
-# the bandwidth at a query point off the sample x (for prediction), and
-# ``known_constant(n)`` the common bandwidth when it is fixed before the
-# data are seen (for the analytic gap bound), else None.
+# per-point bandwidth array of matching length.  ``off_sample(x, order, at)``
+# answers a query point ``at`` off the sample x (for prediction), given the
+# argsort ``order`` of x: it returns (h, lo, hi), the bandwidth at the query
+# and positions such that ``x[order][lo:hi]`` holds every sample point with
+# |at - x_j| < h, the only points a compact kernel weighs.  A constant spec
+# finds them with :func:`support_window` in O(log n), a rate spec the same
+# way after the O(n) sample sd, and a k-nearest spec reads h and them from
+# the 2k sorted positions around the query in O(k + log n).
+# ``known_constant(n)`` gives the common bandwidth when it is fixed before
+# the data are seen (for the analytic gap bound), else None.
 
 
 @dataclass(frozen=True)
@@ -118,8 +150,8 @@ class ConstantBandwidth:
     def resolve(self, x: np.ndarray) -> np.ndarray:
         return np.full(len(x), float(self.h))
 
-    def off_sample(self, x: np.ndarray, at: float) -> float:
-        return self.h
+    def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
+        return self.h, *support_window(x, order, at, self.h)
 
     def known_constant(self, n: int) -> float | None:
         return self.h
@@ -148,7 +180,7 @@ class PerPointBandwidth:
             )
         return self.h.copy()
 
-    def off_sample(self, x: np.ndarray, at: float) -> float:
+    def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
         raise ValueError(
             f"bandwidth spec {type(self).__name__} has no off-sample rule; "
             "use a constant, rate, or k-nearest spec for prediction"
@@ -209,14 +241,26 @@ class KNearestBandwidth:
             )
         return h
 
-    def off_sample(self, x: np.ndarray, at: float) -> float:
-        if self.k > len(x):
-            raise ValueError(f"k={self.k} exceeds the sample size {len(x)}")
-        # distance to the k-th nearest sample point
-        h = float(np.partition(np.abs(x - at), self.k - 1)[self.k - 1])
+    def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
+        """Distance h from ``at`` to its k-th nearest sample point, and its box.
+
+        Distances grow away from the query's insertion position p in
+        sorted order on each side (rounding is monotone), so the k nearest
+        points lie among the at most 2k positions [p - k, p + k), the box
+        returned as (lo, hi); h is the k-th smallest of their distances,
+        the same floating-point differences as over the whole sample.
+        Every point nearer than h is one of the k - 1 nearest, so the box
+        also holds every point a compact kernel weighs.  O(k + log n).
+        """
+        n, k = len(x), self.k
+        if k > n:
+            raise ValueError(f"k={k} exceeds the sample size {n}")
+        p = int(np.searchsorted(x, at, sorter=order))
+        lo, hi = max(p - k, 0), min(p + k, n)
+        h = float(np.partition(np.abs(x[order[lo:hi]] - at), k - 1)[k - 1])
         if h <= 0.0:
-            raise ValueError(f"k={self.k} nearest sample points coincide with the query")
-        return h
+            raise ValueError(f"k={k} nearest sample points coincide with the query")
+        return h, lo, hi
 
     def known_constant(self, n: int) -> float | None:
         return None
@@ -256,8 +300,8 @@ class RateBandwidth:
     def resolve(self, x: np.ndarray) -> np.ndarray:
         return self.realize(x).resolve(x)
 
-    def off_sample(self, x: np.ndarray, at: float) -> float:
-        return self.realize(x).h
+    def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
+        return self.realize(x).off_sample(x, order, at)
 
     def known_constant(self, n: int) -> float | None:
         return None if self.sd_scale else self.scale * n ** (-self.delta)

@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_array, issparse
 
-from .kernels import BandwidthSpec, Kernel
+from .kernels import BandwidthSpec, Kernel, support_window
 
 __all__ = ["Dataset", "SmootherPair", "build_smoother", "center", "build_pair"]
 
 # Rows per slab of the dense build.  A slab is computed inside its rows of
-# the n x n result; beside it, each slab in flight holds one BUILD_BLOCK x n
-# boolean mask (the kernel's zero flush) and its row totals.
+# the n x n result; beside it, each slab in flight holds its row totals and,
+# for the Gaussian, one BUILD_BLOCK x n boolean mask (the kernel's zero flush).
 BUILD_BLOCK = 256
 
 # A compact-kernel smoother is stored as CSR when its windows hold at most
@@ -128,27 +128,6 @@ def as_dense(s: np.ndarray | csr_array) -> np.ndarray:
     return s.toarray() if issparse(s) else s
 
 
-def support_window(
-    x: np.ndarray, order: np.ndarray, centre, h
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in sorted order of the points a compact kernel can weigh.
-
-    A compact kernel weighs x_j at ``centre`` c and bandwidth h only when
-    (c - x_j) / h, computed in floating point, lies strictly inside
-    (-1, 1).  Rounding is monotone and h is a float, so that requires
-    |c - x_j| < h exactly.  The searched edges c -/+ h are widened by four
-    ulps of |c| + h, more than their own rounding can move them, so
-    ``x[order][lo:hi]`` holds every such point, and perhaps a few that the
-    kernel weighs zero.
-    ``order`` sorts ``x`` (an argsort permutation); ``centre`` and ``h``
-    may be scalars or arrays of one shape.
-    """
-    pad = 4.0 * np.spacing(np.abs(centre) + h)
-    lo = np.searchsorted(x, centre - h - pad, side="left", sorter=order)
-    hi = np.searchsorted(x, centre + h + pad, side="right", sorter=order)
-    return lo, hi
-
-
 def _check_total(total: np.ndarray, offset: int = 0) -> None:
     """Reject any row total that is not finite and positive.
 
@@ -172,10 +151,10 @@ def _build_dense(x: np.ndarray, kernel: Kernel, h: np.ndarray) -> np.ndarray:
     """The smoother as one dense array, filled in place by slabs of ``BUILD_BLOCK`` rows.
 
     Each slab is computed inside its own rows of the result, so the build
-    holds the n x n array and a boolean mask per slab in flight.  The
-    slabs are shared among the CPUs the process may use (numpy releases
-    the GIL in these ufuncs); a one-slab build runs in the caller's
-    thread.  ``pool.map`` re-raises in slab order, so a row-total error
+    holds the n x n array and, for the Gaussian, a boolean mask per slab in
+    flight.  The slabs are shared among the CPUs the process may use (numpy
+    releases the GIL in these ufuncs); a one-slab build runs in the
+    caller's thread.  ``pool.map`` re-raises in slab order, so a row-total error
     names the lowest failing row.
     """
     n = len(x)

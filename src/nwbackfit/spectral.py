@@ -327,7 +327,9 @@ def _closed_classes(s: np.ndarray | csr_array) -> tuple[int, tuple[int, ...]]:
     return n_components, tuple(periods)
 
 
-def check_regularity(s: np.ndarray | csr_array, order: np.ndarray | None = None) -> bool:
+def check_regularity(
+    s: np.ndarray | csr_array, order: np.ndarray | None = None, *, classes: list | None = None
+) -> bool:
     """True iff the positivity graph of a stochastic matrix is regular.
 
     Regular = irreducible (strongly connected) and aperiodic, i.e. some
@@ -339,16 +341,21 @@ def check_regularity(s: np.ndarray | csr_array, order: np.ndarray | None = None)
     adjacent-gap condition on the built weights.  When it cannot tell,
     the strong components of the graph decide (:func:`_closed_classes`),
     built in O(nnz) from a sparse ``s``'s stored entries.
+
+    When ``classes`` is a list, the graph's :func:`_closed_classes` result
+    is appended to it, or None when the read alone showed S regular: a
+    certificate reads a non-regular smoother's eigenvalues of modulus 1
+    from it, without building the graph again.
     """
     s = _validate_stochastic(s)
     n = s.shape[0]
     order = np.arange(n) if order is None else np.asarray(order)
     if not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
-    if _neighbours_and_loop(s, order):
-        return True
-    n_components, periods = _closed_classes(s)
-    return n_components == 1 and periods == (1,)
+    graph = None if _neighbours_and_loop(s, order) else _closed_classes(s)
+    if classes is not None:
+        classes.append(graph)
+    return graph is None or graph == (1, (1,))
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -441,27 +448,32 @@ def _product_radius(pair: SmootherPair) -> tuple[complex, int, str | None]:
     return vals[np.abs(vals).argmax()], 0, fallback
 
 
-def _unit_modulus(s: np.ndarray | csr_array, regular: bool) -> tuple[bool, float | None]:
+def _unit_modulus(graph: tuple[int, tuple[int, ...]] | None) -> tuple[bool, float | None]:
     """Whether a smoother's top eigenvalue 1 is simple, and rho(S*): 1.0, or None for < 1.
 
-    Read from its closed classes (see the module notes); a regular
-    smoother has one, aperiodic.
+    Read from the :func:`_closed_classes` result ``graph`` (see the module
+    notes); None stands for a smoother the sorted-neighbour read showed
+    regular, which has one closed class, aperiodic.
     """
-    if regular:
+    if graph is None:
         return True, None
-    periods = _closed_classes(s)[1]
+    periods = graph[1]
     unit = len(periods) > 1 or periods[-1] > 1
     return len(periods) == 1, 1.0 if unit else None
 
 
 def _spectral_report(
-    pair: SmootherPair, regular_s1: bool, regular_s2: bool
+    pair: SmootherPair, graph_s1: tuple | None, graph_s2: tuple | None
 ) -> tuple[SpectralReport, complex]:
-    """The spectral report, and the eigenvalue of S2* S1* of largest modulus."""
+    """The spectral report, and the eigenvalue of S2* S1* of largest modulus.
+
+    ``graph_s1`` and ``graph_s2`` are what :func:`check_regularity` put in
+    its ``classes`` list for each smoother.
+    """
     theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
     s1_theta = pair.s1 @ theta
-    simple, rho_s1_star = _unit_modulus(pair.s1, regular_s1)
-    rho_s2_star = _unit_modulus(pair.s2, regular_s2)[1]
+    simple, rho_s1_star = _unit_modulus(graph_s1)
+    rho_s2_star = _unit_modulus(graph_s2)[1]
     lam, iterations, fallback = _product_radius(pair)
     report = SpectralReport(
         rho_s1_star=rho_s1_star,
@@ -504,9 +516,11 @@ def certify(
         )
     gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u")
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
-    regular_s1 = check_regularity(pair.s1, data.sort_u)
-    regular_s2 = check_regularity(pair.s2, data.sort_v)
-    spectral, lam = _spectral_report(pair, regular_s1, regular_s2)
+    # the public check, which bench/tracing.py times, hands back each graph
+    graphs: list = []
+    regular_s1 = check_regularity(pair.s1, data.sort_u, classes=graphs)
+    regular_s2 = check_regularity(pair.s2, data.sort_v, classes=graphs)
+    spectral, lam = _spectral_report(pair, *graphs)
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds
     rho = spectral.rho_product

@@ -467,14 +467,20 @@ class TestPredict:
         "kernel", [k for k in ALL_KERNELS if k.compact_support], ids=lambda k: k.value
     )
     @pytest.mark.parametrize(
-        "bw",
-        [ConstantBandwidth(0.25), RateBandwidth(0.3), KNearestBandwidth(7)],
+        ("bw", "query_h"),
+        [
+            (ConstantBandwidth(0.25), lambda x, at: 0.25),
+            (RateBandwidth(0.3), lambda x, at: len(x) ** -0.3 * float(np.std(x))),
+            (KNearestBandwidth(7), lambda x, at: float(np.sort(np.abs(x - at))[6])),
+        ],
         ids=["constant", "rate", "knn"],
     )
-    def test_windowed_prediction_matches_full_rows(self, kernel, bw):
+    def test_windowed_prediction_matches_full_rows(self, kernel, bw, query_h):
         # queries on and between grid points a multiple of h = 0.25 apart,
         # at the range ends, and at random; the window drops only points
-        # the kernel weighs zero
+        # the kernel weighs zero.  The expected values weigh all n points
+        # at the bandwidth of each rule's own definition (query_h), not
+        # through the spec under test
         rng = np.random.default_rng(88)
         u = np.concatenate([np.arange(40) * 0.125, rng.uniform(0.0, 5.0, 60)])
         v = rng.normal(size=100)
@@ -488,7 +494,7 @@ class TestPredict:
         for q in queries:
             want = fit.alpha_hat
             for x, comp, at in ((u, fit.m1_hat, q[0]), (v, fit.m2_hat, q[1])):
-                w = eval_scaled(kernel, at - x, bw.off_sample(x, at))
+                w = eval_scaled(kernel, at - x, query_h(x, at))
                 want += float(w @ comp) / float(w.sum())
             got = predict(data, fit, q, kernel, bw, bw)
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14)

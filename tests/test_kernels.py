@@ -73,7 +73,10 @@ class TestKernelShapes:
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_in_place_matches_oracle(self, kernel):
         # bit for bit, NaN and sign bits included, in a fresh result and
-        # in place on the input, for a Python scalar and 0-d to 2-d arrays
+        # in place on the input, for a Python scalar and 0-d to 2-d arrays.
+        # The oracle flushes every shape below ZERO_THRESHOLD and evaluate
+        # only the Gaussian: at nextafter(+-1, 0), NaN, +-inf and random t
+        # a compact shape's values come out the same without the flush
         edges = np.array([
             0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
             -np.nextafter(1.0, 0.0), 5e-324, -5e-324, 37.0, 38.0, -38.0,
@@ -191,15 +194,34 @@ class TestKNearestBandwidth:
     def test_off_sample_is_bit_identical(self):
         rng = np.random.default_rng(12)
         x = np.round(rng.normal(size=60), 1)  # ties at the query distance
+        order = np.argsort(x, kind="stable")
         for at in (*x[:5], 0.05, -3.0, 10.0):
             for k in (1, 2, 5, 59, 60):
                 want = float(np.sort(np.abs(x - at))[k - 1])
                 if want > 0.0:
-                    assert KNearestBandwidth(k).off_sample(x, at) == want
+                    assert KNearestBandwidth(k).off_sample(x, order, at)[0] == want
         with pytest.raises(ValueError, match="exceeds the sample size"):
-            KNearestBandwidth(61).off_sample(x, 0.0)
+            KNearestBandwidth(61).off_sample(x, order, 0.0)
         with pytest.raises(ValueError, match="coincide with the query"):
-            KNearestBandwidth(1).off_sample(x, float(x[0]))
+            KNearestBandwidth(1).off_sample(x, order, float(x[0]))
+
+    def test_off_sample_partitions_at_most_2k_values(self, monkeypatch):
+        # a query reads only the 2k sorted positions around it, not all n
+        rng = np.random.default_rng(13)
+        x = rng.uniform(size=4000)
+        order = np.argsort(x, kind="stable")
+        sizes = []
+
+        def recording(a, kth, partition=np.partition):
+            sizes.append(len(a))
+            return partition(a, kth)
+
+        monkeypatch.setattr(np, "partition", recording)
+        for k in (1, 30, 200):
+            for at in (-1.0, 0.0, *rng.uniform(size=20), 1.0, 2.0):
+                KNearestBandwidth(k).off_sample(x, order, at)
+            assert sizes and max(sizes) <= 2 * k, (k, max(sizes))
+            sizes.clear()
 
     def test_duplicate_points_raise(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Property tests: what the certificate and the fit must not depend on."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig
@@ -177,3 +178,46 @@ def test_sorted_neighbour_read_agrees_with_the_graph(n, seed, kernel, kind, ties
         # a compact kernel at one bandwidth weighs only points within h,
         # so a zero neighbour entry cuts the line: the read is exact
         assert _neighbours_and_loop(s, order) == regular
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    values=st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=30),
+    scale=st.sampled_from([1.0, 0.1, 3e-9]),
+    where=st.sampled_from(["point", "between", "below", "above"]),
+    pick=st.integers(min_value=0, max_value=29),
+    k_choice=st.sampled_from(["1", "2", "n-1", "n"]),
+)
+def test_windowed_kth_distance_matches_the_full_sort(values, scale, where, pick, k_choice):
+    # drawn lists come in any order and repeat values (ties in distance
+    # and duplicates); the k-th distance read from the query's 2k sorted
+    # positions is the full sort's, bit for bit, and its box holds every
+    # point nearer than it
+    x = np.array(values, dtype=float) * scale
+    n = len(x)
+    k = {"1": 1, "2": 2, "n-1": n - 1, "n": n}[k_choice]
+    if not 1 <= k <= n:
+        return
+    xs = np.sort(x)
+    if where == "point":
+        at = float(x[pick % n])
+    elif where == "between":
+        i = pick % max(n - 1, 1)
+        at = 0.5 * (xs[i] + xs[min(i + 1, n - 1)])
+    elif where == "below":
+        at = float(xs[0] - (pick + 1) * 0.37 * scale)
+    else:
+        at = float(xs[-1] + (pick + 1) * 0.37 * scale)
+    order = np.argsort(x, kind="stable")
+    want = np.sort(np.abs(x - at))[k - 1]
+    spec = KNearestBandwidth(k)
+    if want == 0.0:
+        with pytest.raises(ValueError, match="coincide with the query"):
+            spec.off_sample(x, order, at)
+        return
+    h, lo, hi = spec.off_sample(x, order, at)
+    assert np.float64(h).tobytes() == want.tobytes()
+    assert hi - lo <= 2 * k
+    inside = np.zeros(n, dtype=bool)
+    inside[order[lo:hi]] = True
+    assert inside[np.abs(x - at) < h].all()

@@ -348,6 +348,26 @@ class TestCertify:
         assert cert.spectral.rho_product >= 1.0 - 1e-8
         assert note_bound(cert.notes) > 1e12
 
+    def test_graph_built_once_per_non_regular_smoother(self, uniform_cluster_problem, monkeypatch):
+        # the regularity check's strong components also give the report
+        # its eigenvalues of modulus 1: each non-regular smoother's graph
+        # is built once per certificate
+        data, kernel, bw = uniform_cluster_problem
+        pair = build_pair(data, kernel, bw, bw)
+        built = []
+
+        def counting(s, closed_classes=spectral._closed_classes):
+            built.append(s)
+            return closed_classes(s)
+
+        monkeypatch.setattr(spectral, "_closed_classes", counting)
+        cert = certify(pair, kernel, bw, bw, data)
+        assert not cert.regular_s1 and not cert.regular_s2
+        assert cert.spectral.rho_s1_star == cert.spectral.rho_s2_star == 1.0
+        assert not cert.spectral.top_eigenvalue_simple
+        assert len(built) == 2
+        assert built[0] is pair.s1 and built[1] is pair.s2
+
     def test_verdict_invariants_sweep(self):
         for seed in range(12):
             data, kernel, bw_u, bw_v = certified_problem(seed)
@@ -403,7 +423,9 @@ class TestCertify:
 def diagnose(s):
     """A smoother's graph diagnosis, as a certificate reports it: whether
     its top eigenvalue is simple, and rho(S*) (1.0, or None for < 1)."""
-    return _unit_modulus(s, check_regularity(s))
+    graph = []
+    check_regularity(s, classes=graph)
+    return _unit_modulus(graph[0])
 
 
 def assert_diagnosis_matches_oracle(s, simple, rho_star):
