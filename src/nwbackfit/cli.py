@@ -56,7 +56,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_NOT_CERTIFIED = 4
 EXIT_SINGULAR = 5
 
-KERNEL_CHOICES = ["uniform", "epanechnikov", "triangular", "gaussian"]
+KERNEL_CHOICES = [k.value for k in Kernel]
 
 class NotCertifiedError(RuntimeError):
     """Raised when --require-certificate is set and certification fails."""
@@ -157,19 +157,17 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.design == "uniform":
-        design = IndependentUniform()
-    else:
+    # The response y enters neither the gap condition nor rho(S2* S1*), so
+    # the study takes only what shapes the design; SimSpec's defaults fill y.
+    if args.design == "normal":
         design = BivariateNormal(rho=args.rho)
-    spec = SimSpec(
-        n=args.n,
-        m1_fn=args.m1_fn,
-        m2_fn=args.m2_fn,
-        design=design,
-        noise_sd=args.noise_sd,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    elif args.rho != 0.0:
+        raise ValueError(
+            f"--rho {args.rho!r} is the normal design's correlation; it needs --design normal"
+        )
+    else:
+        design = IndependentUniform()
+    spec = SimSpec(n=args.n, design=design, seed=args.seed)
     kernel = Kernel.from_name(args.kernel)
     bw = parse_bandwidth(args.bandwidth)
     report = run_monte_carlo(
@@ -295,16 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="unit-square uniform or standard bivariate normal design",
     )
     p_sim.add_argument(
-        "--rho", type=float, default=0.0, help="correlation for the normal design"
+        "--rho", type=float, default=0.0, help="design correlation; needs --design normal"
     )
-    p_sim.add_argument("--noise-sd", type=float, default=0.1, help="noise sd (default: 0.1)")
-    p_sim.add_argument(
-        "--m1-fn", default="sin", help="component function for u (default: sin)"
-    )
-    p_sim.add_argument(
-        "--m2-fn", default="cubic", help="component function for v (default: cubic)"
-    )
-    p_sim.add_argument("--alpha", type=float, default=0.0, help="generator intercept")
     p_sim.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     p_sim.add_argument(
         "--gap-only",

@@ -206,9 +206,11 @@ def check_gap_conditions(
     xs = x[order]
     hs = bw.resolve(x)[order]
     gaps = np.diff(xs)
-    # value at point i for the gap on its left / right
-    left_vals = kernel.evaluate(gaps / hs[1:]) / hs[1:]
-    right_vals = kernel.evaluate(gaps / hs[:-1]) / hs[:-1]
+    # value at point i for the gap on its left / right; an overflowing
+    # gap / h is weighed K(inf) = 0, as in the smoother builds
+    with np.errstate(over="ignore"):
+        left_vals = kernel.evaluate(gaps / hs[1:]) / hs[1:]
+        right_vals = kernel.evaluate(gaps / hs[:-1]) / hs[:-1]
     failing_indices = np.union1d(
         np.flatnonzero(left_vals <= 0.0) + 1, np.flatnonzero(right_vals <= 0.0)
     ).tolist()

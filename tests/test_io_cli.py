@@ -1,7 +1,9 @@
 """CSV round trips, JSON determinism, CLI subcommands and exit codes."""
 
+import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import ArpackError
 
 from nwbackfit import cli, simulate
-from nwbackfit.cli import main
+from nwbackfit.cli import build_parser, main
 from nwbackfit.fitting import FitResult, backfit_direct
 from nwbackfit.io import (
     CURVES_HEADER,
@@ -310,6 +312,21 @@ class TestCliExitCodes:
             main([subcommand, "--input", str(path), "--out", str(tmp_path), "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--noise-sd", "--m1-fn", "--m2-fn", "--alpha"])
+    def test_no_response_flags_on_simulate(self, tmp_path, flag):
+        # the study reports only what the design decides, so y takes no options
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "30", "--out", str(tmp_path), flag, "1"])
+        assert exc.value.code == 2
+
+    def test_rho_needs_the_normal_design(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--n", "30", "--design", "uniform", "--rho", "0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--design normal" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["fit", "certify", "simulate"])
     def test_no_method_flag(self, sample_csv, tmp_path, subcommand):
         # rho(S2* S1*) always comes from ARPACK with its dense fallback
@@ -493,7 +510,55 @@ class TestBenchmarkContract:
         assert calls == [(5, "power")] * 5
 
 
+def _simulate_options() -> list[str]:
+    """Every long option of the simulate subcommand but --help and --out."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for a in sub.choices["simulate"]._actions for s in a.option_strings}
+    return sorted(s for s in options - {"--help", "--out"} if s.startswith("--"))
+
+
+# A second value for each simulate option: (the options it needs to act, the change)
+SIMULATE_CHANGES = {
+    "--n": ([], ["--n", "31"]),
+    "--replicates": ([], ["--replicates", "5"]),
+    "--kernel": ([], ["--kernel", "uniform"]),
+    "--bandwidth": ([], ["--bandwidth", "0.5"]),
+    "--design": ([], ["--design", "normal"]),
+    "--rho": (["--design", "normal"], ["--rho", "0.5"]),
+    "--seed": ([], ["--seed", "1"]),
+    "--gap-only": ([], ["--gap-only"]),
+}
+
+
 class TestCliSimulate:
+    @pytest.mark.parametrize("option", _simulate_options())
+    def test_every_option_changes_the_study(self, tmp_path, option):
+        assert option in SIMULATE_CHANGES, f"{option} has no second value to try"
+        context, change = SIMULATE_CHANGES[option]
+        base = ["simulate", "--n", "30", "--replicates", "4", *context]
+
+        def study(args, out):
+            assert main([*args, "--out", str(out)]) == 0
+            report = json.loads((out / "simulation.json").read_text())["report"]
+            return (out / "replicates.csv").read_bytes(), report
+
+        assert study(base, tmp_path / "base") != study([*base, *change], tmp_path / "changed")
+
+    def test_gap_only_at_an_overflowing_bandwidth(self, tmp_path, capsys):
+        # every gap / h overflows at h = 1e-320 and is weighed K(inf) = 0, so
+        # no point meets a neighbour; the overflow itself is not reported
+        out = tmp_path / "sim"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["simulate", "--n", "30", "--replicates", "2", "--gap-only",
+                 "--bandwidth", "1e-320", "--out", str(out)]
+            )
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "simulation.json").read_text())["report"]
+        assert report["fraction_gap_ok"] == 0.0
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "sim"
         rc = main(

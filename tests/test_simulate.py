@@ -236,6 +236,23 @@ class TestRunMonteCarlo:
         assert a.to_dict() == b.to_dict()
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("design", [IndependentUniform(), BivariateNormal(rho=0.5)])
+    def test_response_does_not_enter_the_study(self, design):
+        # generate draws u and v before the noise, and the gap conditions and
+        # rho(S2* S1*) depend on the design alone, so the response's recipe
+        # changes no row and no aggregate
+        plain = SimSpec(n=40, design=design, seed=103)
+        other = SimSpec(
+            n=40, m1_fn="identity", m2_fn="zero", design=design, noise_sd=2.0, alpha=-3.0,
+            seed=103,
+        )
+        bw = RateBandwidth(0.2)
+        a = run_monte_carlo(plain, Kernel.GAUSSIAN, bw, bw, replicates=4)
+        b = run_monte_carlo(other, Kernel.GAUSSIAN, bw, bw, replicates=4)
+        assert not np.array_equal(generate(plain).y, generate(other).y)
+        assert a.rows == b.rows
+        assert a.to_dict() == b.to_dict()
+
     def test_report_serializes_aggregates_only(self):
         spec = SimSpec(n=20, seed=101)
         bw = ConstantBandwidth(0.6)
