@@ -32,7 +32,10 @@ below 1.  S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation that
 swaps one eigenvalue 1 of S for 0.  So rho(S*) = 1 exactly when S has
 two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
 and the top eigenvalue 1 is simple exactly when S has one closed class;
-a regular smoother (route 1) has one, aperiodic.
+a regular smoother (route 1) has one, aperiodic.  The report says
+whether it is simple but does not restate it: every smoother passes a
+1e-9 check of its row sums, which is S 1 = 1.  Dense and sparse
+smoothers take the same reads, a sparse one as CSR.
 
 rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
@@ -110,24 +113,22 @@ class SpectralReport:
     ``rho_s1_star`` is 1.0 when S1 has two or more closed classes or a
     periodic one, which makes rho(S1*) = 1 exactly, and None otherwise,
     meaning rho(S1*) < 1; a regular smoother's is None.  Likewise
-    ``rho_s2_star``.  ``top_eigenvalue_s1`` is the Rayleigh quotient
-    theta^T S1 theta of the unit constant vector theta = 1/sqrt(n), and
-    ``top_eigenvalue_simple`` is True exactly when S1 has one closed
-    class.  ``iterations`` counts ARPACK's applications of the product
-    operator (0 when it did not answer), and ``fallback`` says why
-    ``eigvals`` of the formed product gave ``rho_product`` instead: "n < 3",
-    or "<exception class>: <message>" for the ARPACK error; it is None
-    when ARPACK converged.  ``method`` is derived from it: "power" when
-    ARPACK answered, "dense" when the fallback ran.
-    ``perron_vector_check`` is the residual ||S1 theta - theta||.
+    ``rho_s2_star``.  ``top_eigenvalue_simple`` is True exactly when S1
+    has one closed class, which makes its top eigenvalue 1 simple; that
+    eigenvalue is 1 to within the 1e-9 row-sum check every smoother
+    passes, and is not reported.  ``iterations`` counts ARPACK's
+    applications of the product operator (0 when it did not answer),
+    and ``fallback`` says why ``eigvals`` of the formed product gave
+    ``rho_product`` instead: "n < 3", or "<exception class>: <message>"
+    for the ARPACK error; it is None when ARPACK converged.  ``method``
+    is derived from it: "power" when ARPACK answered, "dense" when the
+    fallback ran.
     """
 
     rho_s1_star: float | None
     rho_s2_star: float | None
     rho_product: float
-    top_eigenvalue_s1: complex
     top_eigenvalue_simple: bool
-    perron_vector_check: float
     iterations: int
     fallback: str | None
 
@@ -140,13 +141,7 @@ class SpectralReport:
             "rho_s1_star": self.rho_s1_star,
             "rho_s2_star": self.rho_s2_star,
             "rho_product": self.rho_product,
-            "top_eigenvalue_s1": {
-                "real": self.top_eigenvalue_s1.real,
-                "imag": self.top_eigenvalue_s1.imag,
-                "modulus": abs(self.top_eigenvalue_s1),
-                "simple": self.top_eigenvalue_simple,
-            },
-            "perron_vector_check": self.perron_vector_check,
+            "top_eigenvalue_simple": self.top_eigenvalue_simple,
             "method": self.method,
             "iterations": self.iterations,
             "fallback": self.fallback,
@@ -202,6 +197,8 @@ def check_gap_conditions(
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{coordinate} contains non-finite values")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     hs = bw.resolve(x)[order]
@@ -226,17 +223,18 @@ def check_gap_conditions(
 def _validate_stochastic(s) -> np.ndarray | csr_array:
     """``s`` as a float array, dense or CSR, after checking it is row-stochastic.
 
-    A sparse ``s`` is checked on its stored entries and row sums, in O(nnz),
-    and copied only when it is not a float ``csr_array``.
+    A sparse ``s`` becomes a ``csr_array``, sharing a float CSR input's
+    arrays; one with unsorted or duplicate entries is copied, since the
+    checks and reads below put it in canonical form in place.  Its
+    checks take O(nnz).
     """
     if issparse(s):
-        s = s if isinstance(s, csr_array) and s.dtype == float else csr_array(s, dtype=float)
-        entries = s.data
+        s = csr_array(s, dtype=float, copy=not getattr(s, "has_canonical_format", True))
     else:
-        s = entries = np.asarray(s, dtype=float)
+        s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    lowest = entries.min(initial=0.0)
+    lowest = s.min()
     if np.isnan(lowest):  # min propagates NaN, which passes every comparison
         raise ValueError("matrix has a NaN entry; not row-stochastic")
     if lowest < -1e-12:
@@ -245,31 +243,6 @@ def _validate_stochastic(s) -> np.ndarray | csr_array:
     if row_err > 1e-9:
         raise ValueError(f"row sums deviate from 1 by {row_err:.3e}; not row-stochastic")
     return s
-
-
-def _entries(s: np.ndarray | csr_array, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The entries s[rows[k], cols[k]] of a dense or CSR matrix.
-
-    A CSR matrix is read by one binary search of each row's sorted column
-    indices, all rows at once, in O(len(rows) log(longest row)).  An
-    entry not stored reads 0; of equal stored indices the first is read.
-    """
-    if not issparse(s):
-        return s[rows, cols]
-    if not s.has_sorted_indices:
-        s = s.sorted_indices()
-    first = s.indptr[rows]
-    count = s.indptr[rows + 1] - first
-    last = s.nnz - 1
-    while count.any():
-        step = count // 2
-        mid = first + step
-        go = (count > 0) & (s.indices[np.minimum(mid, last)] < cols)
-        first = np.where(go, mid + 1, first)
-        count = np.where(go, count - step - 1, step)
-    at = np.minimum(first, last)
-    found = (first < s.indptr[rows + 1]) & (s.indices[at] == cols)
-    return np.where(found, s.data[at], 0.0)
 
 
 def _neighbours_and_loop(s: np.ndarray | csr_array, order: np.ndarray) -> bool:
@@ -283,7 +256,7 @@ def _neighbours_and_loop(s: np.ndarray | csr_array, order: np.ndarray) -> bool:
     """
     n = s.shape[0]
     a, b, diagonal = order[:-1], order[1:], np.arange(n)
-    read = _entries(s, np.concatenate([a, b, diagonal]), np.concatenate([b, a, diagonal])) > 0.0
+    read = s[np.concatenate([a, b, diagonal]), np.concatenate([b, a, diagonal])] > 0.0
     return bool(read[: 2 * (n - 1)].all() and read[2 * (n - 1) :].any())
 
 
@@ -310,11 +283,7 @@ def _closed_classes(s: np.ndarray | csr_array) -> tuple[int, tuple[int, ...]]:
     :func:`_graph_period` of the class otherwise.  Returns the number of
     strong components and the periods of the closed classes, ascending.
     """
-    if issparse(s):
-        adj = csr_array((s.data > 0.0, s.indices, s.indptr), shape=s.shape)
-        adj.eliminate_zeros()
-    else:
-        adj = csr_array(s > 0.0)
+    adj = csr_array(s > 0.0)
     n_components, labels = connected_components(adj, directed=True, connection="strong")
     tails = labels[np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))]
     heads = labels[adj.indices]
@@ -342,7 +311,8 @@ def check_regularity(
     smoother whose ``order`` sorts its coordinate, that is the paper's
     adjacent-gap condition on the built weights.  When it cannot tell,
     the strong components of the graph decide (:func:`_closed_classes`),
-    built in O(nnz) from a sparse ``s``'s stored entries.
+    built in O(nnz) from a sparse ``s``.  Dense and sparse ``s`` take the
+    same reads, after :func:`_validate_stochastic`.
 
     When ``classes`` is a list, the graph's :func:`_closed_classes` result
     is appended to it, or None when the read alone showed S regular: a
@@ -352,7 +322,9 @@ def check_regularity(
     s = _validate_stochastic(s)
     n = s.shape[0]
     order = np.arange(n) if order is None else np.asarray(order)
-    if not np.array_equal(np.sort(order), np.arange(n)):
+    # integers only: the read cannot index with floats, and masks with bools
+    integer = np.issubdtype(order.dtype, np.integer)
+    if not integer or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
     graph = None if _neighbours_and_loop(s, order) else _closed_classes(s)
     if classes is not None:
@@ -464,32 +436,6 @@ def _unit_modulus(graph: tuple[int, tuple[int, ...]] | None) -> tuple[bool, floa
     return len(periods) == 1, 1.0 if unit else None
 
 
-def _spectral_report(
-    pair: SmootherPair, graph_s1: tuple | None, graph_s2: tuple | None
-) -> tuple[SpectralReport, complex]:
-    """The spectral report, and the eigenvalue of S2* S1* of largest modulus.
-
-    ``graph_s1`` and ``graph_s2`` are what :func:`check_regularity` put in
-    its ``classes`` list for each smoother.
-    """
-    theta = np.full(pair.n, 1.0 / np.sqrt(pair.n))
-    s1_theta = pair.s1 @ theta
-    simple, rho_s1_star = _unit_modulus(graph_s1)
-    rho_s2_star = _unit_modulus(graph_s2)[1]
-    lam, iterations, fallback = _product_radius(pair)
-    report = SpectralReport(
-        rho_s1_star=rho_s1_star,
-        rho_s2_star=rho_s2_star,
-        rho_product=float(np.abs(lam)),
-        top_eigenvalue_s1=complex(theta @ s1_theta),
-        top_eigenvalue_simple=simple,
-        perron_vector_check=float(np.linalg.norm(s1_theta - theta)),
-        iterations=iterations,
-        fallback=fallback,
-    )
-    return report, lam
-
-
 def certify(
     pair: SmootherPair,
     kernel: Kernel,
@@ -497,7 +443,7 @@ def certify(
     bw_v: BandwidthSpec,
     data: Dataset,
     *,
-    # kept only for bench/tracing.py::_observe_certify; deleted with ROADMAP item 1
+    # kept only for bench/tracing.py::_observe_certify; deleted by ROADMAP item 2's last step
     method: str = "power",
 ) -> ConvergenceCertificate:
     """Certify convergence of the backfitting iteration for this pair.
@@ -522,7 +468,16 @@ def certify(
     graphs: list = []
     regular_s1 = check_regularity(pair.s1, data.sort_u, classes=graphs)
     regular_s2 = check_regularity(pair.s2, data.sort_v, classes=graphs)
-    spectral, lam = _spectral_report(pair, *graphs)
+    simple, rho_s1_star = _unit_modulus(graphs[0])
+    lam, iterations, fallback = _product_radius(pair)
+    spectral = SpectralReport(
+        rho_s1_star=rho_s1_star,
+        rho_s2_star=_unit_modulus(graphs[1])[1],
+        rho_product=float(np.abs(lam)),
+        top_eigenvalue_simple=simple,
+        iterations=iterations,
+        fallback=fallback,
+    )
 
     gaps_hold = gap_u.condition_holds and gap_v.condition_holds
     rho = spectral.rho_product

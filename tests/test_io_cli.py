@@ -476,13 +476,23 @@ class TestCliCertify:
         assert cert["gap_u"]["condition_holds"] and cert["gap_v"]["condition_holds"]
         assert cert["regular_s1"] and cert["regular_s2"]
         assert cert["spectral"]["rho_product"] < 1.0
-        assert cert["spectral"]["top_eigenvalue_s1"]["simple"] is True
+        assert cert["spectral"]["top_eigenvalue_simple"] is True
         # the CLI always takes the matrix-free ARPACK route, with no option
         assert "method" not in report["provenance"]["config"]["options"]
         assert cert["spectral"]["method"] == "power"
         assert cert["spectral"]["fallback"] is None
         assert cert["spectral"]["rho_s1_star"] is None and cert["spectral"]["rho_s2_star"] is None
         assert "smoother_fallback" not in cert["spectral"]
+        # the spectral block's schema, in certificate.json and in fit.json's
+        # certificate: a field added or dropped must be made here as well
+        assert main(["fit", "--input", str(path), "--out", str(out)]) == 0
+        fit_cert = json.loads((out / "fit.json").read_text())["certificate"]
+        keys = {
+            "rho_s1_star", "rho_s2_star", "rho_product", "top_eigenvalue_simple", "method",
+            "iterations", "fallback",
+        }
+        for spectral in (cert["spectral"], fit_cert["spectral"]):
+            assert set(spectral) == keys
 
 
 class TestBenchmarkContract:

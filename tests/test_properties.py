@@ -5,13 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csc_array, csr_array
 
 from nwbackfit.fitting import backfit_direct
 from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
 from nwbackfit.simulate import BivariateNormal, SimSpec, generate, max_gap
 from nwbackfit.smoothers import Dataset, as_dense, build_pair, build_smoother
-from nwbackfit.spectral import _closed_classes, _neighbours_and_loop, certify, check_regularity
+from nwbackfit.spectral import (
+    _closed_classes,
+    _neighbours_and_loop,
+    _validate_stochastic,
+    certify,
+    check_regularity,
+)
 
 from conftest import ALL_KERNELS
 
@@ -136,11 +142,16 @@ def test_permuting_rows_changes_nothing(n, seed, kernel, kind, rho):
     kernel=st.sampled_from(ALL_KERNELS),
     kind=st.sampled_from(["constant", "rate", "knn"]),
     ties=st.booleans(),
-    layout=st.sampled_from(["dense", "csr", "csr-unsorted"]),
+    layout=st.sampled_from(["dense", "csr", "csr-unsorted", "csc", "coo", "csr-duplicates"]),
     shuffled=st.booleans(),
 )
 @example(n=2, seed=0, kernel=Kernel.UNIFORM, kind="constant", ties=False, layout="csr", shuffled=True)
 @example(n=2, seed=0, kernel=Kernel.GAUSSIAN, kind="rate", ties=True, layout="dense", shuffled=False)
+# regular, with a stored 0.0 ahead of three of its four neighbour entries
+@example(
+    n=5, seed=3, kernel=Kernel.EPANECHNIKOV, kind="constant", ties=False,
+    layout="csr-duplicates", shuffled=False,
+)
 def test_sorted_neighbour_read_agrees_with_the_graph(n, seed, kernel, kind, ties, layout, shuffled):
     # the sorted-neighbour read calls a smoother regular only where its
     # strong components do, in any order o; check_regularity agrees with
@@ -159,25 +170,38 @@ def test_sorted_neighbour_read_agrees_with_the_graph(n, seed, kernel, kind, ties
     else:
         bw = ConstantBandwidth(max(max_gap(x), 1.0) * float(rng.uniform(0.05, 2.5)))
     s = as_dense(build_smoother(x, kernel, bw))
+    order = rng.permutation(n) if shuffled else np.argsort(x, kind="stable")
     if layout != "dense":
-        s = csr_array(s)
+        s = {"csc": csc_array, "coo": coo_array}.get(layout, csr_array)(s)
     if layout == "csr-unsorted":  # each row's stored entries in descending column order
         s = csr_array((s.data, s.indices, s.indptr), shape=s.shape)
         for i in range(n):
             row = slice(s.indptr[i], s.indptr[i + 1])
             s.indices[row], s.data[row] = s.indices[row][::-1], s.data[row][::-1]
         s.has_sorted_indices = False
-    order = rng.permutation(n) if shuffled else np.argsort(x, kind="stable")
+    if layout == "csr-duplicates":
+        # each stored entry split into two halves, and a stored 0.0 ahead
+        # of them at some neighbour positions: each entry reads as its sum
+        rows = np.repeat(np.arange(n), np.diff(s.indptr))
+        zero = rng.random(n - 1) < 0.5
+        i = np.concatenate([order[:-1][zero], rows, rows])
+        j = np.concatenate([order[1:][zero], s.indices, s.indices])
+        v = np.concatenate([np.zeros(zero.sum()), s.data / 2, s.data / 2])
+        by_row = np.argsort(i, kind="stable")
+        indptr = np.searchsorted(i[by_row], np.arange(n + 1))
+        s = csr_array((v[by_row], j[by_row], indptr), shape=(n, n))
+    valid = _validate_stochastic(s)
+    read = _neighbours_and_loop(valid, order)
 
-    n_components, periods = _closed_classes(s)
+    n_components, periods = _closed_classes(valid)
     regular = n_components == 1 and periods == (1,)
     assert check_regularity(s, order) == regular
-    if _neighbours_and_loop(s, order):
+    if read:
         assert regular
     if not shuffled and kernel.compact_support and kind == "constant":
         # a compact kernel at one bandwidth weighs only points within h,
         # so a zero neighbour entry cuts the line: the read is exact
-        assert _neighbours_and_loop(s, order) == regular
+        assert read == regular
 
 
 @settings(derandomize=True, deadline=None, database=None)

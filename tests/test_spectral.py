@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import coo_array, csc_array, csr_array, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from nwbackfit import smoothers, spectral
@@ -95,6 +95,15 @@ class TestGapConditions:
         rep = check_gap_conditions(np.array([0.0, 1.0]), Kernel.GAUSSIAN, ConstantBandwidth(1.0))
         json.dumps(rep.to_dict())
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, kernel, value):
+        # a NaN coordinate would pass every gap comparison and report
+        # max_gap nan, which no JSON report can hold
+        x = np.array([0.0, value, 0.5, 1.0])
+        with pytest.raises(ValueError, match="u contains non-finite values"):
+            check_gap_conditions(x, kernel, ConstantBandwidth(0.3), coordinate="u")
+
 
 class TestRegularity:
     def test_complete_graph(self):
@@ -170,8 +179,8 @@ class TestRegularity:
         assert not check_regularity(s)
 
     def test_rejects_non_stochastic(self):
-        # dense, and the same matrices as CSR
-        for to_matrix in (np.array, csr_array):
+        # dense, and the same matrices in each sparse format
+        for to_matrix in (np.array, csr_array, csc_array, coo_array):
             with pytest.raises(ValueError):
                 check_regularity(to_matrix(np.array([[0.5, 0.4], [0.5, 0.5]])))
             with pytest.raises(ValueError):
@@ -182,9 +191,26 @@ class TestRegularity:
     def test_rejects_nan(self):
         # NaN passes every comparison of the stochastic checks unless
         # tested for; here it sits in a row that sums to NaN
-        for to_matrix in (np.array, csr_array):
+        for to_matrix in (np.array, csr_array, csc_array, coo_array):
             with pytest.raises(ValueError, match="NaN"):
                 check_regularity(to_matrix(np.array([[0.5, 0.5], [np.nan, 0.5]])))
+
+    def test_rejects_an_order_that_is_not_integer(self):
+        # a float order equal to a permutation cannot index the read, and
+        # a bool one would mask it rather than index
+        with pytest.raises(ValueError, match="permutation"):
+            check_regularity(np.full((3, 3), 1.0 / 3.0), order=np.arange(3.0))
+        with pytest.raises(ValueError, match="permutation"):
+            check_regularity(np.full((2, 2), 0.5), order=np.array([True, False]))
+
+    def test_leaves_a_non_canonical_csr_input_as_it_was(self):
+        # duplicate and unsorted entries are put in canonical form on a
+        # copy; the caller's arrays keep their layout
+        s = csr_array(([0.25, 0.0, 0.25, 0.5, 1.0], [1, 0, 1, 0, 1], [0, 4, 5]), shape=(2, 2))
+        before = [a.copy() for a in (s.data, s.indices, s.indptr)]
+        assert check_regularity(s) is False
+        for got, want in zip((s.data, s.indices, s.indptr), before):
+            assert np.array_equal(got, want)
 
 
 class TestSpectralRadius:
@@ -303,7 +329,6 @@ class TestCertify:
         assert cert.certified
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.top_eigenvalue_simple
-        assert abs(cert.spectral.top_eigenvalue_s1) == pytest.approx(1.0, abs=1e-10)
 
     def test_huge_bandwidth_gives_zero_radius(self):
         spec = SimSpec(n=20, seed=59)
@@ -377,7 +402,6 @@ class TestCertify:
                 assert cert.spectral.rho_product < 1.0 - 1e-8
             if cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS:
                 assert cert.gap_u.condition_holds and cert.gap_v.condition_holds
-            assert cert.spectral.perron_vector_check <= 1e-10
 
     def test_power_method_matches_dense(self):
         data, kernel, bw_u, bw_v = certified_problem(3)
@@ -450,12 +474,11 @@ def assert_diagnosis_matches_oracle(s, simple, rho_star):
         assert not want_simple
 
 
-def assert_matches_oracle(cert, pair, tol):
+def assert_matches_oracle(cert, pair):
     """A certificate's smoother fields: the graph's diagnosis of each
     smoother, which the full-spectrum oracle confirms.
 
-    A regular smoother's radius is None, and ``top_eigenvalue_s1``
-    matches the oracle's top eigenvalue of S1 within ``tol``.
+    A regular smoother's radius is None.
     """
     smoothers = ((pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
                  (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star))
@@ -466,8 +489,6 @@ def assert_matches_oracle(cert, pair, tol):
             assert rho_star is None and simple
         assert_diagnosis_matches_oracle(s, simple, rho_star)
     assert cert.spectral.top_eigenvalue_simple == diagnose(pair.s1)[0]
-    want_top = smoother_extremes_oracle(pair.s1)[0]
-    assert abs(cert.spectral.top_eigenvalue_s1 - want_top) <= tol
 
 
 class TestSpectralRoutes:
@@ -522,7 +543,7 @@ class TestSpectralRoutes:
         assert not cert.spectral.top_eigenvalue_simple
         assert cert.spectral.rho_s1_star == 1.0
         assert cert.spectral.rho_s2_star == 1.0
-        assert_matches_oracle(cert, pair, 1e-12)
+        assert_matches_oracle(cert, pair)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
         # a regular pair needs no spectral work beyond the product's one
@@ -627,7 +648,7 @@ class TestArpackRoute:
                 assert cert.regular_s1 and cert.regular_s2
                 assert cert.spectral.rho_s1_star is None
                 assert cert.spectral.rho_s2_star is None
-            assert_matches_oracle(cert, pair, 1e-12)
+            assert_matches_oracle(cert, pair)
 
     def test_parity_sweep(self):
         # the oracle's verdict, its radius within 1e-12, smoother fields
@@ -643,7 +664,7 @@ class TestArpackRoute:
             assert cert.verdict is verdict, i
             assert abs(cert.spectral.rho_product - rho) <= 1e-12, i
             assert again.spectral == cert.spectral, i
-            assert_matches_oracle(cert, pair, 1e-12)
+            assert_matches_oracle(cert, pair)
             verdicts.add(verdict)
             near_critical += 0.99 <= rho < 1.0 - 1e-8
         assert verdicts == set(Verdict)
@@ -734,7 +755,7 @@ class TestSmootherArpackRoute:
         pair = build_pair(data, kernel, bw, bw)
         cert = certify(pair, kernel, bw, bw, data)
         assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
-        assert_matches_oracle(cert, pair, 1e-12)
+        assert_matches_oracle(cert, pair)
 
     def test_periodic_closed_classes(self):
         # matrices with a zero diagonal, which no smoother has.  A 3-cycle
@@ -872,7 +893,7 @@ class TestSmootherArpackRoute:
         assert cert.spectral.method == "power"
         assert cert.regular_s1 and cert.regular_s2
         monkeypatch.undo()
-        assert_matches_oracle(cert, pair, 1e-12)
+        assert_matches_oracle(cert, pair)
 
     def test_not_certified_csr_certificate_stays_sparse(self, monkeypatch):
         # n = 1500, Epanechnikov at h = 0.01, u in two clusters split by
