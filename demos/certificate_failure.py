@@ -27,6 +27,7 @@ from nwbackfit import (
     Dataset,
     spectral_radius,
 )
+from nwbackfit.smoothers import as_dense
 
 # Two clusters of six points each: u and v both live in [0, 0.8] for the
 # first cluster and [10, 10.8] for the second. Bandwidth 1.0 cannot
@@ -43,7 +44,7 @@ bw = ConstantBandwidth(1.0)
 pair = build_pair(data, kernel, bw, bw)
 
 print("two aligned clusters, triangular kernel, bandwidth 1.0")
-print(f"S1 block structure: cross-cluster weight mass = {pair.s1[:n_a, n_a:].sum():.1f}")
+print(f"S1 block structure: cross-cluster weight mass = {as_dense(pair.s1)[:n_a, n_a:].sum():.1f}")
 print()
 
 # The certificate fails.

@@ -36,7 +36,7 @@ from .simulate import (
     run_monte_carlo,
     uniform_max_gap_exceedance,
 )
-from .smoothers import Dataset, SmootherPair, build_pair, build_smoother, center
+from .smoothers import Dataset, PackedPair, SmootherPair, build_pair, build_smoother, center
 from .spectral import (
     ConvergenceCertificate,
     GapReport,
@@ -59,6 +59,7 @@ __all__ = [
     "parse_bandwidth",
     "Dataset",
     "SmootherPair",
+    "PackedPair",
     "build_smoother",
     "build_pair",
     "center",

@@ -45,7 +45,7 @@ from .simulate import (
     gap_exceedance_bound,
     run_monte_carlo,
 )
-from .smoothers import build_pair, smoother_storage
+from .smoothers import build_pair, pair_storage
 from .spectral import certify
 
 __all__ = ["NotCertifiedError", "main", "build_parser"]
@@ -94,11 +94,11 @@ def _load_problem(args: argparse.Namespace):
 def _pair_storage(data, kernel, bw) -> str:
     """What the smoother pair of this problem needs, as the build would store it."""
     n = data.n
-    (kind_u, bytes_u), (kind_v, bytes_v) = (
-        smoother_storage(x, kernel, bw) for x in (data.u, data.v)
-    )
-    size = f"{(bytes_u + bytes_v) / 1e9:.3g} GB"
-    if kind_u == kind_v == "dense":
+    kind_u, kind_v, nbytes = pair_storage(data, kernel, bw, bw)
+    size = f"{nbytes / 1e9:.3g} GB"
+    if kind_u == "packed":
+        need = f"one {n} x {n} array for both smoothers ({size})"
+    elif kind_u == kind_v == "dense":
         need = f"two {n} x {n} smoother matrices ({size})"
     else:
         need = f"{size} for its smoother matrices (S1 {kind_u}, S2 {kind_v})"

@@ -7,36 +7,62 @@ when the kernel has compact support; when those windows hold at most
 n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array, which costs one n x n array: it is filled in
 place, a slab of ``BUILD_BLOCK`` rows at a time, across the CPUs the
-process may use.  Products with a vector (``@``) work on
-either, and so do the fitters and the matrix-free ARPACK route; only the
-routes that need the dense matrix itself (the formed product S2* S1*,
-which the dense fallbacks use, and :func:`center`, a reference for tests
-and demos) convert it, through :func:`as_dense`.  ``center`` applies the mean-removal
-projector C = I - 11^T/n, which enforces the zero-mean identification
-constraint on fitted component vectors.  The backfitting equations use
-the centered smoothers S* = C S; this module is the one place that knows
-how they are obtained from S: :class:`SmootherPair` stores S1 and S2
-only, applies S1* and S2* to vectors and forms S2* S1* on demand, and
-``center(s)`` forms one S* as a dense matrix.  Rows follow the original
-sample order; the sort permutations live on the dataset.
+process may use.
+
+``build_pair`` stores the two smoothers of a problem.  When both would
+be dense and each coordinate has one bandwidth (a constant or ``rate:``
+spec, or any spec whose resolved bandwidths are all equal), the raw
+kernel matrix K((x_i - x_j) / h) of each coordinate is exactly
+symmetric: floating-point subtraction is antisymmetric, and every
+kernel reads |t| or t^2.  Such a pair is a :class:`PackedPair`: one
+n x n array holds u's raw weights in its lower triangle and v's in its
+strict upper one, with the shared diagonal K(0), beside the two vectors
+of row totals.  Its smoothers (:class:`PackedSmoother`) are applied by
+BLAS ``dsymv`` on the array's Fortran view, then divided by the totals.
+Any other pair is a :class:`SmootherPair` of two matrices, dense or CSR.
+
+Products with a vector (``@``) work on every storage, and so do the
+fitters and the matrix-free ARPACK route; only the routes that need the
+dense matrix itself (the formed product S2* S1*, which the dense
+fallbacks use, and :func:`center`, a reference for tests and demos)
+form it, through :func:`as_dense` or :meth:`star_product`.  ``center``
+applies the mean-removal projector C = I - 11^T/n, which enforces the
+zero-mean identification constraint on fitted component vectors.  The
+backfitting equations use the centered smoothers S* = C S; this module
+is the one place that knows how they are obtained from S: a pair stores
+S1 and S2 only, applies S1* and S2* to vectors and forms S2* S1* on
+demand, and ``center(s)`` forms one S* as a dense matrix.  Rows follow
+the original sample order; the sort permutations live on the dataset.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsymm, dsymv
 from scipy.sparse import csr_array, issparse
 
 from .kernels import BandwidthSpec, Kernel, support_window
 
-__all__ = ["Dataset", "SmootherPair", "build_smoother", "center", "build_pair"]
+__all__ = [
+    "Dataset",
+    "SmootherPair",
+    "PackedPair",
+    "PackedSmoother",
+    "build_smoother",
+    "center",
+    "build_pair",
+    "pair_storage",
+]
 
-# Rows per slab of the dense build.  A slab is computed inside its rows of
-# the n x n result; beside it, each slab in flight holds its row totals and,
-# for the Gaussian, one BUILD_BLOCK x n boolean mask (the kernel's zero flush).
+# Rows per slab of the dense and packed builds.  A slab is computed inside
+# its rows of the n x n result; beside it, each slab in flight holds its row
+# totals and, for the Gaussian, one boolean mask of its rows (the kernel's
+# zero flush).
 BUILD_BLOCK = 256
 
 # A compact-kernel smoother is stored as CSR when its windows hold at most
@@ -84,19 +110,8 @@ class Dataset:
         return len(self.y)
 
 
-@dataclass
-class SmootherPair:
-    """Row-stochastic smoother matrices S1 (of u) and S2 (of v).
-
-    Each is a dense ndarray or a ``csr_array``, as :func:`build_smoother`
-    chose.  The centered smoothers S* = C S are rank-one corrections of S
-    and are not stored: the fitters apply them as S* x = S x - mean(S x), and
-    :meth:`star_product` forms S2* S1* when a dense route needs it.
-    ``center(pair.s1)`` gives a dense S1* where one is wanted.
-    """
-
-    s1: np.ndarray | csr_array
-    s2: np.ndarray | csr_array
+class _Pair:
+    """The centered smoothers' action, shared by both storages of a pair."""
 
     @property
     def n(self) -> int:
@@ -109,6 +124,21 @@ class SmootherPair:
     def apply_s2_star(self, x: np.ndarray) -> np.ndarray:
         """S2* x, computed as S2 x - mean(S2 x)."""
         return apply_star(self.s2, x)
+
+
+@dataclass
+class SmootherPair(_Pair):
+    """Row-stochastic smoother matrices S1 (of u) and S2 (of v).
+
+    Each is a dense ndarray or a ``csr_array``, as :func:`build_smoother`
+    chose.  The centered smoothers S* = C S are rank-one corrections of S
+    and are not stored: the fitters apply them as S* x = S x - mean(S x), and
+    :meth:`star_product` forms S2* S1* when a dense route needs it.
+    ``center(pair.s1)`` gives a dense S1* where one is wanted.
+    """
+
+    s1: np.ndarray | csr_array
+    s2: np.ndarray | csr_array
 
     def star_product(self) -> np.ndarray:
         """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
@@ -123,9 +153,152 @@ class SmootherPair:
         return product
 
 
-def as_dense(s: np.ndarray | csr_array) -> np.ndarray:
-    """``s`` as a dense array: a sparse matrix is copied out, a dense one returned as is."""
-    return s.toarray() if issparse(s) else s
+@dataclass
+class PackedPair(_Pair):
+    """S1 and S2 of one bandwidth per coordinate, in one n x n array.
+
+    ``weights`` holds the raw kernel values K((u_i - u_j) / h_u) in its
+    lower triangle and K((v_i - v_j) / h_v) in its strict upper one; the
+    diagonal K(0) is the same for both.  ``total_u`` and ``total_v`` are
+    the row totals of the two symmetric kernel matrices, so
+    S1 = diag(total_u)^-1 K_u and S2 = diag(total_v)^-1 K_v.  ``s1`` and
+    ``s2`` read as those smoothers (:class:`PackedSmoother`) without
+    forming them; they live in slots, outside ``vars(pair)``, which lists
+    the arrays the pair stores.  The pair applies S1* and S2* and forms
+    S2* S1* as :class:`SmootherPair` does.
+    """
+
+    __slots__ = ("s1", "s2")
+
+    weights: np.ndarray
+    total_u: np.ndarray
+    total_v: np.ndarray
+
+    def __post_init__(self):
+        # the smallest raw weight, read once for both smoothers' min()
+        lowest = functools.cache(self.weights.min)
+        self.s1 = PackedSmoother(self.weights, self.total_u, True, lowest)
+        self.s2 = PackedSmoother(self.weights, self.total_v, False, lowest)
+
+    def star_product(self) -> np.ndarray:
+        """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
+
+        S1 is formed once, and BLAS ``dsymm`` multiplies it by v's
+        symmetric kernel matrix from its triangle: (K_v S1)^T = S1^T K_v
+        takes both operands as Fortran views, so neither is copied.  The
+        process holds the pair's array, S1 and the product at the peak,
+        as a pair of two dense smoothers does.
+        """
+        s1 = self.s1.toarray()
+        product = dsymm(1.0, self.weights.T, s1.T, side=1, lower=1).T
+        del s1
+        product /= self.total_v[:, None]
+        product -= product.mean(axis=0)
+        return product
+
+
+class PackedSmoother:
+    """One smoother of a :class:`PackedPair`, read without being formed.
+
+    S = diag(total)^-1 K, with K the symmetric raw kernel matrix held in
+    the lower (``lower=True``, u) or strict upper (v) triangle of the
+    pair's array, sharing its diagonal.  It answers what the fitters and
+    the certificate ask of a smoother: ``shape`` and ``ndim``, ``s @ x``
+    for a vector x (BLAS ``dsymv`` on the array's Fortran view, then a
+    division by the totals), ``s.sum(axis=1)``, ``s.min()``, the entries
+    ``s[rows, cols]`` for two integer arrays, and the positivity pattern
+    ``s > 0``.  ``toarray()``, and so ``np.asarray(s)`` and
+    :func:`as_dense`, form S.
+    """
+
+    ndim = 2
+
+    def __init__(self, weights: np.ndarray, total: np.ndarray, lower: bool, lowest):
+        # a view whose lower triangle holds K, for the reads below
+        self._tri = weights if lower else weights.T
+        # the C-ordered array's transpose is Fortran-ordered, so f2py
+        # passes it to BLAS without a copy; u's triangle is its upper one
+        self._fortran, self._blas_lower = weights.T, 0 if lower else 1
+        self._total = total
+        self._lowest = lowest  # the pair's smallest raw weight, on demand
+        self.shape = weights.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return dsymv(1.0, self._fortran, x, lower=self._blas_lower) / self._total
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row sums (``axis=1``): S 1, one ``dsymv`` of ones over the totals."""
+        if axis != 1:
+            raise ValueError("a packed smoother sums its rows only (axis=1)")
+        return self @ np.ones(self.shape[0])
+
+    def min(self) -> float:
+        """A lower bound on the smallest entry of S, exact when that entry is 0.
+
+        The smallest raw weight of the pair's array over the largest row
+        total: S_ij = K_ij / total_i is not smaller when the weights are
+        nonnegative, and a NaN weight gives NaN.  The array is read once,
+        for the pair's two smoothers together.
+        """
+        return float(self._lowest() / self._total.max())
+
+    def __getitem__(self, key) -> np.ndarray:
+        """Entries S[rows[k], cols[k]] for two integer arrays ``(rows, cols)``."""
+        rows, cols = key
+        if not all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" for k in key):
+            raise TypeError("read a packed smoother by two integer arrays, or form it by as_dense")
+        return self._tri[np.maximum(rows, cols), np.minimum(rows, cols)] / self._total[rows]
+
+    def __gt__(self, other) -> np.ndarray:
+        """The dense boolean pattern S > 0, which is K > 0 (totals are positive)."""
+        if other != 0:
+            raise ValueError("a packed smoother compares with 0 only")
+        out = np.empty(self.shape, dtype=bool)
+        _unpack(self._tri, out, lambda src, dst: np.greater(src, 0.0, out=dst))
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """S as a fresh dense C-ordered array."""
+        out = np.empty(self.shape)
+        _unpack(self._tri, out, lambda src, dst: np.copyto(dst, src))
+        out /= self._total[:, None]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        s = self.toarray()
+        return s if dtype is None else s.astype(dtype, copy=False)
+
+
+def _slabs(n: int):
+    """The row ranges ``(lo, hi)`` of the slabs of ``BUILD_BLOCK`` rows."""
+    return ((lo, min(lo + BUILD_BLOCK, n)) for lo in range(0, n, BUILD_BLOCK))
+
+
+def _lower_mask(b: int) -> np.ndarray:
+    """The b x b boolean mask of the lower triangle, diagonal included."""
+    return np.tri(b, dtype=bool)
+
+
+def _unpack(tri: np.ndarray, out: np.ndarray, put) -> None:
+    """Write the symmetric matrix held in ``tri``'s lower triangle into ``out``.
+
+    ``put(src, dst)`` writes a block of it (or a function of one) into
+    ``dst``, a slab of ``BUILD_BLOCK`` rows of ``out`` at a time: first
+    each row's entries left of the slab's end, read along the rows, then
+    those right of it, read down the columns below the slab; the upper
+    part of the slab's diagonal block, written from the other triangle by
+    the first step, is then mirrored from its lower part.
+    """
+    for lo, hi in _slabs(len(out)):
+        put(tri[lo:hi, :hi], out[lo:hi, :hi])
+        put(tri[hi:, lo:hi].T, out[lo:hi, hi:])
+        block, upper = out[lo:hi, lo:hi], ~_lower_mask(hi - lo)
+        block[upper] = block.T[upper]
+
+
+def as_dense(s) -> np.ndarray:
+    """``s`` as a dense array: a sparse or packed smoother is formed, a dense one returned as is."""
+    return s.toarray() if issparse(s) or isinstance(s, PackedSmoother) else s
 
 
 def _check_total(total: np.ndarray, offset: int = 0) -> None:
@@ -147,40 +320,112 @@ def _check_total(total: np.ndarray, offset: int = 0) -> None:
         )
 
 
+def _scaled_differences(
+    out: np.ndarray, x_rows: np.ndarray, x_cols: np.ndarray, h_rows, where=True
+) -> None:
+    """Set ``out[i, j]`` to (x_rows[i] - x_cols[j]) / h_rows[i] in place, where ``where`` holds.
+
+    ``h_rows`` is a column of per-row bandwidths or one bandwidth.
+    Overflow is ignored (see :func:`_check_total`).
+    """
+    np.subtract(x_rows[:, None], x_cols[None, :], out=out, where=where)
+    with np.errstate(over="ignore"):
+        np.divide(out, h_rows, out=out, where=where)
+
+
+def _kernel_slab(
+    out: np.ndarray, x_rows: np.ndarray, x_cols: np.ndarray, h_rows, kernel: Kernel
+) -> None:
+    """Fill ``out`` in place with K((x_rows[i] - x_cols[j]) / h_rows[i]).
+
+    The one slab arithmetic of the dense and packed builds:
+    :func:`_scaled_differences`, then the kernel in place.
+    """
+    _scaled_differences(out, x_rows, x_cols, h_rows)
+    with np.errstate(over="ignore"):
+        kernel.evaluate(out, out=out)
+
+
+def _by_slabs(fill, n: int) -> None:
+    """Run ``fill(lo, hi)`` on every slab of rows, shared among the CPUs the process may use.
+
+    numpy releases the GIL in the ufuncs of a fill; a one-slab build, or
+    one on a single CPU, runs in the caller's thread.  ``pool.map``
+    re-raises in slab order, so an error names the lowest failing row.
+    """
+    slabs = list(_slabs(n))
+    workers = min(_usable_cpus(), len(slabs))
+    if workers == 1:
+        for lo, hi in slabs:
+            fill(lo, hi)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda slab: fill(*slab), slabs))
+
+
 def _build_dense(x: np.ndarray, kernel: Kernel, h: np.ndarray) -> np.ndarray:
     """The smoother as one dense array, filled in place by slabs of ``BUILD_BLOCK`` rows.
 
-    Each slab is computed inside its own rows of the result, so the build
-    holds the n x n array and, for the Gaussian, a boolean mask per slab in
-    flight.  The slabs are shared among the CPUs the process may use (numpy
-    releases the GIL in these ufuncs); a one-slab build runs in the
-    caller's thread.  ``pool.map`` re-raises in slab order, so a row-total error
-    names the lowest failing row.
+    Each slab is computed inside its own rows of the result
+    (:func:`_kernel_slab`), then divided by its bandwidths and by its row
+    totals, so the build holds the n x n array and, for the Gaussian, a
+    boolean mask per slab in flight.
     """
-    n = len(x)
-    s = np.empty((n, n))
+    s = np.empty((len(x), len(x)))
 
-    def fill(lo: int) -> None:
-        rows = slice(lo, lo + BUILD_BLOCK)
-        slab, h_rows = s[rows], h[rows, None]
-        np.subtract(x[rows, None], x[None, :], out=slab)
+    def fill(lo: int, hi: int) -> None:
+        slab, h_rows = s[lo:hi], h[lo:hi, None]
+        _kernel_slab(slab, x[lo:hi], x, h_rows, kernel)
         with np.errstate(over="ignore"):  # see _check_total
-            np.divide(slab, h_rows, out=slab)
-            kernel.evaluate(slab, out=slab)
             np.divide(slab, h_rows, out=slab)
         total = slab.sum(axis=1)
         _check_total(total, lo)
         np.divide(slab, total[:, None], out=slab)
 
-    starts = range(0, n, BUILD_BLOCK)
-    workers = min(_usable_cpus(), len(starts))
-    if workers == 1:
-        for lo in starts:
-            fill(lo)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, starts))
+    _by_slabs(fill, len(x))
     return s
+
+
+def _build_packed(
+    u: np.ndarray, v: np.ndarray, kernel: Kernel, h_u: float, h_v: float
+) -> PackedPair:
+    """Both smoothers in one n x n array of raw kernel values (:class:`PackedPair`).
+
+    Slab rows [lo, hi) get u's weights left of hi and v's right of it,
+    by the arithmetic of :func:`_kernel_slab`; in their diagonal block,
+    v's scaled differences replace u's on the strict upper triangle
+    before the kernel runs, so the block needs no array of its own.  So
+    n^2 kernel values are computed, against 2 n^2 for two dense
+    smoothers.  The row totals are BLAS ``dsymv`` products of
+    each triangle with ones; when u and v and their bandwidths coincide,
+    the two triangles hold the same matrix and S2 takes S1's totals, so
+    the two smoothers are the same to the bit.  A total that is zero or
+    not finite in the units of K_h = K / h raises ``ValueError`` as in
+    the dense build, S1's rows first.
+    """
+    n = len(u)
+    weights = np.empty((n, n))
+    # the strict upper triangle of a diagonal block; a shorter last slab
+    # takes its leading corner
+    upper = ~_lower_mask(min(n, BUILD_BLOCK))
+
+    def fill(lo: int, hi: int) -> None:
+        left = weights[lo:hi, :hi]
+        _scaled_differences(left, u[lo:hi], u[:hi], h_u)
+        _scaled_differences(left[:, lo:], v[lo:hi], v[lo:hi], h_v, upper[: hi - lo, : hi - lo])
+        with np.errstate(over="ignore"):  # see _check_total
+            kernel.evaluate(left, out=left)
+        _kernel_slab(weights[lo:hi, hi:], v[lo:hi], v[hi:], h_v, kernel)
+
+    _by_slabs(fill, n)
+    ones = np.ones(n)
+    total_u = dsymv(1.0, weights.T, ones, lower=0)
+    same = h_u == h_v and np.array_equal(u, v)
+    total_v = total_u if same else dsymv(1.0, weights.T, ones, lower=1)
+    with np.errstate(over="ignore"):  # see _check_total
+        _check_total(total_u / h_u)
+        _check_total(total_v / h_v)
+    return PackedPair(weights, total_u, total_v)
 
 
 def _usable_cpus() -> int:
@@ -271,7 +516,11 @@ def build_smoother(
     if n < 2:
         raise ValueError(f"need at least 2 points to build a smoother, got {n}")
     h = bw.resolve(x)
-    windows = _csr_windows(x, kernel, h)
+    return _build(x, kernel, h, _csr_windows(x, kernel, h))
+
+
+def _build(x: np.ndarray, kernel: Kernel, h: np.ndarray, windows) -> np.ndarray | csr_array:
+    """The dense build when ``windows`` is None, else the CSR build on them."""
     if windows is None:
         return _build_dense(x, kernel, h)
     return _build_csr(x, kernel, h, *windows)
@@ -294,24 +543,56 @@ def _csr_windows(
     return order, lo, hi
 
 
-def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[str, int]:
-    """How :func:`build_smoother` stores this smoother, without building it.
+def _plan(data: Dataset, kernel: Kernel, h_u: np.ndarray, h_v: np.ndarray):
+    """Whether :func:`build_pair` packs this pair, and each coordinate's CSR windows.
 
-    Returns ``("dense", 8 n^2)`` or ``("CSR", b)``, where b bounds the
-    bytes of the CSR arrays: per window entry a float64 weight and an
-    index, and per row one pointer.  Indices and pointers are int32, 4
-    bytes each, or int64, 8 bytes each, once n or the entry count reaches
-    2^31, by the rule of :func:`_build_csr`.
+    The one packing rule: a pair is packed when both smoothers would be
+    dense (both windows None) and each coordinate's resolved bandwidths
+    are all equal, whatever spec gave them.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    windows = _csr_windows(x, kernel, bw.resolve(x))
+    windows = (_csr_windows(data.u, kernel, h_u), _csr_windows(data.v, kernel, h_v))
+    packed = all(w is None for w in windows) and all(h.min() == h.max() for h in (h_u, h_v))
+    return packed, windows
+
+
+def _storage(n: int, windows) -> tuple[str, int]:
+    """``("dense", 8 n^2)``, or ``("CSR", b)`` with b bounding the CSR build on ``windows``.
+
+    b counts per window entry a float64 weight and an index, and per row
+    one pointer.  Indices and pointers are int32, 4 bytes each, or
+    int64, 8 bytes each, once n or the entry count reaches 2^31, by the
+    rule of :func:`_build_csr`.
+    """
     if windows is None:
         return "dense", 8 * n * n
     _, lo, hi = windows
     entries = int((hi - lo).sum())
     index = 4 if max(n, entries) < 2**31 else 8
     return "CSR", (8 + index) * entries + index * (n + 1)
+
+
+def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[str, int]:
+    """How :func:`build_smoother` stores this smoother, without building it (:func:`_storage`)."""
+    x = np.asarray(x, dtype=float)
+    return _storage(len(x), _csr_windows(x, kernel, bw.resolve(x)))
+
+
+def pair_storage(
+    data: Dataset, kernel: Kernel, bw_u: BandwidthSpec, bw_v: BandwidthSpec
+) -> tuple[str, str, int]:
+    """How :func:`build_pair` stores this pair, without building it.
+
+    Returns the layout of S1 and of S2 and the bytes of both, by the rule
+    of :func:`_plan`: ``("packed", "packed", 8 n^2 + 16 n)`` for one
+    n x n array and two total vectors, else each smoother's
+    ``"dense"`` or ``"CSR"`` with the sum of their bytes (:func:`_storage`).
+    """
+    packed, windows = _plan(data, kernel, bw_u.resolve(data.u), bw_v.resolve(data.v))
+    n = data.n
+    if packed:
+        return "packed", "packed", 8 * n * n + 16 * n
+    (kind_u, bytes_u), (kind_v, bytes_v) = (_storage(n, w) for w in windows)
+    return kind_u, kind_v, bytes_u + bytes_v
 
 
 def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:
@@ -338,8 +619,17 @@ def build_pair(
     kernel: Kernel,
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,
-) -> SmootherPair:
-    """Build the smoothers of both coordinates: S1 from u, S2 from v."""
+) -> SmootherPair | PackedPair:
+    """Build the smoothers of both coordinates: S1 from u, S2 from v.
+
+    A :class:`PackedPair` when :func:`_plan` packs them (both dense, one
+    bandwidth per coordinate), else a :class:`SmootherPair` of the two
+    matrices :func:`build_smoother` would return.
+    """
+    h_u, h_v = bw_u.resolve(data.u), bw_v.resolve(data.v)
+    packed, (windows_u, windows_v) = _plan(data, kernel, h_u, h_v)
+    if packed:
+        return _build_packed(data.u, data.v, kernel, h_u[0], h_v[0])
     return SmootherPair(
-        s1=build_smoother(data.u, kernel, bw_u), s2=build_smoother(data.v, kernel, bw_v)
+        s1=_build(data.u, kernel, h_u, windows_u), s2=_build(data.v, kernel, h_v, windows_v)
     )

@@ -34,8 +34,9 @@ two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
 and the top eigenvalue 1 is simple exactly when S has one closed class;
 a regular smoother (route 1) has one, aperiodic.  The report says
 whether it is simple but does not restate it: every smoother passes a
-1e-9 check of its row sums, which is S 1 = 1.  Dense and sparse
-smoothers take the same reads, a sparse one as CSR.
+1e-9 check of its row sums, which is S 1 = 1.  Dense, sparse and packed
+smoothers take the same reads, a sparse one as CSR, a packed one from
+its triangle of the pair's array without forming it.
 
 rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
@@ -62,7 +63,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, SmootherPair
+from .smoothers import Dataset, PackedPair, PackedSmoother, SmootherPair
 
 __all__ = [
     "GapReport",
@@ -220,17 +221,19 @@ def check_gap_conditions(
     )
 
 
-def _validate_stochastic(s) -> np.ndarray | csr_array:
-    """``s`` as a float array, dense or CSR, after checking it is row-stochastic.
+def _validate_stochastic(s) -> np.ndarray | csr_array | PackedSmoother:
+    """``s`` as a float array, dense, CSR or packed, after checking it is row-stochastic.
 
     A sparse ``s`` becomes a ``csr_array``, sharing a float CSR input's
     arrays; one with unsorted or duplicate entries is copied, since the
     checks and reads below put it in canonical form in place.  Its
-    checks take O(nnz).
+    checks take O(nnz).  A smoother of a packed pair is read as it is:
+    its ``min()`` reads its triangle of the pair's array once, and its
+    row sums are one ``dsymv`` (:class:`~nwbackfit.smoothers.PackedSmoother`).
     """
     if issparse(s):
         s = csr_array(s, dtype=float, copy=not getattr(s, "has_canonical_format", True))
-    else:
+    elif not isinstance(s, PackedSmoother):
         s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
@@ -245,7 +248,7 @@ def _validate_stochastic(s) -> np.ndarray | csr_array:
     return s
 
 
-def _neighbours_and_loop(s: np.ndarray | csr_array, order: np.ndarray) -> bool:
+def _neighbours_and_loop(s: np.ndarray | csr_array | PackedSmoother, order: np.ndarray) -> bool:
     """True when the sorted-neighbour entries and some diagonal entry are positive.
 
     Positive S[o_i, o_{i+1}] and S[o_{i+1}, o_i] for i < n - 1 put every
@@ -274,7 +277,7 @@ def _graph_period(adj: csr_array) -> int:
     return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[adj.indices])))
 
 
-def _closed_classes(s: np.ndarray | csr_array) -> tuple[int, tuple[int, ...]]:
+def _closed_classes(s: np.ndarray | csr_array | PackedSmoother) -> tuple[int, tuple[int, ...]]:
     """The strong components of a matrix's positivity graph, and its closed classes.
 
     The graph is a boolean CSR array with no stored False.  A closed
@@ -299,7 +302,10 @@ def _closed_classes(s: np.ndarray | csr_array) -> tuple[int, tuple[int, ...]]:
 
 
 def check_regularity(
-    s: np.ndarray | csr_array, order: np.ndarray | None = None, *, classes: list | None = None
+    s: np.ndarray | csr_array | PackedSmoother,
+    order: np.ndarray | None = None,
+    *,
+    classes: list | None = None,
 ) -> bool:
     """True iff the positivity graph of a stochastic matrix is regular.
 
@@ -311,8 +317,11 @@ def check_regularity(
     smoother whose ``order`` sorts its coordinate, that is the paper's
     adjacent-gap condition on the built weights.  When it cannot tell,
     the strong components of the graph decide (:func:`_closed_classes`),
-    built in O(nnz) from a sparse ``s``.  Dense and sparse ``s`` take the
-    same reads, after :func:`_validate_stochastic`.
+    built in O(nnz) from a sparse ``s``.  Dense, sparse and packed ``s``
+    take the same reads, after :func:`_validate_stochastic`; a smoother of
+    a packed pair is read without being formed, and only its graph, when
+    the read cannot tell, is a dense boolean n x n array, as for a dense
+    ``s``.
 
     When ``classes`` is a list, the graph's :func:`_closed_classes` result
     is appended to it, or None when the read alone showed S regular: a
@@ -389,7 +398,7 @@ def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
     return vals, applications
 
 
-def _product_radius(pair: SmootherPair) -> tuple[complex, int, str | None]:
+def _product_radius(pair: SmootherPair | PackedPair) -> tuple[complex, int, str | None]:
     """The eigenvalue of S2* S1* of largest modulus (see the module notes).
 
     :func:`_arpack` runs on the unformed operator; on its ``ArpackError``,
@@ -437,7 +446,7 @@ def _unit_modulus(graph: tuple[int, tuple[int, ...]] | None) -> tuple[bool, floa
 
 
 def certify(
-    pair: SmootherPair,
+    pair: SmootherPair | PackedPair,
     kernel: Kernel,
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,

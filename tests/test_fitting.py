@@ -26,7 +26,15 @@ from nwbackfit.kernels import (
     RateBandwidth,
 )
 from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
-from nwbackfit.smoothers import Dataset, build_pair, center
+from nwbackfit.smoothers import (
+    Dataset,
+    PackedPair,
+    PackedSmoother,
+    SmootherPair,
+    as_dense,
+    build_pair,
+    center,
+)
 from nwbackfit.spectral import Verdict, _closed_classes, certify, check_regularity
 
 from conftest import (
@@ -116,9 +124,46 @@ class TestSparseSmoothers:
                 # the smoothers' radii are read from their graphs: 1.0 or None
                 assert got.spectral.rho_s1_star == want.spectral.rho_s1_star
                 assert got.spectral.rho_s2_star == want.spectral.rho_s2_star
-        for got, want in zip(vars(pairs["csr"]).values(), vars(pairs["dense"]).values()):
+        for got, want in zip(
+            (pairs["csr"].s1, pairs["csr"].s2), (pairs["dense"].s1, pairs["dense"].s2)
+        ):
             assert check_regularity(got) == check_regularity(want)
             assert _closed_classes(got) == _closed_classes(want)
+
+
+class TestPackedPair:
+    def test_fit_path_forms_no_dense_matrix(self, monkeypatch):
+        # the certificate, the iterative fit and the GMRES direct fit read
+        # a packed pair through products and entry reads alone, and agree
+        # with the same smoothers stored as two dense matrices
+        data = generate(SimSpec(n=400, design=BivariateNormal(rho=0.5), noise_sd=0.3, seed=7))
+        kernel, bw = Kernel.GAUSSIAN, RateBandwidth(0.2)
+        pair = build_pair(data, kernel, bw, bw)
+        assert isinstance(pair, PackedPair)
+        dense = SmootherPair(as_dense(pair.s1), as_dense(pair.s2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense n x n array was formed from a packed pair")
+
+        with monkeypatch.context() as m:
+            for cls, name in (
+                (PackedSmoother, "toarray"),
+                (PackedSmoother, "__array__"),
+                (PackedSmoother, "__gt__"),
+                (PackedPair, "star_product"),
+            ):
+                m.setattr(cls, name, refuse)
+            cert = certify(pair, kernel, bw, bw, data)
+            iterative = backfit_iterative(pair, data.y)
+            direct = backfit_direct(pair, data.y)
+        assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
+        assert cert.spectral.fallback is None
+        want = certify(dense, kernel, bw, bw, data)
+        assert abs(cert.spectral.rho_product - want.spectral.rho_product) <= 1e-12
+        for got, solve in ((iterative, backfit_iterative), (direct, backfit_direct)):
+            ref = solve(dense, data.y)
+            assert np.abs(got.m1_hat - ref.m1_hat).max() <= 1e-12
+            assert np.abs(got.m2_hat - ref.m2_hat).max() <= 1e-12
 
 
 class TestTrivialFixedPoints:

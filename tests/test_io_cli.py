@@ -391,7 +391,7 @@ class TestCliExitCodes:
         rc = main([subcommand, "--input", str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: n=40 needs two 40 x 40 smoother matrices")
+        assert err.startswith("error: out of memory: n=40 needs one 40 x 40 array for both smoothers")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

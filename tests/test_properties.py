@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig
 from scipy.sparse import coo_array, csc_array, csr_array
@@ -10,7 +10,15 @@ from scipy.sparse import coo_array, csc_array, csr_array
 from nwbackfit.fitting import backfit_direct
 from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
 from nwbackfit.simulate import BivariateNormal, SimSpec, generate, max_gap
-from nwbackfit.smoothers import Dataset, as_dense, build_pair, build_smoother
+from nwbackfit.smoothers import (
+    Dataset,
+    PackedPair,
+    SmootherPair,
+    _build_packed,
+    as_dense,
+    build_pair,
+    build_smoother,
+)
 from nwbackfit.spectral import (
     _closed_classes,
     _neighbours_and_loop,
@@ -142,7 +150,12 @@ def test_permuting_rows_changes_nothing(n, seed, kernel, kind, rho):
     kernel=st.sampled_from(ALL_KERNELS),
     kind=st.sampled_from(["constant", "rate", "knn"]),
     ties=st.booleans(),
-    layout=st.sampled_from(["dense", "csr", "csr-unsorted", "csc", "coo", "csr-duplicates"]),
+    layout=st.sampled_from(
+        [
+            "dense", "csr", "csr-unsorted", "csc", "coo", "csr-duplicates",
+            "packed-lower", "packed-upper",
+        ]
+    ),
     shuffled=st.booleans(),
 )
 @example(n=2, seed=0, kernel=Kernel.UNIFORM, kind="constant", ties=False, layout="csr", shuffled=True)
@@ -171,7 +184,19 @@ def test_sorted_neighbour_read_agrees_with_the_graph(n, seed, kernel, kind, ties
         bw = ConstantBandwidth(max(max_gap(x), 1.0) * float(rng.uniform(0.05, 2.5)))
     s = as_dense(build_smoother(x, kernel, bw))
     order = rng.permutation(n) if shuffled else np.argsort(x, kind="stable")
-    if layout != "dense":
+    if layout.startswith("packed"):
+        # x's smoother in one triangle of a packed pair, a second
+        # coordinate's in the other; packing needs one bandwidth
+        h = bw.resolve(x)
+        assume(h.min() == h.max())
+        other = np.cumsum(rng.exponential(size=n))
+        if layout == "packed-lower":
+            packed = _build_packed(x, other, kernel, h[0], 1.0).s1
+        else:
+            packed = _build_packed(other, x, kernel, 1.0, h[0]).s2
+        assert np.array_equal(np.asarray(packed) > 0.0, s > 0.0)
+        s = packed
+    elif layout != "dense":
         s = {"csc": csc_array, "coo": coo_array}.get(layout, csr_array)(s)
     if layout == "csr-unsorted":  # each row's stored entries in descending column order
         s = csr_array((s.data, s.indices, s.indptr), shape=s.shape)
@@ -245,3 +270,42 @@ def test_windowed_kth_distance_matches_the_full_sort(values, scale, where, pick,
     inside = np.zeros(n, dtype=bool)
     inside[order[lo:hi]] = True
     assert inside[np.abs(x - at) < h].all()
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(ALL_KERNELS),
+    ties=st.booleans(),
+    same=st.booleans(),
+)
+@example(n=2, seed=0, kernel=Kernel.UNIFORM, ties=False, same=False)
+@example(n=3, seed=1, kernel=Kernel.GAUSSIAN, ties=True, same=True)
+def test_packed_pair_matches_build_smoother(n, seed, kernel, ties, same):
+    # a packed pair stores raw kernel values and divides by their row
+    # totals; build_smoother divides each value by h, then by the total
+    # of those.  The totals are summed in other orders, so entries agree
+    # to a few ulps (up to 4 at n <= 12, growing like the sums' rounding:
+    # 8 at n = 40), and products to rounding
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n)
+    if ties:
+        u = np.round(u)
+    v = u.copy() if same else rng.uniform(-2.0, 2.0, n)
+    h_u = float(rng.uniform(0.3, 3.0))
+    h_v = h_u * float(rng.uniform(1.1, 2.0))
+    data = Dataset(y=np.zeros(n), u=u, v=v)
+    pair = build_pair(data, kernel, ConstantBandwidth(h_u), ConstantBandwidth(h_v))
+    assert isinstance(pair, PackedPair)
+    ref = SmootherPair(
+        as_dense(build_smoother(u, kernel, ConstantBandwidth(h_u))),
+        as_dense(build_smoother(v, kernel, ConstantBandwidth(h_v))),
+    )
+    rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    for got, want in ((pair.s1, ref.s1), (pair.s2, ref.s2)):
+        np.testing.assert_array_max_ulp(got[rows, cols], want[rows, cols], maxulp=4)
+    x = rng.normal(size=n)
+    assert np.abs(pair.apply_s1_star(x) - ref.apply_s1_star(x)).max() <= 1e-14
+    assert np.abs(pair.apply_s2_star(x) - ref.apply_s2_star(x)).max() <= 1e-14
+    assert np.abs(pair.star_product() - ref.star_product()).max() <= 1e-14

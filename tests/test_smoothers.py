@@ -16,7 +16,16 @@ from nwbackfit.kernels import (
     PerPointBandwidth,
     RateBandwidth,
 )
-from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
+from nwbackfit.smoothers import (
+    Dataset,
+    PackedPair,
+    PackedSmoother,
+    SmootherPair,
+    as_dense,
+    build_pair,
+    build_smoother,
+    center,
+)
 
 from conftest import ALL_KERNELS, build_smoother_oneshot, gap_passing_constant, weight_row
 
@@ -320,21 +329,129 @@ class TestBuildPair:
         assert np.abs(center(pair.s2)).max() <= 1e-14
 
     def test_star_matrices_match_center(self):
-        # the pair stores S1 and S2 only; its centered apply and formed
-        # product agree with the explicitly centered matrices
+        # the pair stores S1 and S2 only, as two matrices or packed in one
+        # array; its centered apply and formed product agree with the
+        # explicitly centered matrices
         rng = np.random.default_rng(43)
         data = random_dataset(rng, 16)
         x = rng.normal(size=data.n)
         for kernel in ALL_KERNELS:
             for bw in (ConstantBandwidth(0.9), RateBandwidth(0.2), KNearestBandwidth(3)):
                 pair = build_pair(data, kernel, bw, bw)
-                assert set(vars(pair)) == {"s1", "s2"}
+                if isinstance(bw, KNearestBandwidth):
+                    assert set(vars(pair)) == {"s1", "s2"}
+                else:
+                    assert set(vars(pair)) == {"weights", "total_u", "total_v"}
                 assert pair.n == data.n
                 assert_allclose(pair.apply_s1_star(x), center(pair.s1) @ x, rtol=0, atol=1e-14)
                 assert_allclose(pair.apply_s2_star(x), center(pair.s2) @ x, rtol=0, atol=1e-14)
                 assert_allclose(
                     pair.star_product(), center(pair.s2) @ center(pair.s1), rtol=0, atol=1e-14
                 )
+
+    @pytest.mark.parametrize(
+        "kernel, bw",
+        [(Kernel.GAUSSIAN, RateBandwidth(0.2)), (Kernel.UNIFORM, ConstantBandwidth(0.3))],
+        ids=["gaussian", "uniform"],
+    )
+    def test_packed_build_memory(self, kernel, bw):
+        # both smoothers in one n x n array and O(BUILD_BLOCK n) beside
+        # it; two dense smoothers took 16 n^2 bytes
+        n = 1500
+        rng = np.random.default_rng(28)
+        data = Dataset(y=np.zeros(n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+        tracemalloc.start()
+        try:
+            pair = build_pair(data, kernel, bw, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(pair, PackedPair)
+        assert peak < 8 * n * n + 4 * smoothers.BUILD_BLOCK * n
+
+    def test_star_product_memory(self):
+        # S1 formed once and the product beside the pair's array: three
+        # n x n arrays in all, as for a pair of two dense smoothers
+        n = 600
+        rng = np.random.default_rng(29)
+        data = Dataset(y=np.zeros(n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+        pair = build_pair(data, Kernel.GAUSSIAN, RateBandwidth(0.2), RateBandwidth(0.2))
+        tracemalloc.start()
+        try:
+            product = pair.star_product()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product.flags.c_contiguous
+        assert peak < 16 * n * n + 4 * smoothers.BUILD_BLOCK * n
+        dense = SmootherPair(as_dense(pair.s1), as_dense(pair.s2))
+        assert_allclose(product, dense.star_product(), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "bw_u, bw_v, layout",
+        [
+            (RateBandwidth(0.2), ConstantBandwidth(0.4), ("packed", "packed")),
+            # the decision reads the resolved bandwidths: equal per-point ones pack
+            (PerPointBandwidth(np.full(50, 0.3)), ConstantBandwidth(0.4), ("packed", "packed")),
+            (KNearestBandwidth(5), ConstantBandwidth(0.4), ("dense", "dense")),
+            (ConstantBandwidth(0.01), ConstantBandwidth(0.4), ("CSR", "dense")),
+        ],
+        ids=["rate-constant", "equal-per-point", "knn", "csr"],
+    )
+    def test_pair_storage_matches_the_build(self, bw_u, bw_v, layout):
+        rng = np.random.default_rng(30)
+        data = Dataset(y=np.zeros(50), u=rng.uniform(size=50), v=rng.uniform(size=50))
+        kernel = Kernel.EPANECHNIKOV
+        pair = build_pair(data, kernel, bw_u, bw_v)
+        kind_u, kind_v, nbytes = smoothers.pair_storage(data, kernel, bw_u, bw_v)
+        assert (kind_u, kind_v) == layout
+        stored = list(vars(pair).values())
+        if layout[0] == "packed":
+            assert isinstance(pair, PackedPair)
+            assert nbytes == sum(a.nbytes for a in stored)
+        else:
+            assert isinstance(pair, SmootherPair)
+            held = [a.nbytes if isinstance(a, np.ndarray) else
+                    a.data.nbytes + a.indices.nbytes + a.indptr.nbytes for a in stored]
+            assert sum(held) <= nbytes
+
+    def test_overflowing_mass_in_a_packed_pair(self):
+        # raw weights hold K(0) on the diagonal whatever h is; the totals
+        # are checked in the units of K_h, where K(0)/h overflows
+        rng = np.random.default_rng(31)
+        data = Dataset(y=np.zeros(30), u=rng.uniform(size=30), v=rng.uniform(size=30))
+        with pytest.raises(ValueError, match=r"row 0 has non-finite total kernel mass \(inf\)"):
+            build_pair(data, Kernel.GAUSSIAN, ConstantBandwidth(1e-320), ConstantBandwidth(0.3))
+        with pytest.raises(ValueError, match=r"row 0 has non-finite total kernel mass \(inf\)"):
+            build_pair(data, Kernel.GAUSSIAN, ConstantBandwidth(0.3), ConstantBandwidth(1e-320))
+
+    def test_packed_smoother_reads(self):
+        # what the certificate reads of a smoother, against the formed matrix
+        rng = np.random.default_rng(32)
+        data = Dataset(y=np.zeros(300), u=rng.normal(size=300), v=rng.uniform(size=300))
+        pair = build_pair(data, Kernel.GAUSSIAN, ConstantBandwidth(0.05), RateBandwidth(0.2))
+        assert isinstance(pair, PackedPair)
+        for s in (pair.s1, pair.s2):
+            assert isinstance(s, PackedSmoother)
+            dense = np.asarray(s)
+            assert s.shape == dense.shape == (300, 300) and s.ndim == 2
+            assert np.array_equal(s > 0.0, dense > 0.0)
+            rows, cols = rng.integers(0, 300, 500), rng.integers(0, 300, 500)
+            assert np.array_equal(s[rows, cols], dense[rows, cols])
+            assert_allclose(s.sum(axis=1), dense.sum(axis=1), rtol=0, atol=1e-14)
+            assert 0.0 <= s.min() <= dense.min()
+            with pytest.raises(TypeError):
+                s[:10, 10:]
+        # min() is the pair's smallest raw weight over the smoother's
+        # largest total, a positive lower bound when every weight is
+        wide = build_pair(data, Kernel.GAUSSIAN, ConstantBandwidth(50.0), ConstantBandwidth(50.0))
+        for s, total in ((wide.s1, wide.total_u), (wide.s2, wide.total_v)):
+            assert s.min() == wide.weights.min() / total.max()
+            assert 0.0 < s.min() <= np.asarray(s).min()
+        weights = wide.weights.copy()
+        weights[7, 3] = np.nan
+        nan_pair = PackedPair(weights, wide.total_u, wide.total_v)
+        assert np.isnan(nan_pair.s1.min()) and np.isnan(nan_pair.s2.min())
 
     def test_mixed_bandwidth_specs(self):
         rng = np.random.default_rng(44)

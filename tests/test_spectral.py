@@ -336,7 +336,14 @@ class TestCertify:
         bw = ConstantBandwidth(1e6)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
         cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
-        assert cert.spectral.method == "power"
+        # every raw weight is K(0) = 0.5, so S1 = S2 = 11^T/n and S2* S1*
+        # is zero.  Rounding decides whether a product comes out as exact
+        # zeros; on ARPACK's seeded starting vector it does, ARPACK stops
+        # there (error -9), and eigvals of the formed product answers
+        v0 = np.random.default_rng(0).standard_normal(data.n)
+        assert not pair.apply_s2_star(pair.apply_s1_star(v0)).any()
+        assert cert.spectral.method == "dense"
+        assert cert.spectral.fallback == "ArpackError: ARPACK error -9: Starting vector is zero."
         assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
         assert cert.spectral.rho_product <= 1e-14
         assert_certify_matches_oracle(cert, pair, Kernel.UNIFORM, bw, bw, data)
