@@ -163,12 +163,9 @@ class PackedPair(_Pair):
     the row totals of the two symmetric kernel matrices, so
     S1 = diag(total_u)^-1 K_u and S2 = diag(total_v)^-1 K_v.  ``s1`` and
     ``s2`` read as those smoothers (:class:`PackedSmoother`) without
-    forming them; they live in slots, outside ``vars(pair)``, which lists
-    the arrays the pair stores.  The pair applies S1* and S2* and forms
-    S2* S1* as :class:`SmootherPair` does.
+    forming them.  The pair applies S1* and S2* and forms S2* S1* as
+    :class:`SmootherPair` does.
     """
-
-    __slots__ = ("s1", "s2")
 
     weights: np.ndarray
     total_u: np.ndarray
@@ -569,12 +566,6 @@ def _storage(n: int, windows) -> tuple[str, int]:
     entries = int((hi - lo).sum())
     index = 4 if max(n, entries) < 2**31 else 8
     return "CSR", (8 + index) * entries + index * (n + 1)
-
-
-def smoother_storage(x: np.ndarray, kernel: Kernel, bw: BandwidthSpec) -> tuple[str, int]:
-    """How :func:`build_smoother` stores this smoother, without building it (:func:`_storage`)."""
-    x = np.asarray(x, dtype=float)
-    return _storage(len(x), _csr_windows(x, kernel, bw.resolve(x)))
 
 
 def pair_storage(

@@ -41,9 +41,11 @@ its triangle of the pair's array without forming it.
 rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
 operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), for its eigenvalue of
-largest modulus, and for six when that run does not converge.  Only when
-ARPACK fails, or n < 3, does ``numpy.linalg.eigvals`` of the formed
-S2* S1* take over, and the report's ``fallback`` says why.
+largest modulus, and for six when that run does not converge; an
+operator that sends two seeded vectors to exact zeros has eigenvalue 0
+(see :func:`_arpack`).  Only when ARPACK fails, or n < 3, does
+``numpy.linalg.eigvals`` of the formed S2* S1* take over, and the
+report's ``fallback`` says why.
 :func:`spectral_radius` of the formed product is the dense reference
 that route is tested against.
 
@@ -364,21 +366,31 @@ def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
     operator with several eigenvalues within 1e-13 of its top.  Each
     attempt's starting vector, and the vectors it draws after finding an
     invariant subspace, come from a generator seeded here, so reruns are
-    bit-identical.  Every ``ArpackError`` of the retry, and every other
-    one of the first run, propagates to the caller.
+    bit-identical.
 
-    Returns the eigenvalues found (the first run's one, or the retry's)
-    and the number of operator applications over both attempts.
+    ARPACK cannot start from a vector the operator sends to exact zeros
+    (its error -9), as a zero S2* S1* may do with its rounding; the run
+    is then repeated from a second seeded vector, and when that too goes
+    to zeros the operator is taken as zero, eigenvalue 0: a nonzero
+    operator sends a random vector to zero with probability 0.  Every
+    other ``ArpackError``, and every one of the ``ArpackNoConvergence``
+    retry, propagates to the caller.
+
+    Returns the eigenvalues found (the answering run's one, or its
+    retry's) and the number of operator applications over all attempts.
     """
     applications = 0
+    zeros = False  # whether the last application gave exact zeros
 
     def counted(x):
-        nonlocal applications
+        nonlocal applications, zeros
         applications += 1
-        return matvec(x)
+        y = matvec(x)
+        zeros = not y.any()
+        return y
 
-    def run(k: int) -> np.ndarray:
-        rng = np.random.default_rng(0)
+    def run(k: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
         return eigs(
             LinearOperator((n, n), matvec=counted, dtype=float),
             k=k,
@@ -389,13 +401,21 @@ def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
             rng=rng,
         )
 
-    try:
-        vals = run(1)
-    except ArpackNoConvergence:
-        if n - 2 <= 1:  # the retry would repeat the run
-            raise
-        vals = run(min(6, n - 2))
-    return vals, applications
+    for seed in (0, 1):
+        start = applications
+        try:
+            vals = run(1, seed)
+        except ArpackNoConvergence:
+            if n - 2 <= 1:  # the retry would repeat the run
+                raise
+            vals = run(min(6, n - 2), seed)
+        except ArpackError:
+            # error -9: the run's one application sent its start to zeros
+            if not (zeros and applications == start + 1):
+                raise
+            continue
+        return vals, applications
+    return np.zeros(1), applications
 
 
 def _product_radius(pair: SmootherPair | PackedPair) -> tuple[complex, int, str | None]:

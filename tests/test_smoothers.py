@@ -251,7 +251,7 @@ class TestBuildSmoother:
         x = np.random.default_rng(27).uniform(size=400)
         bw = ConstantBandwidth(0.02)
         s = build_smoother(x, Kernel.UNIFORM, bw)
-        kind, size = smoothers.smoother_storage(x, Kernel.UNIFORM, bw)
+        kind, size = smoothers._storage(400, smoothers._csr_windows(x, Kernel.UNIFORM, bw.resolve(x)))
         assert kind == "CSR" and s.indices.dtype == np.int32
         assert s.data.nbytes + s.indices.nbytes + s.indptr.nbytes <= size
 
@@ -264,11 +264,12 @@ class TestBuildSmoother:
         bw = ConstantBandwidth(0.03)
         tracemalloc.start()
         try:
-            kind, size = smoothers.smoother_storage(x, Kernel.UNIFORM, bw)
+            windows = smoothers._csr_windows(x, Kernel.UNIFORM, bw.resolve(x))
+            kind, size = smoothers._storage(n, windows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _, lo, hi = smoothers._csr_windows(x, Kernel.UNIFORM, bw.resolve(x))
+        _, lo, hi = windows
         entries = int((hi - lo).sum())
         assert kind == "CSR" and entries >= 2**31
         assert size == 16 * entries + 8 * (n + 1)
@@ -341,7 +342,7 @@ class TestBuildPair:
                 if isinstance(bw, KNearestBandwidth):
                     assert set(vars(pair)) == {"s1", "s2"}
                 else:
-                    assert set(vars(pair)) == {"weights", "total_u", "total_v"}
+                    assert set(vars(pair)) == {"weights", "total_u", "total_v", "s1", "s2"}
                 assert pair.n == data.n
                 assert_allclose(pair.apply_s1_star(x), center(pair.s1) @ x, rtol=0, atol=1e-14)
                 assert_allclose(pair.apply_s2_star(x), center(pair.s2) @ x, rtol=0, atol=1e-14)
@@ -405,14 +406,13 @@ class TestBuildPair:
         pair = build_pair(data, kernel, bw_u, bw_v)
         kind_u, kind_v, nbytes = smoothers.pair_storage(data, kernel, bw_u, bw_v)
         assert (kind_u, kind_v) == layout
-        stored = list(vars(pair).values())
         if layout[0] == "packed":
             assert isinstance(pair, PackedPair)
-            assert nbytes == sum(a.nbytes for a in stored)
+            assert nbytes == sum(a.nbytes for a in (pair.weights, pair.total_u, pair.total_v))
         else:
             assert isinstance(pair, SmootherPair)
             held = [a.nbytes if isinstance(a, np.ndarray) else
-                    a.data.nbytes + a.indices.nbytes + a.indptr.nbytes for a in stored]
+                    a.data.nbytes + a.indices.nbytes + a.indptr.nbytes for a in (pair.s1, pair.s2)]
             assert sum(held) <= nbytes
 
     def test_overflowing_mass_in_a_packed_pair(self):

@@ -336,17 +336,36 @@ class TestCertify:
         bw = ConstantBandwidth(1e6)
         pair = build_pair(data, Kernel.UNIFORM, bw, bw)
         cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
-        # every raw weight is K(0) = 0.5, so S1 = S2 = 11^T/n and S2* S1*
-        # is zero.  Rounding decides whether a product comes out as exact
-        # zeros; on ARPACK's seeded starting vector it does, ARPACK stops
-        # there (error -9), and eigvals of the formed product answers
-        v0 = np.random.default_rng(0).standard_normal(data.n)
-        assert not pair.apply_s2_star(pair.apply_s1_star(v0)).any()
-        assert cert.spectral.method == "dense"
-        assert cert.spectral.fallback == "ArpackError: ARPACK error -9: Starting vector is zero."
+        assert cert.spectral.method == "power"
         assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
         assert cert.spectral.rho_product <= 1e-14
         assert_certify_matches_oracle(cert, pair, Kernel.UNIFORM, bw, bw, data)
+
+    @pytest.mark.parametrize("n, zero_starts", [(20, 1), (5, 2)])
+    def test_zero_product_on_a_start_vector(self, monkeypatch, n, zero_starts):
+        # every raw weight is K(0), so S2* S1* is zero, and its rounding
+        # may send ARPACK's seeded start vector to exact zeros (ARPACK's
+        # error -9).  The run restarts from a second seeded vector; when
+        # that too goes to zeros the radius is 0.  Neither forms S2* S1*
+        data = generate(SimSpec(n=n, seed=59))
+        bw = ConstantBandwidth(1e6)
+        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        starts = [np.random.default_rng(seed).standard_normal(n) for seed in (0, 1)]
+        zeros = [not pair.apply_s2_star(pair.apply_s1_star(v0)).any() for v0 in starts]
+        assert zeros == [True, zero_starts == 2]
+        assert spectral_radius(pair.star_product()) <= 1e-14
+
+        def unformed(*args):
+            raise AssertionError("S2* S1* formed")
+
+        monkeypatch.setattr(type(pair), "star_product", unformed)
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        assert cert.spectral.method == "power" and cert.spectral.fallback is None
+        assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
+        if zero_starts == 2:
+            assert cert.spectral.rho_product == 0.0 and cert.spectral.iterations == 2
+        else:
+            assert cert.spectral.rho_product <= 1e-14 and cert.spectral.iterations > 2
 
     def test_spectral_route_when_gaps_fail(self):
         # u splits into two clusters at its bandwidth, but a huge v
