@@ -301,6 +301,8 @@ def backfit_direct(pair: SmootherPair | PackedPair, y: np.ndarray) -> FitResult:
     )
 
 
+# (q - x) / h may overflow; K(inf) = 0 weighs such a point as it should
+@np.errstate(over="ignore")
 def predict(
     data: Dataset,
     fit: FitResult,

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_TOP_BINADE = 2.0**1023  # the floats from here to the largest share one ulp
 
 # Raw Gaussian values below this are flushed to exact zero so that strict
 # positivity tests on kernel evaluations are never decided by denormals.
@@ -98,6 +99,7 @@ class Kernel(enum.Enum):
         return out
 
 
+@np.errstate(over="ignore")
 def support_window(
     x: np.ndarray, order: np.ndarray, centre, h
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,13 +111,15 @@ def support_window(
     |c - x_j| < h exactly.  The searched edges c -/+ h are widened by four
     ulps of |c| + h, more than their own rounding can move them, so
     ``x[order][lo:hi]`` holds every such point, and perhaps a few that the
-    kernel weighs zero.
+    kernel weighs zero.  Near the largest float an edge may overflow to
+    +/-inf, which still bounds the window; the ulp is then that of 2^1023,
+    as for every float from there up, so the other edge stays finite.
     ``order`` sorts ``x`` (an argsort permutation); ``centre`` and ``h``
     may be scalars or arrays of one shape.  Two binary searches: O(log n)
     per centre.  The smoother builds use it for every row, and a constant
     or rate spec's ``off_sample`` for a query.
     """
-    pad = 4.0 * np.spacing(np.abs(centre) + h)
+    pad = 4.0 * np.spacing(np.minimum(np.abs(centre) + h, _TOP_BINADE))
     lo = np.searchsorted(x, centre - h - pad, side="left", sorter=order)
     hi = np.searchsorted(x, centre + h + pad, side="right", sorter=order)
     return lo, hi
@@ -133,8 +137,9 @@ def support_window(
 # finds them with :func:`support_window` in O(log n), a rate spec the same
 # way after the O(n) sample sd, and a k-nearest spec reads h and them from
 # the 2k sorted positions around the query in O(k + log n).
-# ``known_constant(n)`` gives the common bandwidth when it is fixed before
-# the data are seen (for the analytic gap bound), else None.
+# ``known_constant()`` gives the common bandwidth when it is fixed before
+# the data are seen (for the analytic gap bound), else None: only a
+# constant spec's is, since a rate spec scales by the sample sd.
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class ConstantBandwidth:
     def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
         return self.h, *support_window(x, order, at, self.h)
 
-    def known_constant(self, n: int) -> float | None:
+    def known_constant(self) -> float | None:
         return self.h
 
     def describe(self) -> str:
@@ -186,7 +191,7 @@ class PerPointBandwidth:
             "use a constant, rate, or k-nearest spec for prediction"
         )
 
-    def known_constant(self, n: int) -> float | None:
+    def known_constant(self) -> float | None:
         return None
 
     def describe(self) -> str:
@@ -262,7 +267,7 @@ class KNearestBandwidth:
             raise ValueError(f"k={k} nearest sample points coincide with the query")
         return h, lo, hi
 
-    def known_constant(self, n: int) -> float | None:
+    def known_constant(self) -> float | None:
         return None
 
     def describe(self) -> str:
@@ -271,31 +276,32 @@ class KNearestBandwidth:
 
 @dataclass(frozen=True)
 class RateBandwidth:
-    """Rate rule h = scale * n**(-delta), optionally scaled by the sample sd.
+    """Rate rule h = sd * n**(-delta), with sd the sample standard deviation.
 
     The admissible decay range is 0 < delta < 1.  Resolves to a constant
-    bandwidth once the sample is known.
+    bandwidth once the sample is known.  Scaling x by a power of two
+    scales h by the same power, exactly while nothing under- or overflows.
     """
 
     delta: float
-    sd_scale: bool = True
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"rate exponent must satisfy 0 < delta < 1, got {self.delta}")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"rate scale must be positive and finite, got {self.scale}")
 
     def realize(self, x: np.ndarray) -> ConstantBandwidth:
         x = np.asarray(x, dtype=float)
-        h = self.scale * len(x) ** (-self.delta)
-        if self.sd_scale:
+        with np.errstate(over="ignore", invalid="ignore"):
             sd = float(np.std(x))
-            if sd <= 0.0:
-                raise ValueError("sd-scaled rate bandwidth needs a non-constant coordinate")
-            h *= sd
-        return ConstantBandwidth(h)
+            if not np.isfinite(sd):
+                # The sum or the squared deviations overflowed.  Scaling by
+                # a power of two is exact, so take the sd of x brought
+                # below 1 in modulus and scale it back.
+                e = int(np.frexp(np.abs(x).max())[1])
+                sd = float(np.ldexp(np.std(np.ldexp(x, -e)), e))
+        if sd <= 0.0:
+            raise ValueError("sd-scaled rate bandwidth needs a non-constant coordinate")
+        return ConstantBandwidth(sd * len(x) ** (-self.delta))
 
     def resolve(self, x: np.ndarray) -> np.ndarray:
         return self.realize(x).resolve(x)
@@ -303,13 +309,11 @@ class RateBandwidth:
     def off_sample(self, x: np.ndarray, order: np.ndarray, at: float) -> tuple[float, int, int]:
         return self.realize(x).off_sample(x, order, at)
 
-    def known_constant(self, n: int) -> float | None:
-        return None if self.sd_scale else self.scale * n ** (-self.delta)
+    def known_constant(self) -> float | None:
+        return None
 
     def describe(self) -> str:
-        sd = " * sd" if self.sd_scale else ""
-        sc = f"{self.scale:g} * " if self.scale != 1.0 else ""
-        return f"h={sc}n^(-{self.delta:g}){sd}"
+        return f"h=n^(-{self.delta:g}) * sd"
 
 
 BandwidthSpec = ConstantBandwidth | PerPointBandwidth | KNearestBandwidth | RateBandwidth

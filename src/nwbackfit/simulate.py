@@ -1,10 +1,14 @@
 """Synthetic data generation and Monte-Carlo convergence studies.
 
 Generates samples from y = alpha + m1(u) + m2(v) + noise with the
-component functions centered in-sample, measures maximum adjacent
-spacings of the design coordinates, evaluates analytic upper bounds on
-the probability that a uniform sample has a spacing at least h, and runs
-replicated certification studies.  Also computes the grid supremum of
+component functions centered in-sample, on a uniform design on the unit
+square or a standard bivariate normal one with correlation rho.  The gap
+condition reads a coordinate's gaps against its bandwidth, so another
+location or scale would only rescale h; neither design takes one.  Also
+measures maximum adjacent spacings of the design coordinates, evaluates
+analytic upper bounds on the probability that a unit-interval uniform
+sample has a spacing at least h, runs replicated certification studies,
+and computes the grid supremum of
 |f(u,v) / (f1(u) f2(v)) - 1| for a correlated normal design, the
 dependence diagnostic that older convergence conditions require to be
 below one.
@@ -53,48 +57,24 @@ COMPONENT_FUNCTIONS = {
 
 @dataclass(frozen=True)
 class IndependentUniform:
-    """Independent uniform design on [u_low, u_high] x [v_low, v_high]."""
-
-    u_low: float = 0.0
-    u_high: float = 1.0
-    v_low: float = 0.0
-    v_high: float = 1.0
-
-    def __post_init__(self):
-        if not (self.u_low < self.u_high and self.v_low < self.v_high):
-            raise ValueError(
-                f"empty design ranges: u [{self.u_low}, {self.u_high}], "
-                f"v [{self.v_low}, {self.v_high}]"
-            )
+    """Independent uniform design on the unit square [0, 1] x [0, 1]."""
 
     def describe(self) -> str:
-        return (
-            f"uniform(u in [{self.u_low:g}, {self.u_high:g}], "
-            f"v in [{self.v_low:g}, {self.v_high:g}])"
-        )
+        return "uniform(u in [0, 1], v in [0, 1])"
 
 
 @dataclass(frozen=True)
 class BivariateNormal:
-    """Jointly normal design with correlation rho, |rho| < 1."""
+    """Standard normal margins (means 0, sds 1) with correlation rho, |rho| < 1."""
 
-    mean_u: float = 0.0
-    mean_v: float = 0.0
-    sd_u: float = 1.0
-    sd_v: float = 1.0
     rho: float = 0.0
 
     def __post_init__(self):
-        if not (self.sd_u > 0.0 and self.sd_v > 0.0):
-            raise ValueError(f"sds must be positive, got {self.sd_u}, {self.sd_v}")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"|rho| must be < 1, got {self.rho}")
 
     def describe(self) -> str:
-        return (
-            f"normal(mu=({self.mean_u:g}, {self.mean_v:g}), "
-            f"sd=({self.sd_u:g}, {self.sd_v:g}), rho={self.rho:g})"
-        )
+        return f"normal(mu=(0, 0), sd=(1, 1), rho={self.rho:g})"
 
 
 Design = IndependentUniform | BivariateNormal
@@ -155,13 +135,11 @@ def generate(spec: SimSpec, replicate: int = 0) -> Dataset:
     n = spec.n
     d = spec.design
     if isinstance(d, IndependentUniform):
-        u = rng.uniform(d.u_low, d.u_high, n)
-        v = rng.uniform(d.v_low, d.v_high, n)
+        u = rng.random(n)
+        v = rng.random(n)
     else:
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        u = d.mean_u + d.sd_u * z1
-        v = d.mean_v + d.sd_v * (d.rho * z1 + math.sqrt(1.0 - d.rho**2) * z2)
+        u = rng.standard_normal(n)
+        v = d.rho * u + math.sqrt(1.0 - d.rho**2) * rng.standard_normal(n)
     m1v = COMPONENT_FUNCTIONS[spec.m1_fn](u)
     m2v = COMPONENT_FUNCTIONS[spec.m2_fn](v)
     m1v = m1v - m1v.mean()
@@ -319,13 +297,12 @@ def run_monte_carlo(
 
     analytic: float | None = None
     if isinstance(spec.design, IndependentUniform):
-        hu = bw_u.known_constant(spec.n)
-        hv = bw_v.known_constant(spec.n)
+        hu = bw_u.known_constant()
+        hv = bw_v.known_constant()
         if hu is not None and hv is not None:
-            d = spec.design
-            bu = gap_exceedance_bound(spec.n, hu / (d.u_high - d.u_low))
-            bv = gap_exceedance_bound(spec.n, hv / (d.v_high - d.v_low))
-            analytic = bu.exact + bv.exact
+            analytic = (
+                gap_exceedance_bound(spec.n, hu).exact + gap_exceedance_bound(spec.n, hv).exact
+            )
 
     frac_gap = sum(r.gap_ok for r in rows) / replicates
     frac_cert = sum(bool(r.certified) for r in rows) / replicates if certify_replicates else None

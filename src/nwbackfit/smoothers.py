@@ -325,8 +325,8 @@ def _scaled_differences(
     ``h_rows`` is a column of per-row bandwidths or one bandwidth.
     Overflow is ignored (see :func:`_check_total`).
     """
-    np.subtract(x_rows[:, None], x_cols[None, :], out=out, where=where)
     with np.errstate(over="ignore"):
+        np.subtract(x_rows[:, None], x_cols[None, :], out=out, where=where)
         np.divide(out, h_rows, out=out, where=where)
 
 
@@ -615,8 +615,17 @@ def build_pair(
 
     A :class:`PackedPair` when :func:`_plan` packs them (both dense, one
     bandwidth per coordinate), else a :class:`SmootherPair` of the two
-    matrices :func:`build_smoother` would return.
+    matrices :func:`build_smoother` would return.  A coordinate whose
+    width max - min overflows a float raises ``ValueError``, since the
+    smoothers read differences of its points.
     """
+    for name, x in (("u", data.u), ("v", data.v)):
+        low, high = float(x.min()), float(x.max())
+        if high - low == np.inf:  # Python floats overflow without a warning
+            raise ValueError(
+                f"{name} spans [{low!r}, {high!r}], and its width {name}_max - {name}_min "
+                "overflows a float; rescale it"
+            )
     h_u, h_v = bw_u.resolve(data.u), bw_v.resolve(data.v)
     packed, (windows_u, windows_v) = _plan(data, kernel, h_u, h_v)
     if packed:

@@ -508,6 +508,15 @@ class TestPredict:
                 ConstantBandwidth(0.5), ConstantBandwidth(0.5),
             )
 
+    def test_overflowing_offsets_weigh_zero(self):
+        # at h = 1e-320 every (q - x) / h overflows to inf, which the
+        # Gaussian weighs zero, so the query has no mass at all
+        data, pair = gaussian_problem(83, n=30)
+        fit = backfit_direct(pair, data.y)
+        tiny = ConstantBandwidth(1e-320)
+        with pytest.raises(ValueError, match="zero total kernel mass at u=0.5"):
+            predict(data, fit, (0.5, 0.5), Kernel.GAUSSIAN, tiny, tiny)
+
     @pytest.mark.parametrize(
         "kernel", [k for k in ALL_KERNELS if k.compact_support], ids=lambda k: k.value
     )

@@ -25,9 +25,9 @@ from nwbackfit.io import (
     write_json_report,
     write_replicate_rows_csv,
 )
-from nwbackfit.kernels import Kernel, RateBandwidth
+from nwbackfit.kernels import ConstantBandwidth, Kernel, RateBandwidth
 from nwbackfit.simulate import ReplicateRow, SimSpec, generate, run_monte_carlo
-from nwbackfit.smoothers import Dataset, build_pair
+from nwbackfit.smoothers import Dataset, build_pair, pair_storage
 
 from conftest import two_cluster_dataset
 
@@ -254,6 +254,24 @@ class TestCliFit:
         # JSON floats round-trip through repr, so agreement is exact
         assert np.array_equal(cols["m1_hat"], np.array(report["fit"]["m1_hat"]))
 
+    def test_rate_bandwidth_of_a_huge_coordinate(self, sample_csv, tmp_path):
+        # u's squared deviations overflow at u * 2^600, but its sd does not,
+        # and the power of two scales the sd and h exactly: S1 is the same
+        # matrix, so the fit and its certificate are the same bits
+        path, data = sample_csv
+        huge = tmp_path / "huge.csv"
+        write_dataset_csv(huge, Dataset(y=data.y, u=np.ldexp(data.u, 600), v=data.v))
+        reports = []
+        for source, name in ((path, "unit"), (huge, "huge")):
+            assert main(["fit", "--input", str(source), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "fit.json").read_text()))
+        want, got = reports
+        assert got["certificate"]["verdict"] == want["certificate"]["verdict"]
+        rho = [r["certificate"]["spectral"]["rho_product"] for r in (want, got)]
+        assert rho[1] == rho[0]
+        for key in ("m1_hat", "m2_hat"):
+            assert got["fit"][key] == want["fit"][key], key
+
     def test_fit_round_trip_matches_in_memory(self, sample_csv, tmp_path):
         path, data = sample_csv
         out = tmp_path / "out"
@@ -451,6 +469,21 @@ class TestCliExitCodes:
         assert err.startswith("error: row 0 has non-finite total kernel mass (inf)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bandwidth", ["rate:0.2", "0.5"])
+    def test_coordinate_wider_than_a_float(self, sample_csv, tmp_path, capsys, bandwidth):
+        # u_max - u_min = 2e308 is no float, so no smoother can read u's
+        # differences: the build refuses u before any of them overflows
+        path, data = sample_csv
+        u = data.u.copy()
+        u[data.sort_u[0]], u[data.sort_u[-1]] = -1e308, 1e308
+        wide = tmp_path / "wide.csv"
+        write_dataset_csv(wide, Dataset(y=data.y, u=u, v=data.v))
+        out = tmp_path / "out"
+        rc = main(["certify", "--input", str(wide), "--bandwidth", bandwidth, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: u spans [-1e+308, 1e+308]")
+        assert not out.exists()
+
     def test_singular_system(self, tmp_path):
         rng = np.random.default_rng(11)
         data = two_cluster_dataset(rng, spread=0.8)
@@ -493,6 +526,45 @@ class TestCliCertify:
         }
         for spectral in (cert["spectral"], fit_cert["spectral"]):
             assert set(spectral) == keys
+
+    def _certificate(self, tmp_path, name, data, *flags):
+        path = tmp_path / f"{name}.csv"
+        write_dataset_csv(path, data)
+        out = tmp_path / name
+        assert main(["certify", "--input", str(path), *flags, "--out", str(out)]) == 0
+        return json.loads((out / "certificate.json").read_text())["certificate"]
+
+    def test_bandwidth_at_the_float_range(self, sample_csv, tmp_path):
+        # with u in [0, 1e308] and h = 1e308, the window edges u_i + h
+        # overflow to inf, which still bound every window; every pair is
+        # in range, as on the unscaled sample at h = 1
+        _, data = sample_csv
+        u = data.u.copy()
+        u[data.sort_u[0]], u[data.sort_u[-1]] = 0.0, 1.0
+        unit = Dataset(y=data.y, u=u, v=data.v)
+        wide = Dataset(y=data.y, u=u * 1e308, v=data.v)
+        want = self._certificate(tmp_path, "unit", unit, "--kernel", "uniform", "--bandwidth", "1")
+        got = self._certificate(tmp_path, "wide", wide, "--kernel", "uniform", "--bandwidth", "1e308")
+        assert got["verdict"] == want["verdict"]
+        assert got["spectral"] == want["spectral"]
+
+    def test_sparse_windows_at_the_float_range(self, tmp_path):
+        # sparse windows of points near the largest float, where u_i + h
+        # overflows: scaling the sample and h by 2^1023 is exact, so the
+        # certificate is the unscaled one
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(0.0, 1.99, (2, 200))
+        u[0] = 1.99
+        x = Dataset(y=rng.normal(size=200), u=u, v=v)
+        big = Dataset(y=x.y, u=np.ldexp(u, 1023), v=np.ldexp(v, 1023))
+        h = float(np.ldexp(0.04, 1023))
+        assert float(big.u.max()) + h == np.inf
+        bw = ConstantBandwidth(h)
+        assert pair_storage(big, Kernel.UNIFORM, bw, bw)[:2] == ("CSR", "CSR")
+        want = self._certificate(tmp_path, "unit", x, "--kernel", "uniform", "--bandwidth", "0.04")
+        got = self._certificate(tmp_path, "big", big, "--kernel", "uniform", "--bandwidth", repr(h))
+        assert got["verdict"] == want["verdict"]
+        assert got["spectral"] == want["spectral"]
 
 
 class TestBenchmarkContract:

@@ -248,10 +248,6 @@ class TestRateBandwidth:
         got = RateBandwidth(0.2).realize(x).h
         assert_allclose(got, float(np.std(x)) * 50 ** -0.2, rtol=1e-14)
 
-    def test_realize_unscaled(self):
-        x = np.arange(10.0)
-        assert_allclose(RateBandwidth(0.5, sd_scale=False, scale=2.0).realize(x).h, 2.0 * 10 ** -0.5)
-
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.5])
     def test_invalid_delta(self, delta):
         with pytest.raises(ValueError):
@@ -266,7 +262,7 @@ class TestParseBandwidth:
     def test_forms(self):
         assert parse_bandwidth("0.25") == ConstantBandwidth(0.25)
         rate = parse_bandwidth("rate:0.2")
-        assert isinstance(rate, RateBandwidth) and rate.delta == 0.2 and rate.sd_scale
+        assert isinstance(rate, RateBandwidth) and rate.delta == 0.2
         knn = parse_bandwidth("knn:3")
         assert isinstance(knn, KNearestBandwidth) and knn.k == 3
 

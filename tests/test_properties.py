@@ -20,6 +20,7 @@ from nwbackfit.smoothers import (
     build_smoother,
 )
 from nwbackfit.spectral import (
+    RHO_MARGIN,
     _closed_classes,
     _neighbours_and_loop,
     _validate_stochastic,
@@ -141,6 +142,65 @@ def test_permuting_rows_changes_nothing(n, seed, kernel, kind, rho):
         assert np.abs(permuted_fit.m2_hat - fit.m2_hat[perm]).max() <= tol
         fitted = fit.fitted_values()[perm]
         assert np.abs(permuted_fit.fitted_values() - fitted).max() <= tol
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(ALL_KERNELS),
+    rho=st.sampled_from([0.0, 0.5, 0.999]),
+    powers=st.tuples(st.integers(min_value=-40, max_value=600), st.integers(-40, 600)),
+)
+@example(n=2, seed=0, kernel=Kernel.UNIFORM, rho=0.0, powers=(600, -40))
+def test_power_of_two_scales_change_no_bit(n, seed, kernel, rho, powers):
+    # a power of two scales each coordinate, its sd, its rate bandwidth
+    # and every difference exactly, so each (x_i - x_j) / h, smoother,
+    # window and radius is the same bits (u's sd at 2^600 is one whose
+    # squared deviations overflow)
+    data = generate(SimSpec(n=n, design=BivariateNormal(rho=rho), seed=seed))
+    scaled = Dataset(y=data.y, u=np.ldexp(data.u, powers[0]), v=np.ldexp(data.v, powers[1]))
+    bw = RateBandwidth(0.2)
+    want, got = (certify(build_pair(d, kernel, bw, bw), kernel, bw, bw, d) for d in (data, scaled))
+    assert got.verdict is want.verdict
+    assert got.spectral.rho_product == want.spectral.rho_product
+
+
+# How far an affine map's rounding may move the Gaussian rho(S2* S1*).
+# Mapping x to a x + b, |b| <= 10 |a|, rounds each point by at most
+# 2 eps (|a x| + |b|), so each kernel argument t = (x_i - x_j) / h and the
+# bandwidth h = sd n^-0.2 move relatively by about eps (|x| + 10) / sd, and
+# each smoother entry, since K'(t) / K(t) = -t, by |t| times that.  Each
+# Gaussian smoother is a diagonal scaling of a symmetric matrix, and its
+# product's radius moved by at most 2.2e-15 over 3000 random draws of
+# this test's inputs (half of them with reflections), so 1e-12 leaves a
+# factor of about 450.
+AFFINE_RHO_TOL = 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rho=st.sampled_from([0.0, 0.5, 0.999]),
+    scales=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 2),
+    signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+    shifts=st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)] * 2),
+)
+def test_affine_maps_keep_the_gaussian_verdict(n, seed, rho, scales, signs, shifts):
+    # the rate bandwidth follows the sd, so an affine map of u or v (scale
+    # 10^e, |e| <= 3, either sign; shift up to 10 scales) is the same
+    # study up to rounding (AFFINE_RHO_TOL)
+    data = generate(SimSpec(n=n, design=BivariateNormal(rho=rho), seed=seed))
+    a_u, a_v = (sign * 10.0**e for sign, e in zip(signs, scales))
+    mapped = Dataset(
+        y=data.y, u=a_u * data.u + a_u * shifts[0], v=a_v * data.v + a_v * shifts[1]
+    )
+    bw, kernel = RateBandwidth(0.2), Kernel.GAUSSIAN
+    want, got = (certify(build_pair(d, kernel, bw, bw), kernel, bw, bw, d) for d in (data, mapped))
+    assume(abs(want.spectral.rho_product - (1.0 - RHO_MARGIN)) > AFFINE_RHO_TOL)
+    assert got.verdict is want.verdict
+    assert abs(got.spectral.rho_product - want.spectral.rho_product) <= AFFINE_RHO_TOL
 
 
 @settings(derandomize=True, deadline=None, database=None)
