@@ -7,7 +7,9 @@ when the kernel has compact support; when those windows hold at most
 n^2/16 entries the matrix is stored as a ``scipy.sparse.csr_array``,
 otherwise as a dense array, which costs one n x n array: it is filled in
 place, a slab of ``BUILD_BLOCK`` rows at a time, across the CPUs the
-process may use.
+process may use.  A CSR build fills arrays sized by the window count
+(the bytes :func:`pair_storage` reports) by slabs of the same rows, so
+it holds its stored bytes plus one slab's temporaries.
 
 ``build_pair`` stores the two smoothers of a problem.  When both would
 be dense and each coordinate has one bandwidth (a constant or ``rate:``
@@ -59,10 +61,11 @@ __all__ = [
     "pair_storage",
 ]
 
-# Rows per slab of the dense and packed builds.  A slab is computed inside
-# its rows of the n x n result; beside it, each slab in flight holds its row
-# totals and, for the Gaussian, one boolean mask of its rows (the kernel's
-# zero flush).
+# Rows per slab of the dense, packed and CSR builds.  A dense or packed
+# slab is computed inside its rows of the n x n result; beside it, each slab
+# in flight holds its row totals and, for the Gaussian, one boolean mask of
+# its rows (the kernel's zero flush).  A CSR slab holds a few temporaries
+# over its rows' window entries beside the window-sized result arrays.
 BUILD_BLOCK = 256
 
 # A compact-kernel smoother is stored as CSR when its windows hold at most
@@ -433,6 +436,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _index_dtype(n: int, entries: int):
+    """int32 for the indices and pointers of an n x n CSR smoother over
+    ``entries`` window entries, or int64 once n or that count reaches 2^31."""
+    return np.int32 if max(n, entries) < 2**31 else np.int64
+
+
 def _build_csr(
     x: np.ndarray,
     kernel: Kernel,
@@ -444,29 +453,50 @@ def _build_csr(
     """The smoother as a CSR array, evaluating the kernel on each row's window.
 
     Row i's window is ``order[lo[i]:hi[i]]`` (:func:`support_window`).
-    Each entry is computed as in the dense build; only the row total sums
-    the window alone, in another order.  Zero weights are dropped, so the
-    stored pattern is the positive pattern of the dense build.
+    ``data`` and ``indices`` are allocated once, one entry per window
+    entry, with the index width :func:`_index_dtype` gives the window
+    count, so they are the bytes :func:`_storage` counts.  They are
+    filled a slab of ``BUILD_BLOCK`` rows at a time: each entry is
+    computed as in the dense build, only the row total sums the window
+    alone, in another order, and a slab's positive weights are packed
+    right after the previous slab's.  Zero weights are dropped, so the
+    stored pattern is the positive pattern of the dense build.  The CSR
+    takes the leading nnz entries as views (scipy copies them only when
+    fewer than half the window entries are positive), so the build holds
+    its stored bytes and one slab's temporaries.  A row total that is
+    zero or not finite raises ``ValueError`` naming the lowest such row.
     """
     n = len(x)
     counts = hi - lo
-    starts = np.cumsum(counts) - counts
-    rows = np.repeat(np.arange(n), counts)
-    cols = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
-    h_rows = h[rows]
-    with np.errstate(over="ignore"):  # see _check_total
-        raw = (x[rows] - x[cols]) / h_rows
-        kernel.evaluate(raw, out=raw)
-        raw /= h_rows
-    # every window holds its own point, so no window is empty
-    total = np.add.reduceat(raw, starts)
-    _check_total(total)
-    keep = raw > 0.0
-    rows = rows[keep]
-    index = np.int32 if max(n, len(rows)) < 2**31 else np.int64
+    entries = int(counts.sum())
+    index = _index_dtype(n, entries)
+    data = np.empty(entries)
+    indices = np.empty(entries, dtype=index)
     indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    s = csr_array((raw[keep] / total[rows], cols[keep].astype(index), indptr), shape=(n, n))
+    nnz = 0
+    for first, last in _slabs(n):
+        width = counts[first:last]
+        starts = np.cumsum(width) - width
+        cols = order[np.arange(int(width.sum())) + np.repeat(lo[first:last] - starts, width)]
+        h_rows = np.repeat(h[first:last], width)
+        raw = np.repeat(x[first:last], width)
+        with np.errstate(over="ignore"):  # see _check_total
+            raw -= x[cols]
+            raw /= h_rows
+            kernel.evaluate(raw, out=raw)
+            raw /= h_rows
+        # every window holds its own point, so no window is empty
+        total = np.add.reduceat(raw, starts)
+        _check_total(total, first)
+        keep = raw > 0.0
+        raw /= np.repeat(total, width)
+        kept = np.count_nonzero(keep)
+        data[nnz : nnz + kept] = raw[keep]
+        indices[nnz : nnz + kept] = cols[keep]
+        indptr[first + 1 : last + 1] = np.add.reduceat(keep, starts, dtype=index)
+        nnz += kept
+    np.cumsum(indptr, out=indptr)
+    s = csr_array((data[:nnz], indices[:nnz], indptr), shape=(n, n))
     s.sort_indices()
     return s
 
@@ -553,18 +583,20 @@ def _plan(data: Dataset, kernel: Kernel, h_u: np.ndarray, h_v: np.ndarray):
 
 
 def _storage(n: int, windows) -> tuple[str, int]:
-    """``("dense", 8 n^2)``, or ``("CSR", b)`` with b bounding the CSR build on ``windows``.
+    """``("dense", 8 n^2)``, or ``("CSR", b)``: the bytes the build on ``windows`` allocates.
 
     b counts per window entry a float64 weight and an index, and per row
-    one pointer.  Indices and pointers are int32, 4 bytes each, or
-    int64, 8 bytes each, once n or the entry count reaches 2^31, by the
-    rule of :func:`_build_csr`.
+    one pointer: the arrays :func:`_build_csr` fills, whose nnz leading
+    entries the CSR holds, so a CSR build peaks at b plus one slab of
+    ``BUILD_BLOCK`` rows.  Indices and pointers are int32, 4 bytes each,
+    or int64, 8 bytes each, once n or the window count reaches 2^31
+    (:func:`_index_dtype`).
     """
     if windows is None:
         return "dense", 8 * n * n
     _, lo, hi = windows
     entries = int((hi - lo).sum())
-    index = 4 if max(n, entries) < 2**31 else 8
+    index = np.dtype(_index_dtype(n, entries)).itemsize
     return "CSR", (8 + index) * entries + index * (n + 1)
 
 
@@ -577,6 +609,8 @@ def pair_storage(
     of :func:`_plan`: ``("packed", "packed", 8 n^2 + 16 n)`` for one
     n x n array and two total vectors, else each smoother's
     ``"dense"`` or ``"CSR"`` with the sum of their bytes (:func:`_storage`).
+    A CSR smoother's bytes are those its build allocates, one weight and
+    one index per window entry, so its build holds them plus one slab.
     """
     packed, windows = _plan(data, kernel, bw_u.resolve(data.u), bw_v.resolve(data.v))
     n = data.n

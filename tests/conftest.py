@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 
 from nwbackfit.kernels import ZERO_THRESHOLD, ConstantBandwidth, Kernel
 from nwbackfit.simulate import max_gap
@@ -66,6 +66,35 @@ def build_smoother_oneshot(x, kernel: Kernel, bw) -> np.ndarray:
     h = bw.resolve(x)
     raw = kernel_oracle(kernel, (x[:, None] - x[None, :]) / h[:, None]) / h[:, None]
     return raw / raw.sum(axis=1)[:, None]
+
+
+def build_csr_oneshot(x, kernel: Kernel, h, order, lo, hi) -> csr_array:
+    """Oracle for a CSR smoother: every window entry in one whole-array expression.
+
+    Row i's window is ``order[lo[i]:hi[i]]``.  Each entry is
+    K((x_i - x_j) / h_i) / h_i, the row total is the sum over the window,
+    zero weights are dropped, and the indices are sorted.  The index
+    width follows the window count, as in ``smoothers._index_dtype``.
+    """
+    n = len(x)
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    rows = np.repeat(np.arange(n), counts)
+    cols = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+    h_rows = h[rows]
+    with np.errstate(over="ignore"):
+        raw = (x[rows] - x[cols]) / h_rows
+        kernel.evaluate(raw, out=raw)
+        raw /= h_rows
+    total = np.add.reduceat(raw, starts)
+    keep = raw > 0.0
+    index = np.int32 if max(n, len(raw)) < 2**31 else np.int64
+    rows = rows[keep]
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    s = csr_array((raw[keep] / total[rows], cols[keep].astype(index), indptr), shape=(n, n))
+    s.sort_indices()
+    return s
 
 
 def knn_bandwidth_fullsort(x, k: int) -> np.ndarray:

@@ -27,7 +27,13 @@ from nwbackfit.smoothers import (
     center,
 )
 
-from conftest import ALL_KERNELS, build_smoother_oneshot, gap_passing_constant, weight_row
+from conftest import (
+    ALL_KERNELS,
+    build_csr_oneshot,
+    build_smoother_oneshot,
+    gap_passing_constant,
+    weight_row,
+)
 
 COMPACT_KERNELS = [k for k in ALL_KERNELS if k.compact_support]
 
@@ -165,17 +171,49 @@ class TestBuildSmoother:
         s = build_smoother(x, Kernel.GAUSSIAN, ConstantBandwidth(0.3))
         assert np.array_equal(s, build_smoother_oneshot(x, Kernel.GAUSSIAN, ConstantBandwidth(0.3)))
 
-    @pytest.mark.parametrize("kernel", [Kernel.GAUSSIAN, Kernel.UNIFORM], ids=lambda k: k.value)
-    def test_overflowing_mass_names_the_lowest_row(self, monkeypatch, kernel):
-        # K(0)/h overflows at h = 1e-320, so rows 300 and 500, in the
+    @pytest.mark.parametrize(
+        "kernel, h0",
+        [
+            pytest.param(Kernel.GAUSSIAN, 0.5, id="gaussian"),
+            pytest.param(Kernel.UNIFORM, 0.5, id="uniform"),
+            # windows of about 12 points: a CSR build
+            pytest.param(Kernel.UNIFORM, 0.01, id="uniform-csr"),
+        ],
+    )
+    def test_overflowing_mass_names_the_lowest_row(self, monkeypatch, kernel, h0):
+        # K(0)/h overflows at h = 1e-320, so rows 300 and 550, in the
         # second and third slabs, have an infinite total; slabs finish in
         # any order across threads, but the error names row 300
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         x = np.random.default_rng(31).uniform(size=600)
-        h = np.full(600, 0.5)
-        h[[300, 500]] = 1e-320
+        h = np.full(600, h0)
+        h[[300, 550]] = 1e-320
+        assert (smoothers._csr_windows(x, kernel, h) is not None) == (h0 < 0.5)
         with pytest.raises(ValueError, match="row 300 has non-finite total kernel mass"):
             build_smoother(x, kernel, PerPointBandwidth(h))
+
+    @pytest.mark.parametrize("kernel", COMPACT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "bw",
+        [ConstantBandwidth(0.02), RateBandwidth(0.4), KNearestBandwidth(30)],
+        ids=["constant", "rate", "knn"],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 600, None], ids=["1", "7", "n", "default"])
+    def test_csr_build_is_bit_identical_to_oneshot(self, monkeypatch, kernel, bw, block):
+        # 600 uniform points, windows of 2-5% of the entries: every slab
+        # size leaves slab edges inside windows or at their ends, and the
+        # slab-by-slab build must store the one-shot build's arrays
+        if block is not None:
+            monkeypatch.setattr(smoothers, "BUILD_BLOCK", block)
+        x = np.random.default_rng(32).uniform(size=600)
+        h = bw.resolve(x)
+        windows = smoothers._csr_windows(x, kernel, h)
+        assert windows is not None
+        s, want = build_smoother(x, kernel, bw), build_csr_oneshot(x, kernel, h, *windows)
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(s, name), getattr(want, name)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kernel", COMPACT_KERNELS, ids=lambda k: k.value)
     @pytest.mark.parametrize(
@@ -246,6 +284,30 @@ class TestBuildSmoother:
             tracemalloc.stop()
         assert not issparse(s)
         assert peak < 8 * n * n + 4 * smoothers.BUILD_BLOCK * n
+
+    @pytest.mark.parametrize(
+        "kernel, bw",
+        [(Kernel.EPANECHNIKOV, KNearestBandwidth(30)), (Kernel.UNIFORM, ConstantBandwidth(0.004))],
+        ids=["epanechnikov-knn", "uniform"],
+    )
+    def test_csr_build_peaks_at_its_storage(self, kernel, bw):
+        # the bytes _storage counts, one slab's temporaries (at most eight
+        # 8-byte values per entry of BUILD_BLOCK windows) and O(n) for the
+        # bandwidths and windows; a build with whole-array temporaries
+        # peaked at 6.7 and 7.2 MB
+        n = 4000
+        x = np.random.default_rng(28).uniform(size=n)
+        windows = smoothers._csr_windows(x, kernel, bw.resolve(x))
+        _, size = smoothers._storage(n, windows)
+        _, lo, hi = windows
+        tracemalloc.start()
+        try:
+            s = build_smoother(x, kernel, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert issparse(s)
+        assert peak < size + 64 * smoothers.BUILD_BLOCK * int((hi - lo).max()) + 64 * n
 
     def test_storage_bounds_the_csr_arrays(self):
         x = np.random.default_rng(27).uniform(size=400)
