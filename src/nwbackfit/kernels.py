@@ -28,6 +28,8 @@ _TOP_BINADE = 2.0**1023  # the floats from here to the largest share one ulp
 
 # Raw Gaussian values below this are flushed to exact zero so that strict
 # positivity tests on kernel evaluations are never decided by denormals.
+# A flush costs a mask and a pass over the result, so it runs only when
+# some value is below it, at |t| of about 37 and beyond.
 # The compact shapes need no flush: their smallest positive values, at
 # t = nextafter(1, 0), are 0.5 (uniform), 0.75 * 2**-52 (Epanechnikov) and
 # 2**-53 (triangular).
@@ -60,11 +62,12 @@ class Kernel(enum.Enum):
         return self is not Kernel.GAUSSIAN
 
     def evaluate(self, t, out: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate K(t) elementwise, with no temporaries beyond the Gaussian's mask.
+        """Evaluate K(t) elementwise, with no temporaries but the Gaussian's
+        mask, made only when some value underflows.
 
         Every step is an in-place ufunc on the result, so ``out`` may be
-        ``t`` itself: the dense smoother build evaluates each slab of its
-        matrix where it lies.
+        ``t`` itself: the dense and packed smoother builds evaluate each
+        slab of their matrix where it lies.
 
         Parameters
         ----------
@@ -95,7 +98,9 @@ class Kernel(enum.Enum):
         else:  # Gaussian
             np.multiply(np.square(t, out=out), -0.5, out=out)
             np.divide(np.exp(out, out=out), _SQRT_2PI, out=out)
-            np.copyto(out, 0.0, where=out < ZERO_THRESHOLD)
+            # fmin skips NaN, where min would return it and hide an underflow
+            if out.size and np.fmin.reduce(out, axis=None) < ZERO_THRESHOLD:
+                np.copyto(out, 0.0, where=out < ZERO_THRESHOLD)
         return out
 
 

@@ -62,10 +62,11 @@ __all__ = [
 ]
 
 # Rows per slab of the dense, packed and CSR builds.  A dense or packed
-# slab is computed inside its rows of the n x n result; beside it, each slab
-# in flight holds its row totals and, for the Gaussian, one boolean mask of
-# its rows (the kernel's zero flush).  A CSR slab holds a few temporaries
-# over its rows' window entries beside the window-sized result arrays.
+# slab is computed inside its rows of the n x n result; beside it, a dense
+# slab in flight holds its row totals, and a Gaussian slab one boolean mask
+# of its rows only when some weight underflows (the kernel's zero flush).
+# A CSR slab holds a few temporaries over its rows' window entries beside
+# the window-sized result arrays.
 BUILD_BLOCK = 256
 
 # A compact-kernel smoother is stored as CSR when its windows hold at most
@@ -325,25 +326,13 @@ def _scaled_differences(
 ) -> None:
     """Set ``out[i, j]`` to (x_rows[i] - x_cols[j]) / h_rows[i] in place, where ``where`` holds.
 
-    ``h_rows`` is a column of per-row bandwidths or one bandwidth.
-    Overflow is ignored (see :func:`_check_total`).
+    The slab arithmetic the dense and packed builds share before their
+    kernel runs in place.  ``h_rows`` is a column of per-row bandwidths
+    or one bandwidth.  Overflow is ignored (see :func:`_check_total`).
     """
     with np.errstate(over="ignore"):
         np.subtract(x_rows[:, None], x_cols[None, :], out=out, where=where)
         np.divide(out, h_rows, out=out, where=where)
-
-
-def _kernel_slab(
-    out: np.ndarray, x_rows: np.ndarray, x_cols: np.ndarray, h_rows, kernel: Kernel
-) -> None:
-    """Fill ``out`` in place with K((x_rows[i] - x_cols[j]) / h_rows[i]).
-
-    The one slab arithmetic of the dense and packed builds:
-    :func:`_scaled_differences`, then the kernel in place.
-    """
-    _scaled_differences(out, x_rows, x_cols, h_rows)
-    with np.errstate(over="ignore"):
-        kernel.evaluate(out, out=out)
 
 
 def _by_slabs(fill, n: int) -> None:
@@ -366,17 +355,19 @@ def _by_slabs(fill, n: int) -> None:
 def _build_dense(x: np.ndarray, kernel: Kernel, h: np.ndarray) -> np.ndarray:
     """The smoother as one dense array, filled in place by slabs of ``BUILD_BLOCK`` rows.
 
-    Each slab is computed inside its own rows of the result
-    (:func:`_kernel_slab`), then divided by its bandwidths and by its row
-    totals, so the build holds the n x n array and, for the Gaussian, a
-    boolean mask per slab in flight.
+    Each slab's scaled differences (:func:`_scaled_differences`) and
+    kernel values are computed inside its own rows of the result, then
+    divided by its bandwidths and by its row totals, so the build holds
+    the n x n array and, for the Gaussian, a boolean mask per slab in
+    flight only when some weight of that slab underflows.
     """
     s = np.empty((len(x), len(x)))
 
     def fill(lo: int, hi: int) -> None:
         slab, h_rows = s[lo:hi], h[lo:hi, None]
-        _kernel_slab(slab, x[lo:hi], x, h_rows, kernel)
+        _scaled_differences(slab, x[lo:hi], x, h_rows)
         with np.errstate(over="ignore"):  # see _check_total
+            kernel.evaluate(slab, out=slab)
             np.divide(slab, h_rows, out=slab)
         total = slab.sum(axis=1)
         _check_total(total, lo)
@@ -391,12 +382,15 @@ def _build_packed(
 ) -> PackedPair:
     """Both smoothers in one n x n array of raw kernel values (:class:`PackedPair`).
 
-    Slab rows [lo, hi) get u's weights left of hi and v's right of it,
-    by the arithmetic of :func:`_kernel_slab`; in their diagonal block,
-    v's scaled differences replace u's on the strict upper triangle
-    before the kernel runs, so the block needs no array of its own.  So
-    n^2 kernel values are computed, against 2 n^2 for two dense
-    smoothers.  The row totals are BLAS ``dsymv`` products of
+    Slab rows [lo, hi) first get their scaled differences
+    (:func:`_scaled_differences`): u's left of hi, v's right of it, and
+    in their diagonal block v's over u's on the strict upper triangle,
+    so the block needs no array of its own.  Then one kernel evaluation
+    runs in place over the slab's full rows, which are contiguous; a
+    kernel run over two strided parts of them costs numpy a dispatch per
+    row.  So n^2 kernel values are computed, against 2 n^2 for two dense
+    smoothers, and a Gaussian slab makes its flush mask only when one of
+    its weights underflows.  The row totals are BLAS ``dsymv`` products of
     each triangle with ones; when u and v and their bandwidths coincide,
     the two triangles hold the same matrix and S2 takes S1's totals, so
     the two smoothers are the same to the bit.  A total that is zero or
@@ -410,12 +404,12 @@ def _build_packed(
     upper = ~_lower_mask(min(n, BUILD_BLOCK))
 
     def fill(lo: int, hi: int) -> None:
-        left = weights[lo:hi, :hi]
-        _scaled_differences(left, u[lo:hi], u[:hi], h_u)
-        _scaled_differences(left[:, lo:], v[lo:hi], v[lo:hi], h_v, upper[: hi - lo, : hi - lo])
+        rows = weights[lo:hi]
+        _scaled_differences(rows[:, :hi], u[lo:hi], u[:hi], h_u)
+        _scaled_differences(rows[:, lo:hi], v[lo:hi], v[lo:hi], h_v, upper[: hi - lo, : hi - lo])
+        _scaled_differences(rows[:, hi:], v[lo:hi], v[hi:], h_v)
         with np.errstate(over="ignore"):  # see _check_total
-            kernel.evaluate(left, out=left)
-        _kernel_slab(weights[lo:hi, hi:], v[lo:hi], v[hi:], h_v, kernel)
+            kernel.evaluate(rows, out=rows)
 
     _by_slabs(fill, n)
     ones = np.ones(n)

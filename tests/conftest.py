@@ -68,6 +68,20 @@ def build_smoother_oneshot(x, kernel: Kernel, bw) -> np.ndarray:
     return raw / raw.sum(axis=1)[:, None]
 
 
+def build_packed_oneshot(u, v, kernel: Kernel, h_u: float, h_v: float) -> np.ndarray:
+    """Oracle for a packed pair's array of raw kernel values.
+
+    u's whole raw kernel matrix K((u_i - u_j) / h_u) gives the lower
+    triangle and the diagonal, v's the strict upper triangle, each in
+    one whole-array expression.
+    """
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        k_u = kernel_oracle(kernel, (u[:, None] - u[None, :]) / h_u)
+        k_v = kernel_oracle(kernel, (v[:, None] - v[None, :]) / h_v)
+    return np.where(np.tri(len(u), dtype=bool), k_u, k_v)
+
+
 def build_csr_oneshot(x, kernel: Kernel, h, order, lo, hi) -> csr_array:
     """Oracle for a CSR smoother: every window entry in one whole-array expression.
 

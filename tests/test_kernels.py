@@ -83,7 +83,16 @@ class TestKernelShapes:
             1e300, -1e300, np.inf, -np.inf, np.nan,
         ])
         grid = np.random.default_rng(1).normal(scale=3.0, size=(7, 9))
-        inputs = [0.5, np.float64(-0.0), np.array(38.0), edges, grid, edges.reshape(1, -1)]
+        # the Gaussian flushes only when some value underflows: it must
+        # not reduce an empty array, nor let a NaN hide the underflow of
+        # 38 (exp(-722) is a denormal; at 40 exp itself gives 0)
+        one_tiny = np.zeros((4, 5))
+        one_tiny[2, 3] = 38.0
+        inputs = [
+            0.5, np.float64(-0.0), np.array(38.0), edges, grid, edges.reshape(1, -1),
+            np.empty(0), np.empty((3, 0)), np.array([np.nan, 40.0]), np.array([np.nan, 38.0]),
+            one_tiny,
+        ]
         with np.errstate(over="ignore"):  # t * t overflows at 1e300: K is 0 there
             for t in inputs:
                 want = kernel_oracle(kernel, t)

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.blas import dsymv
 from scipy.sparse import issparse
 
 from nwbackfit import smoothers
 from nwbackfit.kernels import (
+    ZERO_THRESHOLD,
     ConstantBandwidth,
     Kernel,
     KNearestBandwidth,
@@ -30,6 +32,7 @@ from nwbackfit.smoothers import (
 from conftest import (
     ALL_KERNELS,
     build_csr_oneshot,
+    build_packed_oneshot,
     build_smoother_oneshot,
     gap_passing_constant,
     weight_row,
@@ -431,6 +434,77 @@ class TestBuildPair:
             tracemalloc.stop()
         assert isinstance(pair, PackedPair)
         assert peak < 8 * n * n + 4 * smoothers.BUILD_BLOCK * n
+
+    def test_gaussian_packed_build_makes_no_flush_mask(self, monkeypatch):
+        # no weight of these data underflows, so no Gaussian slab makes a
+        # boolean mask of its rows for the zero flush: the build peaks
+        # where a uniform-kernel build of the same pair does
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        n = 1500
+        rng = np.random.default_rng(28)
+        data = Dataset(y=np.zeros(n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+        bw = RateBandwidth(0.2)
+        peaks = {}
+        for kernel in (Kernel.UNIFORM, Kernel.GAUSSIAN):
+            tracemalloc.start()
+            try:
+                pair = build_pair(data, kernel, bw, bw)
+                peaks[kernel] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(pair, PackedPair)
+        assert peaks[Kernel.GAUSSIAN] <= peaks[Kernel.UNIFORM] + 16 * 1024
+
+    @pytest.mark.parametrize(
+        "kernel, bw_u, bw_v, v0",
+        [
+            pytest.param(kernel, bw_u, bw_v, None, id=f"{kernel.value}-{name}")
+            for kernel in ALL_KERNELS
+            for name, bw_u, bw_v in (
+                ("constant", ConstantBandwidth(0.3), ConstantBandwidth(0.4)),
+                ("rate", RateBandwidth(0.2), RateBandwidth(0.2)),
+            )
+        ]
+        + [
+            # v[0] 37.8 bandwidths beyond the largest other v: row 0 alone
+            # holds Gaussian weights below ZERO_THRESHOLD, so only the
+            # first slab flushes
+            pytest.param(
+                Kernel.GAUSSIAN, ConstantBandwidth(0.05), ConstantBandwidth(0.05), 1.0 + 37.8 * 0.05,
+                id="gaussian-outlier",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 600, None], ids=["1", "7", "n", "default"])
+    def test_packed_build_is_bit_identical_to_oneshot(
+        self, monkeypatch, kernel, bw_u, bw_v, v0, block
+    ):
+        # 600 uniform points per coordinate: every slab size, on one CPU
+        # and on two, must store the one-shot array bit for bit, and its
+        # totals must be dsymv of that array's two triangles
+        if block is not None:
+            monkeypatch.setattr(smoothers, "BUILD_BLOCK", block)
+        n = 600
+        rng = np.random.default_rng(33)
+        u, v = rng.uniform(size=n), rng.uniform(size=n)
+        if v0 is not None:
+            v[0] = v0
+        data = Dataset(y=np.zeros(n), u=u, v=v)
+        h_u, h_v = bw_u.resolve(u)[0], bw_v.resolve(v)[0]
+        want = build_packed_oneshot(u, v, kernel, h_u, h_v)
+        if v0 is not None:
+            t = (v[:, None] - v[None, :]) / h_v
+            raw = np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+            tiny = np.triu((raw > 0.0) & (raw < ZERO_THRESHOLD), 1)
+            assert np.array_equal(np.flatnonzero(tiny.any(axis=1)), [0])
+        ones = np.ones(n)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            pair = build_pair(data, kernel, bw_u, bw_v)
+            assert isinstance(pair, PackedPair)
+            assert pair.weights.tobytes() == want.tobytes()
+            assert pair.total_u.tobytes() == dsymv(1.0, want.T, ones, lower=0).tobytes()
+            assert pair.total_v.tobytes() == dsymv(1.0, want.T, ones, lower=1).tobytes()
 
     def test_star_product_memory(self):
         # S1 formed once and the product beside the pair's array: three
