@@ -36,7 +36,15 @@ from .simulate import (
     run_monte_carlo,
     uniform_max_gap_exceedance,
 )
-from .smoothers import Dataset, PackedPair, SmootherPair, build_pair, build_smoother, center
+from .smoothers import (
+    Dataset,
+    PackedPair,
+    SmootherPair,
+    WindowPair,
+    build_pair,
+    build_smoother,
+    center,
+)
 from .spectral import (
     ConvergenceCertificate,
     GapReport,
@@ -60,6 +68,7 @@ __all__ = [
     "Dataset",
     "SmootherPair",
     "PackedPair",
+    "WindowPair",
     "build_smoother",
     "build_pair",
     "center",

@@ -96,7 +96,9 @@ def _pair_storage(data, kernel, bw) -> str:
     n = data.n
     kind_u, kind_v, nbytes = pair_storage(data, kernel, bw, bw)
     size = f"{nbytes / 1e9:.3g} GB"
-    if kind_u == "packed":
+    if kind_u == "window":
+        need = f"{size} for the sort orders and windows of both smoothers"
+    elif kind_u == "packed":
         need = f"one {n} x {n} array for both smoothers ({size})"
     elif kind_u == kind_v == "dense":
         need = f"two {n} x {n} smoother matrices ({size})"

@@ -10,8 +10,8 @@ followed by back-substitution into the first equation.  The direct solve
 runs restarted GMRES on the unformed system and falls back to a dense LU
 factorization, with its condition estimate, only when GMRES cannot show
 that the system has a unique solution.  The centered smoothers are
-applied and formed by the smoother pair (:class:`~nwbackfit.smoothers.SmootherPair`
-or :class:`~nwbackfit.smoothers.PackedPair`); they
+applied and formed by the smoother pair (:class:`~nwbackfit.smoothers.SmootherPair`,
+:class:`~nwbackfit.smoothers.PackedPair` or :class:`~nwbackfit.smoothers.WindowPair`); they
 annihilate constants, so the intercept separates as alpha = mean(y) and
 both component fits are mean-zero by construction.
 """
@@ -26,7 +26,7 @@ from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, PackedPair, SmootherPair
+from .smoothers import Dataset, Pair
 
 __all__ = [
     "FitResult",
@@ -97,8 +97,8 @@ class FitResult:
     def to_dict(self) -> dict:
         return {
             "alpha_hat": self.alpha_hat,
-            "m1_hat": [float(v) for v in self.m1_hat],
-            "m2_hat": [float(v) for v in self.m2_hat],
+            "m1_hat": self.m1_hat.tolist(),
+            "m2_hat": self.m2_hat.tolist(),
             "method": self.method,
             "sweep": self.sweep,
             "iterations": self.iterations,
@@ -108,7 +108,7 @@ class FitResult:
 
 
 def normal_equation_residual(
-    pair: SmootherPair | PackedPair, y: np.ndarray, m1: np.ndarray, m2: np.ndarray
+    pair: Pair, y: np.ndarray, m1: np.ndarray, m2: np.ndarray
 ) -> float:
     """Summed infinity-norm residual of the two normal equations."""
     y = np.asarray(y, dtype=float)
@@ -117,7 +117,7 @@ def normal_equation_residual(
     return float(np.abs(r1).max() + np.abs(r2).max())
 
 
-def _check_y(pair: SmootherPair | PackedPair, y: np.ndarray) -> np.ndarray:
+def _check_y(pair: Pair, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) != pair.n:
         raise ValueError(f"y must be a length-{pair.n} vector, got shape {y.shape}")
@@ -131,7 +131,7 @@ def default_max_iter(n: int) -> int:
 
 
 def backfit_iterative(
-    pair: SmootherPair | PackedPair,
+    pair: Pair,
     y: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
@@ -227,7 +227,7 @@ def lu_condition(system: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return lu, piv, 1.0 / rcond if rcond > 0.0 else float("inf")
 
 
-def _reduced_system(pair: SmootherPair | PackedPair) -> LinearOperator:
+def _reduced_system(pair: Pair) -> LinearOperator:
     """The unformed operator x -> (I - S2* S1*) x of the direct solve."""
     n = pair.n
     return LinearOperator(
@@ -253,7 +253,7 @@ def _gmres(system: LinearOperator, rhs: np.ndarray) -> np.ndarray | None:
     return x if info == 0 else None
 
 
-def _lu_direct(pair: SmootherPair | PackedPair, rhs: np.ndarray) -> np.ndarray:
+def _lu_direct(pair: Pair, rhs: np.ndarray) -> np.ndarray:
     """Solve the formed reduced system by LU, refusing near-singular ones."""
     lu, piv, cond = lu_condition(identity_minus(pair.star_product()))
     if cond > CONDITION_LIMIT:
@@ -266,7 +266,7 @@ def _lu_direct(pair: SmootherPair | PackedPair, rhs: np.ndarray) -> np.ndarray:
     return lu_solve((lu, piv), rhs, trans=1)
 
 
-def backfit_direct(pair: SmootherPair | PackedPair, y: np.ndarray) -> FitResult:
+def backfit_direct(pair: Pair, y: np.ndarray) -> FitResult:
     """Solve the normal equations directly, by matrix-free GMRES.
 
     m2 solves (I - S2* S1*) m2 = S2* (I - S1*) y; m1 = S1* (y - m2) then

@@ -119,10 +119,11 @@ def support_window(
     kernel weighs zero.  Near the largest float an edge may overflow to
     +/-inf, which still bounds the window; the ulp is then that of 2^1023,
     as for every float from there up, so the other edge stays finite.
-    ``order`` sorts ``x`` (an argsort permutation); ``centre`` and ``h``
-    may be scalars or arrays of one shape.  Two binary searches: O(log n)
-    per centre.  The smoother builds use it for every row, and a constant
-    or rate spec's ``off_sample`` for a query.
+    ``order`` sorts ``x`` (an argsort permutation), or is None when ``x``
+    is sorted; ``centre`` and ``h`` may be scalars or arrays of one shape.
+    Two binary searches: O(log n) per centre.  The smoother builds use it
+    for every row, and a constant or rate spec's ``off_sample`` for a
+    query.
     """
     pad = 4.0 * np.spacing(np.minimum(np.abs(centre) + h, _TOP_BINADE))
     lo = np.searchsorted(x, centre - h - pad, side="left", sorter=order)

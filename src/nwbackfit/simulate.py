@@ -281,8 +281,8 @@ def run_monte_carlo(
             certified = cert.certified
             rho = cert.spectral.rho_product
         else:
-            report_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u")
-            report_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
+            report_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u", order=data.sort_u)
+            report_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v", order=data.sort_v)
         gap_ok = report_u.condition_holds and report_v.condition_holds
         rows.append(
             ReplicateRow(

@@ -9,19 +9,30 @@ otherwise as a dense array, which costs one n x n array: it is filled in
 place, a slab of ``BUILD_BLOCK`` rows at a time, across the CPUs the
 process may use.  A CSR build fills arrays sized by the window count
 (the bytes :func:`pair_storage` reports) by slabs of the same rows, so
-it holds its stored bytes plus one slab's temporaries.
+it holds its stored bytes plus one slab's temporaries.  It stays the
+reference the pairs below are tested against.
 
-``build_pair`` stores the two smoothers of a problem.  When both would
-be dense and each coordinate has one bandwidth (a constant or ``rate:``
-spec, or any spec whose resolved bandwidths are all equal), the raw
-kernel matrix K((x_i - x_j) / h) of each coordinate is exactly
-symmetric: floating-point subtraction is antisymmetric, and every
-kernel reads |t| or t^2.  Such a pair is a :class:`PackedPair`: one
-n x n array holds u's raw weights in its lower triangle and v's in its
-strict upper one, with the shared diagonal K(0), beside the two vectors
-of row totals.  Its smoothers (:class:`PackedSmoother`) are applied by
-BLAS ``dsymv`` on the array's Fortran view, then divided by the totals.
-Any other pair is a :class:`SmootherPair` of two matrices, dense or CSR.
+``build_pair`` stores the two smoothers of a problem in one of three
+layouts.  A uniform-kernel row weighs its window's points equally, so it
+is a running mean over consecutive order statistics (Hastie and
+Tibshirani, *Generalized Additive Models*, 1990): that pair is a
+:class:`WindowPair`, which holds each coordinate's sort order and each
+row's exact window and count, O(n) bytes under any bandwidth spec.  Its
+smoothers (:class:`WindowSmoother`) apply as window means over prefix
+sums taken in sorted order (Seifert, Brockmann, Engel and Gasser, 1994,
+*J. Comput. Graph. Statist.* 3, 192-213), O(n) per product.  Otherwise,
+when both would be dense and each coordinate has one bandwidth (a
+constant or ``rate:`` spec, or any spec whose resolved bandwidths are
+all equal), the raw kernel matrix K((x_i - x_j) / h) of each coordinate
+is exactly symmetric: floating-point subtraction is antisymmetric, and
+every kernel reads |t| or t^2.  Such a pair is a :class:`PackedPair`:
+one n x n array holds u's raw weights in its lower triangle and v's in
+its strict upper one, with the shared diagonal K(0), beside the two
+vectors of row totals.  Its smoothers (:class:`PackedSmoother`) are
+applied by BLAS ``dsymv`` on the array's Fortran view, then divided by
+the totals.  Any other pair is a :class:`SmootherPair` of two matrices,
+dense or CSR.  Packed and window smoothers share one small base,
+:class:`OperatorSmoother`, through which the certificate reads them.
 
 Products with a vector (``@``) work on every storage, and so do the
 fitters and the matrix-free ARPACK route; only the routes that need the
@@ -55,6 +66,10 @@ __all__ = [
     "SmootherPair",
     "PackedPair",
     "PackedSmoother",
+    "WindowPair",
+    "WindowSmoother",
+    "OperatorSmoother",
+    "Pair",
     "build_smoother",
     "center",
     "build_pair",
@@ -69,10 +84,13 @@ __all__ = [
 # the window-sized result arrays.
 BUILD_BLOCK = 256
 
-# A compact-kernel smoother is stored as CSR when its windows hold at most
-# this share of the n x n entries.  Below about 1/16 fill a CSR product
-# with a vector beats the dense one at least twofold for n >= 400, and at
-# n = 200 the two tie or dense wins (one BLAS thread).
+# A compact-kernel smoother that build_smoother returns, or that
+# build_pair holds for the Epanechnikov and triangular kernels, is stored
+# as CSR when its windows hold at most this share of the n x n entries
+# (build_pair holds a uniform-kernel pair as windows at any fill).  Below
+# about 1/16 fill a CSR product with a vector beats the dense one at
+# least twofold for n >= 400, and at n = 200 the two tie or dense wins
+# (one BLAS thread).
 CSR_MAX_FILL = 1.0 / 16.0
 
 
@@ -198,21 +216,53 @@ class PackedPair(_Pair):
         return product
 
 
-class PackedSmoother:
+class OperatorSmoother:
+    """A smoother of a pair that holds less than its n x n matrix, read without forming it.
+
+    It answers what the fitters and the certificate ask of a smoother:
+    ``shape`` and ``ndim``, ``s @ x`` for a vector x, ``s.sum(axis=1)``
+    (S 1), ``s.min()``, the entries ``s[rows, cols]`` for two integer
+    arrays, and the positivity pattern ``s > 0``.  ``toarray()``, and so
+    ``np.asarray(s)`` and :func:`as_dense`, form S.  A subclass gives
+    ``shape``, ``@``, ``min()``, ``toarray()``, ``_entries(rows, cols)``
+    and ``_positive()``.
+    """
+
+    ndim = 2
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Row sums (``axis=1``): S 1."""
+        if axis != 1:
+            raise ValueError("an operator smoother sums its rows only (axis=1)")
+        return self @ np.ones(self.shape[0])
+
+    def __getitem__(self, key) -> np.ndarray:
+        """Entries S[rows[k], cols[k]] for two integer arrays ``(rows, cols)``."""
+        rows, cols = key
+        if not all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" for k in key):
+            raise TypeError("read an operator smoother by two integer arrays, or form it by as_dense")
+        return self._entries(rows, cols)
+
+    def __gt__(self, other):
+        """The positivity pattern S > 0."""
+        if other != 0:
+            raise ValueError("an operator smoother compares with 0 only")
+        return self._positive()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        s = self.toarray()
+        return s if dtype is None else s.astype(dtype, copy=False)
+
+
+class PackedSmoother(OperatorSmoother):
     """One smoother of a :class:`PackedPair`, read without being formed.
 
     S = diag(total)^-1 K, with K the symmetric raw kernel matrix held in
     the lower (``lower=True``, u) or strict upper (v) triangle of the
-    pair's array, sharing its diagonal.  It answers what the fitters and
-    the certificate ask of a smoother: ``shape`` and ``ndim``, ``s @ x``
-    for a vector x (BLAS ``dsymv`` on the array's Fortran view, then a
-    division by the totals), ``s.sum(axis=1)``, ``s.min()``, the entries
-    ``s[rows, cols]`` for two integer arrays, and the positivity pattern
-    ``s > 0``.  ``toarray()``, and so ``np.asarray(s)`` and
-    :func:`as_dense`, form S.
+    pair's array, sharing its diagonal.  ``s @ x`` is BLAS ``dsymv`` on
+    the array's Fortran view, then a division by the totals, and ``s > 0``
+    is a dense boolean n x n array.
     """
-
-    ndim = 2
 
     def __init__(self, weights: np.ndarray, total: np.ndarray, lower: bool, lowest):
         # a view whose lower triangle holds K, for the reads below
@@ -227,12 +277,6 @@ class PackedSmoother:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return dsymv(1.0, self._fortran, x, lower=self._blas_lower) / self._total
 
-    def sum(self, axis: int) -> np.ndarray:
-        """Row sums (``axis=1``): S 1, one ``dsymv`` of ones over the totals."""
-        if axis != 1:
-            raise ValueError("a packed smoother sums its rows only (axis=1)")
-        return self @ np.ones(self.shape[0])
-
     def min(self) -> float:
         """A lower bound on the smallest entry of S, exact when that entry is 0.
 
@@ -243,17 +287,11 @@ class PackedSmoother:
         """
         return float(self._lowest() / self._total.max())
 
-    def __getitem__(self, key) -> np.ndarray:
-        """Entries S[rows[k], cols[k]] for two integer arrays ``(rows, cols)``."""
-        rows, cols = key
-        if not all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" for k in key):
-            raise TypeError("read a packed smoother by two integer arrays, or form it by as_dense")
+    def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._tri[np.maximum(rows, cols), np.minimum(rows, cols)] / self._total[rows]
 
-    def __gt__(self, other) -> np.ndarray:
+    def _positive(self) -> np.ndarray:
         """The dense boolean pattern S > 0, which is K > 0 (totals are positive)."""
-        if other != 0:
-            raise ValueError("a packed smoother compares with 0 only")
         out = np.empty(self.shape, dtype=bool)
         _unpack(self._tri, out, lambda src, dst: np.greater(src, 0.0, out=dst))
         return out
@@ -265,9 +303,103 @@ class PackedSmoother:
         out /= self._total[:, None]
         return out
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        s = self.toarray()
-        return s if dtype is None else s.astype(dtype, copy=False)
+
+@dataclass
+class WindowPair(_Pair):
+    """S1 and S2 of the uniform kernel, held as windows of sorted positions.
+
+    A uniform-kernel row weighs its members equally, so it is the mean
+    over a window of consecutive order statistics (the running-mean
+    smoother).  Per coordinate the pair holds the sort order (``order_u``,
+    the dataset's ``sort_u``), and for each point i its window
+    ``[lo_u[i], hi_u[i])`` of sorted positions and its count
+    ``count_u[i]``, a float since it divides each product; likewise for
+    v.  ``s1`` and ``s2`` read as the smoothers (:class:`WindowSmoother`)
+    without forming them.  The pair applies S1* and S2* as
+    :class:`SmootherPair` does.
+    """
+
+    order_u: np.ndarray
+    lo_u: np.ndarray
+    hi_u: np.ndarray
+    count_u: np.ndarray
+    order_v: np.ndarray
+    lo_v: np.ndarray
+    hi_v: np.ndarray
+    count_v: np.ndarray
+
+    def __post_init__(self):
+        self.s1 = WindowSmoother(self.order_u, self.lo_u, self.hi_u, self.count_u)
+        self.s2 = WindowSmoother(self.order_v, self.lo_v, self.hi_v, self.count_v)
+
+    def star_product(self) -> np.ndarray:
+        """S2* S1*, formed as C (S2 S1): S1 formed, then S2 applied to its columns."""
+        product = self.s2 @ self.s1.toarray()
+        product -= product.mean(axis=0)
+        return product
+
+
+class WindowSmoother(OperatorSmoother):
+    """One smoother of a :class:`WindowPair`, read without being formed.
+
+    Row i holds 1 / count[i] at the points ``order[lo[i]:hi[i]]``, and 0
+    elsewhere.  ``s @ z`` takes the prefix sums C of z in sorted order,
+    with a leading 0, and reads row i's window mean as
+    (C[hi[i]] - C[lo[i]]) / count[i]: O(n) for a vector, and column by
+    column for an n x m array.  Entries are read through the inverse
+    permutation, and ``s > 0`` is a boolean CSR pattern built from the
+    windows.
+    """
+
+    def __init__(self, order: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: np.ndarray):
+        self._order, self._lo, self._hi, self._count = order, lo, hi, count
+        self.shape = (len(order), len(order))
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        # take and the cumsum method skip the Python wrappers of z[order]
+        # and np.cumsum, which cost as much as the arithmetic at n = 200
+        prefix = np.zeros((len(z) + 1,) + z.shape[1:])
+        z.take(self._order, axis=0).cumsum(axis=0, out=prefix[1:])
+        means = prefix.take(self._hi, axis=0)
+        means -= prefix.take(self._lo, axis=0)
+        means /= self._count if z.ndim == 1 else self._count[:, None]
+        return means
+
+    def _rank(self) -> np.ndarray:
+        """The inverse permutation: the sorted position of each point."""
+        rank = np.empty_like(self._order)
+        rank[self._order] = np.arange(len(rank))
+        return rank
+
+    def min(self) -> float:
+        """The smallest entry of S: 0 unless every window holds all n points."""
+        n = self.shape[0]
+        return 0.0 if (self._count < n).any() else 1.0 / n
+
+    def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        col = self._rank()[cols]
+        return ((self._lo[rows] <= col) & (col < self._hi[rows])) / self._count[rows]
+
+    def _positive(self) -> csr_array:
+        """The boolean CSR pattern S > 0: each row's window, with sorted indices."""
+        n, count = self.shape[0], self._count.astype(np.intp)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(count, out=indptr[1:])
+        starts = indptr[:-1]
+        indices = self._order[np.arange(indptr[-1]) + np.repeat(self._lo - starts, count)]
+        pattern = csr_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=self.shape)
+        pattern.sort_indices()
+        return pattern
+
+    def toarray(self) -> np.ndarray:
+        """S as a fresh dense C-ordered array."""
+        rank = self._rank()
+        inside = (self._lo[:, None] <= rank) & (rank < self._hi[:, None])
+        return inside / self._count[:, None]
+
+
+# the three layouts build_pair returns
+Pair = SmootherPair | PackedPair | WindowPair
 
 
 def _slabs(n: int):
@@ -298,8 +430,8 @@ def _unpack(tri: np.ndarray, out: np.ndarray, put) -> None:
 
 
 def as_dense(s) -> np.ndarray:
-    """``s`` as a dense array: a sparse or packed smoother is formed, a dense one returned as is."""
-    return s.toarray() if issparse(s) or isinstance(s, PackedSmoother) else s
+    """``s`` as a dense array: a sparse or operator smoother is formed, a dense one returned as is."""
+    return s.toarray() if issparse(s) or isinstance(s, OperatorSmoother) else s
 
 
 def _check_total(total: np.ndarray, offset: int = 0) -> None:
@@ -420,6 +552,55 @@ def _build_packed(
         _check_total(total_u / h_u)
         _check_total(total_v / h_v)
     return PackedPair(weights, total_u, total_v)
+
+
+def _bisect(holds, rows: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per row, the first p in [first, last] at which ``holds(rows, p)`` is True.
+
+    ``holds`` is monotone in p, False then True, and True at ``last``.
+    Every row is bisected together, in O(log(last - first)) calls.
+    """
+    while (first < last).any():
+        mid = (first + last) // 2
+        above = holds(rows, mid)
+        last = np.where(above, mid, last)
+        first = np.where(above, first, mid + 1)
+    return last
+
+
+@np.errstate(over="ignore")  # see _check_total
+def _build_window(
+    x: np.ndarray, order: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows of a uniform-kernel smoother: ``lo``, ``hi`` and ``count`` per point.
+
+    The point at sorted position r weighs the point at position p exactly
+    when the dense build's t = (x_r - x_p) / h_r lies strictly inside
+    (-1, 1), an overflowing t weighing 0.  t falls as p rises, so those
+    points fill the positions [lo, hi) around r.  :func:`support_window`
+    on the sorted values gives windows widened by a few ulps, and each
+    edge that holds a point the kernel weighs zero is moved in
+    (:func:`_bisect`): lo to the first position whose t is below 1, hi to
+    the first one whose t is -1 or below.  The windows are then put in
+    sample order, and the row totals 0.5 count / h of K_h = K / h are
+    checked as in the other builds, naming the lowest failing row.
+    """
+    xs, hs = x[order], h[order]
+    lo, hi = support_window(xs, None, xs, hs)
+
+    def t(rows, p):
+        return (xs[rows] - xs[p]) / hs[rows]
+
+    left = np.flatnonzero((xs - xs[lo]) / hs >= 1.0)
+    lo[left] = _bisect(lambda rows, p: t(rows, p) < 1.0, left, lo[left] + 1, left)
+    right = np.flatnonzero((xs - xs[hi - 1]) / hs <= -1.0)
+    hi[right] = _bisect(lambda rows, p: t(rows, p) <= -1.0, right, right + 1, hi[right] - 1)
+    windows = np.empty((2, len(xs)), dtype=lo.dtype)
+    windows[:, order] = lo, hi
+    lo, hi = windows
+    count = np.subtract(hi, lo, dtype=float)
+    _check_total(0.5 * count / h)
+    return lo, hi, count
 
 
 def _usable_cpus() -> int:
@@ -548,16 +729,18 @@ def _build(x: np.ndarray, kernel: Kernel, h: np.ndarray, windows) -> np.ndarray 
 
 
 def _csr_windows(
-    x: np.ndarray, kernel: Kernel, h: np.ndarray
+    x: np.ndarray, kernel: Kernel, h: np.ndarray, *, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Sort order and row windows of a CSR build, or None when the build is dense.
 
     The build is CSR when the kernel has compact support and its windows
-    hold at most ``CSR_MAX_FILL`` n^2 entries.
+    hold at most ``CSR_MAX_FILL`` n^2 entries.  ``order`` is the stable
+    argsort of ``x``, computed here when not given.
     """
     if not kernel.compact_support:
         return None
-    order = np.argsort(x, kind="stable")
+    if order is None:
+        order = np.argsort(x, kind="stable")
     lo, hi = support_window(x, order, x, h)
     if int((hi - lo).sum()) > CSR_MAX_FILL * len(x) ** 2:
         return None
@@ -565,15 +748,21 @@ def _csr_windows(
 
 
 def _plan(data: Dataset, kernel: Kernel, h_u: np.ndarray, h_v: np.ndarray):
-    """Whether :func:`build_pair` packs this pair, and each coordinate's CSR windows.
+    """How :func:`build_pair` stores this pair, and each coordinate's CSR windows.
 
-    The one packing rule: a pair is packed when both smoothers would be
+    The layout is ``"window"`` for the uniform kernel, whatever the
+    bandwidths.  Otherwise it is ``"packed"`` when both smoothers would be
     dense (both windows None) and each coordinate's resolved bandwidths
-    are all equal, whatever spec gave them.
+    are all equal, whatever spec gave them, and ``"matrices"`` else.
     """
-    windows = (_csr_windows(data.u, kernel, h_u), _csr_windows(data.v, kernel, h_v))
+    if kernel is Kernel.UNIFORM:
+        return "window", (None, None)
+    windows = (
+        _csr_windows(data.u, kernel, h_u, order=data.sort_u),
+        _csr_windows(data.v, kernel, h_v, order=data.sort_v),
+    )
     packed = all(w is None for w in windows) and all(h.min() == h.max() for h in (h_u, h_v))
-    return packed, windows
+    return "packed" if packed else "matrices", windows
 
 
 def _storage(n: int, windows) -> tuple[str, int]:
@@ -600,15 +789,20 @@ def pair_storage(
     """How :func:`build_pair` stores this pair, without building it.
 
     Returns the layout of S1 and of S2 and the bytes of both, by the rule
-    of :func:`_plan`: ``("packed", "packed", 8 n^2 + 16 n)`` for one
-    n x n array and two total vectors, else each smoother's
-    ``"dense"`` or ``"CSR"`` with the sum of their bytes (:func:`_storage`).
-    A CSR smoother's bytes are those its build allocates, one weight and
-    one index per window entry, so its build holds them plus one slab.
+    of :func:`_plan`: ``("window", "window", 2 n (3 i + 8))`` for the sort
+    orders, window edges (i bytes an index) and float counts of a
+    :class:`WindowPair`,
+    ``("packed", "packed", 8 n^2 + 16 n)`` for one n x n array and two
+    total vectors, else each smoother's ``"dense"`` or ``"CSR"`` with the
+    sum of their bytes (:func:`_storage`).  A CSR smoother's bytes are
+    those its build allocates, one weight and one index per window entry,
+    so its build holds them plus one slab.
     """
-    packed, windows = _plan(data, kernel, bw_u.resolve(data.u), bw_v.resolve(data.v))
+    layout, windows = _plan(data, kernel, bw_u.resolve(data.u), bw_v.resolve(data.v))
     n = data.n
-    if packed:
+    if layout == "window":
+        return "window", "window", 2 * n * (3 * np.dtype(np.intp).itemsize + 8)
+    if layout == "packed":
         return "packed", "packed", 8 * n * n + 16 * n
     (kind_u, bytes_u), (kind_v, bytes_v) = (_storage(n, w) for w in windows)
     return kind_u, kind_v, bytes_u + bytes_v
@@ -617,8 +811,8 @@ def pair_storage(
 def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:
     """S* x = C S x for a smoother S, dense or CSR, computed as S x - mean(S x)."""
     z = s @ x
-    # the reduction and division of z.mean(), without its Python wrapper
-    return z - z.sum() / z.size
+    # the reduction and division of z.mean(), without its Python wrappers
+    return z - np.add.reduce(z) / z.size
 
 
 def center(s: np.ndarray) -> np.ndarray:
@@ -638,13 +832,14 @@ def build_pair(
     kernel: Kernel,
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,
-) -> SmootherPair | PackedPair:
+) -> Pair:
     """Build the smoothers of both coordinates: S1 from u, S2 from v.
 
-    A :class:`PackedPair` when :func:`_plan` packs them (both dense, one
-    bandwidth per coordinate), else a :class:`SmootherPair` of the two
-    matrices :func:`build_smoother` would return.  A coordinate whose
-    width max - min overflows a float raises ``ValueError``, since the
+    A :class:`WindowPair` for the uniform kernel, a :class:`PackedPair`
+    when :func:`_plan` packs them (both dense, one bandwidth per
+    coordinate), else a :class:`SmootherPair` of the two matrices
+    :func:`build_smoother` would return.  A coordinate whose width
+    max - min overflows a float raises ``ValueError``, since the
     smoothers read differences of its points.
     """
     for name, x in (("u", data.u), ("v", data.v)):
@@ -655,8 +850,15 @@ def build_pair(
                 "overflows a float; rescale it"
             )
     h_u, h_v = bw_u.resolve(data.u), bw_v.resolve(data.v)
-    packed, (windows_u, windows_v) = _plan(data, kernel, h_u, h_v)
-    if packed:
+    layout, (windows_u, windows_v) = _plan(data, kernel, h_u, h_v)
+    if layout == "window":
+        return WindowPair(
+            data.sort_u,
+            *_build_window(data.u, data.sort_u, h_u),
+            data.sort_v,
+            *_build_window(data.v, data.sort_v, h_v),
+        )
+    if layout == "packed":
         return _build_packed(data.u, data.v, kernel, h_u[0], h_v[0])
     return SmootherPair(
         s1=_build(data.u, kernel, h_u, windows_u), s2=_build(data.v, kernel, h_v, windows_v)

@@ -34,9 +34,10 @@ two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
 and the top eigenvalue 1 is simple exactly when S has one closed class;
 a regular smoother (route 1) has one, aperiodic.  The report says
 whether it is simple but does not restate it: every smoother passes a
-1e-9 check of its row sums, which is S 1 = 1.  Dense, sparse and packed
-smoothers take the same reads, a sparse one as CSR, a packed one from
-its triangle of the pair's array without forming it.
+1e-9 check of its row sums, which is S 1 = 1.  Dense, sparse, packed
+and window smoothers take the same reads, a sparse one as CSR, a packed
+one from its triangle of the pair's array and a window one from its
+windows, neither formed.
 
 rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
@@ -65,7 +66,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .kernels import BandwidthSpec, Kernel
-from .smoothers import Dataset, PackedPair, PackedSmoother, SmootherPair
+from .smoothers import Dataset, OperatorSmoother, Pair
 
 __all__ = [
     "GapReport",
@@ -100,7 +101,7 @@ class GapReport:
     def to_dict(self) -> dict:
         return {
             "coordinate": self.coordinate,
-            "gaps": [float(g) for g in self.gaps],
+            "gaps": self.gaps.tolist(),
             "max_gap": self.max_gap,
             "condition_holds": self.condition_holds,
             "failing_indices": list(self.failing_indices),
@@ -188,13 +189,20 @@ class ConvergenceCertificate:
 
 
 def check_gap_conditions(
-    x: np.ndarray, kernel: Kernel, bw: BandwidthSpec, coordinate: str = "x"
+    x: np.ndarray,
+    kernel: Kernel,
+    bw: BandwidthSpec,
+    coordinate: str = "x",
+    *,
+    order: np.ndarray | None = None,
 ) -> GapReport:
     """Evaluate the kernel at every adjacent order-statistic gap.
 
     Point i (sorted order) must have a positive kernel value, at its own
     bandwidth, at the gap to each adjacent order statistic: both sides
     for interior points, the single adjacent gap at the two extremes.
+    ``order`` is the stable argsort of ``x`` (a dataset's ``sort_u`` or
+    ``sort_v``), computed here when not given.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -202,7 +210,8 @@ def check_gap_conditions(
         raise ValueError(f"need at least 2 points, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{coordinate} contains non-finite values")
-    order = np.argsort(x, kind="stable")
+    if order is None:
+        order = np.argsort(x, kind="stable")
     xs = x[order]
     hs = bw.resolve(x)[order]
     gaps = np.diff(xs)
@@ -223,19 +232,20 @@ def check_gap_conditions(
     )
 
 
-def _validate_stochastic(s) -> np.ndarray | csr_array | PackedSmoother:
-    """``s`` as a float array, dense, CSR or packed, after checking it is row-stochastic.
+def _validate_stochastic(s) -> np.ndarray | csr_array | OperatorSmoother:
+    """``s`` as a float array, dense, CSR or operator, after checking it is row-stochastic.
 
     A sparse ``s`` becomes a ``csr_array``, sharing a float CSR input's
     arrays; one with unsorted or duplicate entries is copied, since the
     checks and reads below put it in canonical form in place.  Its
-    checks take O(nnz).  A smoother of a packed pair is read as it is:
-    its ``min()`` reads its triangle of the pair's array once, and its
-    row sums are one ``dsymv`` (:class:`~nwbackfit.smoothers.PackedSmoother`).
+    checks take O(nnz).  A smoother of a packed or window pair is read as
+    it is (:class:`~nwbackfit.smoothers.OperatorSmoother`): a packed one's
+    ``min()`` reads its triangle of the pair's array once and its row
+    sums are one ``dsymv``; a window one's take O(n).
     """
     if issparse(s):
         s = csr_array(s, dtype=float, copy=not getattr(s, "has_canonical_format", True))
-    elif not isinstance(s, PackedSmoother):
+    elif not isinstance(s, OperatorSmoother):
         s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
@@ -250,7 +260,7 @@ def _validate_stochastic(s) -> np.ndarray | csr_array | PackedSmoother:
     return s
 
 
-def _neighbours_and_loop(s: np.ndarray | csr_array | PackedSmoother, order: np.ndarray) -> bool:
+def _neighbours_and_loop(s: np.ndarray | csr_array | OperatorSmoother, order: np.ndarray) -> bool:
     """True when the sorted-neighbour entries and some diagonal entry are positive.
 
     Positive S[o_i, o_{i+1}] and S[o_{i+1}, o_i] for i < n - 1 put every
@@ -279,7 +289,7 @@ def _graph_period(adj: csr_array) -> int:
     return int(np.gcd.reduce(np.abs(level[ii] + 1 - level[adj.indices])))
 
 
-def _closed_classes(s: np.ndarray | csr_array | PackedSmoother) -> tuple[int, tuple[int, ...]]:
+def _closed_classes(s: np.ndarray | csr_array | OperatorSmoother) -> tuple[int, tuple[int, ...]]:
     """The strong components of a matrix's positivity graph, and its closed classes.
 
     The graph is a boolean CSR array with no stored False.  A closed
@@ -304,7 +314,7 @@ def _closed_classes(s: np.ndarray | csr_array | PackedSmoother) -> tuple[int, tu
 
 
 def check_regularity(
-    s: np.ndarray | csr_array | PackedSmoother,
+    s: np.ndarray | csr_array | OperatorSmoother,
     order: np.ndarray | None = None,
     *,
     classes: list | None = None,
@@ -319,11 +329,12 @@ def check_regularity(
     smoother whose ``order`` sorts its coordinate, that is the paper's
     adjacent-gap condition on the built weights.  When it cannot tell,
     the strong components of the graph decide (:func:`_closed_classes`),
-    built in O(nnz) from a sparse ``s``.  Dense, sparse and packed ``s``
-    take the same reads, after :func:`_validate_stochastic`; a smoother of
-    a packed pair is read without being formed, and only its graph, when
-    the read cannot tell, is a dense boolean n x n array, as for a dense
-    ``s``.
+    built in O(nnz) from a sparse ``s``.  Dense, sparse, packed and
+    window ``s`` take the same reads, after :func:`_validate_stochastic`;
+    a smoother of a packed or window pair is read without being formed.
+    When the read cannot tell, a packed smoother's graph is a dense
+    boolean n x n array, as for a dense ``s``, and a window smoother's a
+    boolean CSR array of its windows.
 
     When ``classes`` is a list, the graph's :func:`_closed_classes` result
     is appended to it, or None when the read alone showed S regular: a
@@ -418,7 +429,7 @@ def _arpack(matvec, n: int) -> tuple[np.ndarray, int]:
     return np.zeros(1), applications
 
 
-def _product_radius(pair: SmootherPair | PackedPair) -> tuple[complex, int, str | None]:
+def _product_radius(pair: Pair) -> tuple[complex, int, str | None]:
     """The eigenvalue of S2* S1* of largest modulus (see the module notes).
 
     :func:`_arpack` runs on the unformed operator; on its ``ArpackError``,
@@ -466,7 +477,7 @@ def _unit_modulus(graph: tuple[int, tuple[int, ...]] | None) -> tuple[bool, floa
 
 
 def certify(
-    pair: SmootherPair | PackedPair,
+    pair: Pair,
     kernel: Kernel,
     bw_u: BandwidthSpec,
     bw_v: BandwidthSpec,
@@ -491,8 +502,8 @@ def certify(
             f"unknown method {method!r}; certify takes only 'power', and "
             "spectral_radius(pair.star_product()) is the dense reference"
         )
-    gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u")
-    gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v")
+    gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u", order=data.sort_u)
+    gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v", order=data.sort_v)
     # the public check, which bench/tracing.py times, hands back each graph
     graphs: list = []
     regular_s1 = check_regularity(pair.s1, data.sort_u, classes=graphs)

@@ -32,8 +32,10 @@ from nwbackfit.smoothers import (
     PackedPair,
     PackedSmoother,
     SmootherPair,
+    WindowPair,
     as_dense,
     build_pair,
+    build_smoother,
     center,
 )
 from nwbackfit.spectral import Verdict, _closed_classes, certify, check_regularity
@@ -84,7 +86,8 @@ class TestSparseSmoothers:
     )
     def test_csr_pair_matches_dense_pair(self, problem, request, monkeypatch):
         # the same problem with every compact-kernel smoother stored as CSR
-        # and as dense: fits, radii and verdicts agree to 1e-12
+        # and as dense, and a uniform-kernel pair also as the windows
+        # build_pair holds it in: fits, radii and verdicts agree to 1e-12
         if problem == "knn":
             rng = np.random.default_rng(93)
             data = Dataset(y=rng.normal(size=500), u=rng.uniform(size=500), v=rng.uniform(size=500))
@@ -94,7 +97,15 @@ class TestSparseSmoothers:
         pairs = {}
         for layout, fill in (("csr", 1.0), ("dense", 0.0)):
             monkeypatch.setattr(smoothers, "CSR_MAX_FILL", fill)
-            pairs[layout] = build_pair(data, kernel, bw, bw)
+            if kernel is Kernel.UNIFORM:
+                pairs[layout] = SmootherPair(
+                    build_smoother(data.u, kernel, bw), build_smoother(data.v, kernel, bw)
+                )
+            else:
+                pairs[layout] = build_pair(data, kernel, bw, bw)
+        if kernel is Kernel.UNIFORM:
+            pairs["window"] = build_pair(data, kernel, bw, bw)
+            assert isinstance(pairs["window"], WindowPair)
         if not kernel.compact_support:
             # a Gaussian smoother is dense whatever the fill rule, so the
             # fits and certificates are the same computations
@@ -110,7 +121,8 @@ class TestSparseSmoothers:
                 certify(pair, kernel, bw, bw, data),
             ]
             assert_certify_matches_oracle(results[layout][-1], pair, kernel, bw, bw, data)
-        for got, want in zip(results["csr"], results["dense"]):
+        others = [layout for layout in results if layout != "dense"]
+        for got, want in ((g, w) for o in others for g, w in zip(results[o], results["dense"])):
             if isinstance(want, type):
                 assert got is want
             elif isinstance(want, FitResult):
@@ -125,8 +137,10 @@ class TestSparseSmoothers:
                 # the smoothers' radii are read from their graphs: 1.0 or None
                 assert got.spectral.rho_s1_star == want.spectral.rho_s1_star
                 assert got.spectral.rho_s2_star == want.spectral.rho_s2_star
-        for got, want in zip(
-            (pairs["csr"].s1, pairs["csr"].s2), (pairs["dense"].s1, pairs["dense"].s2)
+        for got, want in (
+            (getattr(pairs[o], name), getattr(pairs["dense"], name))
+            for o in others
+            for name in ("s1", "s2")
         ):
             assert check_regularity(got) == check_regularity(want)
             assert _closed_classes(got) == _closed_classes(want)

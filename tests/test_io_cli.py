@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import issparse
 from scipy.sparse.linalg import ArpackError
 
 from nwbackfit import cli, simulate
@@ -25,9 +26,9 @@ from nwbackfit.io import (
     write_json_report,
     write_replicate_rows_csv,
 )
-from nwbackfit.kernels import ConstantBandwidth, Kernel, RateBandwidth
+from nwbackfit.kernels import ConstantBandwidth, Kernel, RateBandwidth, parse_bandwidth
 from nwbackfit.simulate import ReplicateRow, SimSpec, generate, run_monte_carlo
-from nwbackfit.smoothers import Dataset, build_pair, pair_storage
+from nwbackfit.smoothers import Dataset, build_pair, build_smoother, pair_storage
 
 from conftest import two_cluster_dataset
 
@@ -433,6 +434,27 @@ class TestCliExitCodes:
         assert "for its smoother matrices (S1 CSR, S2 CSR)" in err
         assert "40 x 40" not in err
 
+    def test_out_of_memory_names_window_smoothers(self, sample_csv, tmp_path, monkeypatch, capsys):
+        path, data = sample_csv
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 0.3 KiB for an array with shape (40,)")
+
+        monkeypatch.setattr("nwbackfit.cli.build_pair", exhausted)
+        rc = main(
+            [
+                "fit", "--input", str(path), "--kernel", "uniform",
+                "--bandwidth", "0.3", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        # six index arrays and two float count arrays of n = 40: 2560 bytes
+        assert err.startswith(
+            "error: out of memory: n=40 needs 2.56e-06 GB for the sort orders and windows of both smoothers"
+        )
+        assert "40 x 40" not in err
+
     def test_lapack_failure_names_the_solver(self, sample_csv, tmp_path, monkeypatch, capsys):
         # ARPACK fails, so the product's radius falls back to eigvals of
         # the formed S2* S1*, and LAPACK fails there too
@@ -560,7 +582,13 @@ class TestCliCertify:
         h = float(np.ldexp(0.04, 1023))
         assert float(big.u.max()) + h == np.inf
         bw = ConstantBandwidth(h)
-        assert pair_storage(big, Kernel.UNIFORM, bw, bw)[:2] == ("CSR", "CSR")
+        assert pair_storage(big, Kernel.UNIFORM, bw, bw)[:2] == ("window", "window")
+        # the CSR build of the same coordinate weighs the points the
+        # window smoother does
+        csr = build_smoother(big.u, Kernel.UNIFORM, bw)
+        assert issparse(csr)
+        window = build_pair(big, Kernel.UNIFORM, bw, bw).s1 > 0.0
+        assert (window != (csr > 0.0)).nnz == 0
         want = self._certificate(tmp_path, "unit", x, "--kernel", "uniform", "--bandwidth", "0.04")
         got = self._certificate(tmp_path, "big", big, "--kernel", "uniform", "--bandwidth", repr(h))
         assert got["verdict"] == want["verdict"]
@@ -590,6 +618,38 @@ class TestBenchmarkContract:
         bw = RateBandwidth(0.3)
         run_monte_carlo(SimSpec(n=30, seed=1), Kernel.GAUSSIAN, bw, bw, replicates=3)
         assert calls == [(5, "power")] * 5
+
+    @pytest.mark.parametrize(
+        "kernel, bandwidth, layout",
+        [
+            (Kernel.GAUSSIAN, "knn:5", "dense"),
+            (Kernel.EPANECHNIKOV, "0.02", "CSR"),
+            (Kernel.GAUSSIAN, "rate:0.2", "packed"),
+            (Kernel.UNIFORM, "0.02", "window"),
+        ],
+        ids=["dense", "csr", "packed", "window"],
+    )
+    def test_pair_holds_what_the_benchmark_reads(self, kernel, bandwidth, layout):
+        # bench/tracing.py:184 sums the bytes of the ndarrays (and sparse
+        # matrices) among vars(pair) for smoothers.pair_mb, and
+        # tracing.py:71-76 reads smoothers.nnz_frac from a sparse S1's
+        # data or else from np.asarray(pair.s1).  A layout that kept its
+        # arrays out of vars(pair), or whose S1 np.asarray cannot form,
+        # would read 0 there
+        rng = np.random.default_rng(12)
+        data = Dataset(y=rng.normal(size=400), u=rng.uniform(size=400), v=rng.uniform(size=400))
+        bw = parse_bandwidth(bandwidth)
+        assert pair_storage(data, kernel, bw, bw)[0] == layout
+        pair = build_pair(data, kernel, bw, bw)
+        held = [a for a in vars(pair).values() if isinstance(a, np.ndarray) or issparse(a)]
+        assert held
+        for a in held:
+            assert (a.nbytes if isinstance(a, np.ndarray) else a.data.nbytes + a.indices.nbytes) > 0
+        if issparse(pair.s1):
+            assert pair.s1.data.dtype == float and pair.s1.shape == (400, 400)
+        else:
+            s1 = np.asarray(pair.s1)
+            assert s1.dtype == float and s1.shape == (400, 400)
 
 
 def _simulate_options() -> list[str]:

@@ -8,12 +8,19 @@ from scipy.linalg import eig
 from scipy.sparse import coo_array, csc_array, csr_array
 
 from nwbackfit.fitting import backfit_direct
-from nwbackfit.kernels import ConstantBandwidth, Kernel, KNearestBandwidth, RateBandwidth
+from nwbackfit.kernels import (
+    ConstantBandwidth,
+    Kernel,
+    KNearestBandwidth,
+    PerPointBandwidth,
+    RateBandwidth,
+)
 from nwbackfit.simulate import BivariateNormal, SimSpec, generate, max_gap
 from nwbackfit.smoothers import (
     Dataset,
     PackedPair,
     SmootherPair,
+    WindowPair,
     _build_packed,
     as_dense,
     build_pair,
@@ -336,11 +343,12 @@ def test_windowed_kth_distance_matches_the_full_sort(values, scale, where, pick,
 @given(
     n=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    kernel=st.sampled_from(ALL_KERNELS),
+    # build_pair holds a uniform-kernel pair as windows, never packed
+    kernel=st.sampled_from([k for k in ALL_KERNELS if k is not Kernel.UNIFORM]),
     ties=st.booleans(),
     same=st.booleans(),
 )
-@example(n=2, seed=0, kernel=Kernel.UNIFORM, ties=False, same=False)
+@example(n=2, seed=0, kernel=Kernel.EPANECHNIKOV, ties=False, same=False)
 @example(n=3, seed=1, kernel=Kernel.GAUSSIAN, ties=True, same=True)
 def test_packed_pair_matches_build_smoother(n, seed, kernel, ties, same):
     # a packed pair stores raw kernel values and divides by their row
@@ -369,3 +377,95 @@ def test_packed_pair_matches_build_smoother(n, seed, kernel, ties, same):
     assert np.abs(pair.apply_s1_star(x) - ref.apply_s1_star(x)).max() <= 1e-14
     assert np.abs(pair.apply_s2_star(x) - ref.apply_s2_star(x)).max() <= 1e-14
     assert np.abs(pair.star_product() - ref.star_product()).max() <= 1e-14
+
+
+def _window_bandwidth(x, rng, kind: str, reach: float, tiny: bool):
+    """A bandwidth spec for x whose windows run from each point's own
+    value alone (``reach`` 0) to every point (``reach`` 1), on a log
+    scale; ``tiny`` puts h = 1e-320, where K(0)/h overflows, at one point
+    or on the whole coordinate."""
+    spread = float(np.ptp(x))
+    gaps = np.diff(np.unique(x))
+    low = float(gaps.min()) / 2.0 if gaps.size else 1e-3
+    high = 2.0 * spread + 1.0
+    h = low * (high / low) ** reach
+    if kind == "knn":
+        return KNearestBandwidth(max(1, min(len(x) - 1, round(reach * (len(x) - 1)))))
+    if kind == "rate":
+        return RateBandwidth(min(max(1.0 - reach, 0.01), 0.99))
+    if kind == "per-point":
+        h = low * (high / low) ** rng.uniform(0.0, reach, len(x))
+        if tiny:
+            h[int(rng.integers(len(x)))] = 1e-320
+        return PerPointBandwidth(h)
+    return ConstantBandwidth(1e-320 if tiny else h)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the text of the ``ValueError`` it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kinds=st.tuples(*[st.sampled_from(["constant", "rate", "knn", "per-point"])] * 2),
+    ties=st.sampled_from(["none", "rounded", "duplicated"]),
+    reach=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
+    tiny=st.sampled_from(["none", "u", "v"]),
+)
+@example(n=2, seed=0, kinds=("constant", "constant"), ties="none", reach=(0.0, 1.0), tiny="none")
+@example(n=3, seed=1, kinds=("knn", "per-point"), ties="duplicated", reach=(0.5, 0.5), tiny="none")
+@example(n=3, seed=2, kinds=("constant", "per-point"), ties="none", reach=(0.3, 0.3), tiny="v")
+def test_window_pair_matches_build_smoother(n, seed, kinds, ties, reach, tiny):
+    # the window pair against build_smoother's matrices of the same
+    # coordinates: entries to 1e-15, products to the 1e-12 parity
+    # tolerance times max|z| (z with 1e8 outliers), the same graphs and
+    # certificate, and the same error when K(0)/h overflows
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=n), rng.uniform(-2.0, 2.0, n)
+    if ties == "rounded":
+        u, v = np.round(u, 1), np.round(v, 1)
+    elif ties == "duplicated":
+        u, v = np.repeat(u[: (n + 1) // 2], 2)[:n], np.repeat(v[: (n + 1) // 2], 2)[:n]
+    data = Dataset(y=rng.normal(size=n), u=u, v=v)
+    bw_u = _window_bandwidth(u, rng, kinds[0], reach[0], tiny == "u")
+    bw_v = _window_bandwidth(v, rng, kinds[1], reach[1], tiny == "v")
+    kernel = Kernel.UNIFORM
+    pair = _outcome(lambda: build_pair(data, kernel, bw_u, bw_v))
+
+    def reference():
+        # build_pair resolves both bandwidths before it builds either smoother
+        bw_u.resolve(u)
+        bw_v.resolve(v)
+        return SmootherPair(build_smoother(u, kernel, bw_u), build_smoother(v, kernel, bw_v))
+
+    ref = _outcome(reference)
+    if isinstance(ref, str):
+        assert pair == ref
+        return
+    assert isinstance(pair, WindowPair)
+    z = rng.normal(size=n)
+    z[rng.integers(n, size=2)] = [1e8, -1e8]
+    for name, order in (("s1", data.sort_u), ("s2", data.sort_v)):
+        got, want = getattr(pair, name), getattr(ref, name)
+        dense = as_dense(want)
+        assert np.array_equal(as_dense(got) > 0.0, dense > 0.0)
+        assert np.abs(as_dense(got) - dense).max() <= 1e-15
+        assert np.abs(got @ z - want @ z).max() <= 1e-12 * np.abs(z).max()
+        assert check_regularity(got, order) == check_regularity(want, order)
+        assert _closed_classes(got) == _closed_classes(want)
+    cert = certify(pair, kernel, bw_u, bw_v, data)
+    want = certify(ref, kernel, bw_u, bw_v, data)
+    tol = 1e-12 + radius_tol(ref.star_product())
+    assert abs(cert.spectral.rho_product - want.spectral.rho_product) <= tol
+    assume(abs(want.spectral.rho_product - (1.0 - RHO_MARGIN)) > tol)
+    assert cert.verdict is want.verdict
+    assert (cert.regular_s1, cert.regular_s2) == (want.regular_s1, want.regular_s2)
+    assert cert.spectral.rho_s1_star == want.spectral.rho_s1_star
+    assert cert.spectral.rho_s2_star == want.spectral.rho_s2_star
+    assert cert.spectral.top_eigenvalue_simple == want.spectral.top_eigenvalue_simple

@@ -20,9 +20,12 @@ from nwbackfit.kernels import (
 )
 from nwbackfit.smoothers import (
     Dataset,
+    OperatorSmoother,
     PackedPair,
     PackedSmoother,
     SmootherPair,
+    WindowPair,
+    WindowSmoother,
     as_dense,
     build_pair,
     build_smoother,
@@ -84,6 +87,29 @@ class TestDataset:
     def test_not_one_dimensional(self):
         with pytest.raises(ValueError):
             Dataset(y=np.zeros((2, 2)), u=np.zeros((2, 2)), v=np.zeros((2, 2)))
+
+
+# grid points exactly h apart, where |t| = 1 weighs zero; ties and
+# duplicates; per-point and rate bandwidths
+EDGE_CASES = [
+    pytest.param(np.arange(40) * 0.125, ConstantBandwidth(0.25), id="grid-binary"),
+    pytest.param(np.arange(40) * 0.1, ConstantBandwidth(0.2), id="grid-tenths"),
+    pytest.param(
+        np.arange(40) * 0.1 - 2.0, ConstantBandwidth(0.30000000000000004), id="grid-negative"
+    ),
+    pytest.param(1e6 + np.arange(40) * 0.1, ConstantBandwidth(0.3), id="grid-offset"),
+    pytest.param(np.repeat(np.arange(10) * 0.5, 4), ConstantBandwidth(0.5), id="ties-constant"),
+    pytest.param(np.repeat(np.arange(20) * 0.1, 2), KNearestBandwidth(3), id="duplicates-knn"),
+    pytest.param(
+        np.round(np.random.default_rng(25).normal(size=60), 1), KNearestBandwidth(9), id="rounded-knn"
+    ),
+    pytest.param(
+        np.arange(30) * 0.1,
+        PerPointBandwidth(np.tile([0.1, 0.2, 0.30000000000000004], 10)),
+        id="per-point",
+    ),
+    pytest.param(np.random.default_rng(26).uniform(size=50), RateBandwidth(0.6), id="rate"),
+]
 
 
 class TestBuildSmoother:
@@ -219,27 +245,7 @@ class TestBuildSmoother:
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kernel", COMPACT_KERNELS, ids=lambda k: k.value)
-    @pytest.mark.parametrize(
-        "x, bw",
-        [
-            # grid points exactly h apart, where |t| = 1 weighs zero
-            (np.arange(40) * 0.125, ConstantBandwidth(0.25)),
-            (np.arange(40) * 0.1, ConstantBandwidth(0.2)),
-            (np.arange(40) * 0.1 - 2.0, ConstantBandwidth(0.30000000000000004)),
-            (1e6 + np.arange(40) * 0.1, ConstantBandwidth(0.3)),
-            # ties and duplicates
-            (np.repeat(np.arange(10) * 0.5, 4), ConstantBandwidth(0.5)),
-            (np.repeat(np.arange(20) * 0.1, 2), KNearestBandwidth(3)),
-            (np.round(np.random.default_rng(25).normal(size=60), 1), KNearestBandwidth(9)),
-            # per-point and rate bandwidths
-            (np.arange(30) * 0.1, PerPointBandwidth(np.tile([0.1, 0.2, 0.30000000000000004], 10))),
-            (np.random.default_rng(26).uniform(size=50), RateBandwidth(0.6)),
-        ],
-        ids=[
-            "grid-binary", "grid-tenths", "grid-negative", "grid-offset",
-            "ties-constant", "duplicates-knn", "rounded-knn", "per-point", "rate",
-        ],
-    )
+    @pytest.mark.parametrize("x, bw", EDGE_CASES)
     def test_csr_window_edges(self, monkeypatch, kernel, x, bw):
         # every window is stored as CSR here; a point exactly h away, or
         # a few ulps inside, must be in the window exactly when the dense
@@ -395,16 +401,19 @@ class TestBuildPair:
         assert np.abs(center(pair.s2)).max() <= 1e-14
 
     def test_star_matrices_match_center(self):
-        # the pair stores S1 and S2 only, as two matrices or packed in one
-        # array; its centered apply and formed product agree with the
-        # explicitly centered matrices
+        # the pair stores S1 and S2 only, as two matrices, packed in one
+        # array or as windows; its centered apply and formed product agree
+        # with the explicitly centered matrices
         rng = np.random.default_rng(43)
         data = random_dataset(rng, 16)
         x = rng.normal(size=data.n)
+        windows = {f"{name}_{c}" for name in ("order", "lo", "hi", "count") for c in "uv"}
         for kernel in ALL_KERNELS:
             for bw in (ConstantBandwidth(0.9), RateBandwidth(0.2), KNearestBandwidth(3)):
                 pair = build_pair(data, kernel, bw, bw)
-                if isinstance(bw, KNearestBandwidth):
+                if kernel is Kernel.UNIFORM:
+                    assert set(vars(pair)) == windows | {"s1", "s2"}
+                elif isinstance(bw, KNearestBandwidth):
                     assert set(vars(pair)) == {"s1", "s2"}
                 else:
                     assert set(vars(pair)) == {"weights", "total_u", "total_v", "s1", "s2"}
@@ -417,8 +426,8 @@ class TestBuildPair:
 
     @pytest.mark.parametrize(
         "kernel, bw",
-        [(Kernel.GAUSSIAN, RateBandwidth(0.2)), (Kernel.UNIFORM, ConstantBandwidth(0.3))],
-        ids=["gaussian", "uniform"],
+        [(Kernel.GAUSSIAN, RateBandwidth(0.2)), (Kernel.EPANECHNIKOV, ConstantBandwidth(0.3))],
+        ids=["gaussian", "epanechnikov"],
     )
     def test_packed_build_memory(self, kernel, bw):
         # both smoothers in one n x n array and O(BUILD_BLOCK n) beside
@@ -438,14 +447,14 @@ class TestBuildPair:
     def test_gaussian_packed_build_makes_no_flush_mask(self, monkeypatch):
         # no weight of these data underflows, so no Gaussian slab makes a
         # boolean mask of its rows for the zero flush: the build peaks
-        # where a uniform-kernel build of the same pair does
+        # where an Epanechnikov build of the same pair does
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         n = 1500
         rng = np.random.default_rng(28)
         data = Dataset(y=np.zeros(n), u=rng.uniform(size=n), v=rng.uniform(size=n))
         bw = RateBandwidth(0.2)
         peaks = {}
-        for kernel in (Kernel.UNIFORM, Kernel.GAUSSIAN):
+        for kernel in (Kernel.EPANECHNIKOV, Kernel.GAUSSIAN):
             tracemalloc.start()
             try:
                 pair = build_pair(data, kernel, bw, bw)
@@ -453,7 +462,7 @@ class TestBuildPair:
             finally:
                 tracemalloc.stop()
             assert isinstance(pair, PackedPair)
-        assert peaks[Kernel.GAUSSIAN] <= peaks[Kernel.UNIFORM] + 16 * 1024
+        assert peaks[Kernel.GAUSSIAN] <= peaks[Kernel.EPANECHNIKOV] + 16 * 1024
 
     @pytest.mark.parametrize(
         "kernel, bw_u, bw_v, v0",
@@ -481,7 +490,9 @@ class TestBuildPair:
     ):
         # 600 uniform points per coordinate: every slab size, on one CPU
         # and on two, must store the one-shot array bit for bit, and its
-        # totals must be dsymv of that array's two triangles
+        # totals must be dsymv of that array's two triangles.  build_pair
+        # holds a uniform-kernel pair as windows, so the packed build of
+        # that kernel is called directly
         if block is not None:
             monkeypatch.setattr(smoothers, "BUILD_BLOCK", block)
         n = 600
@@ -501,6 +512,9 @@ class TestBuildPair:
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             pair = build_pair(data, kernel, bw_u, bw_v)
+            if kernel is Kernel.UNIFORM:
+                assert isinstance(pair, WindowPair)
+                pair = smoothers._build_packed(u, v, kernel, h_u, h_v)
             assert isinstance(pair, PackedPair)
             assert pair.weights.tobytes() == want.tobytes()
             assert pair.total_u.tobytes() == dsymv(1.0, want.T, ones, lower=0).tobytes()
@@ -595,3 +609,97 @@ class TestBuildPair:
         pair = build_pair(data, Kernel.GAUSSIAN, KNearestBandwidth(3), ConstantBandwidth(0.9))
         assert np.abs(pair.s1.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(pair.s2.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+class TestWindowPair:
+    @pytest.mark.parametrize("x, bw", EDGE_CASES)
+    def test_window_edges(self, x, bw):
+        # a point exactly h away, or a few ulps inside, is in a window
+        # exactly when the dense build weighs it; u in sample order and v
+        # shuffled, so rows are read through each coordinate's order
+        v = np.random.default_rng(27).permutation(x)
+        data = Dataset(y=np.zeros(len(x)), u=x, v=v)
+        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        assert isinstance(pair, WindowPair)
+        for s, coordinate in ((pair.s1, x), (pair.s2, v)):
+            want = build_smoother_oneshot(coordinate, Kernel.UNIFORM, bw)
+            got = as_dense(s)
+            assert np.array_equal(got > 0.0, want > 0.0)
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_window_smoother_reads(self):
+        # what the certificate reads of a smoother, against the formed matrix
+        rng = np.random.default_rng(32)
+        data = Dataset(y=np.zeros(300), u=rng.normal(size=300), v=rng.uniform(size=300))
+        pair = build_pair(data, Kernel.UNIFORM, ConstantBandwidth(0.05), RateBandwidth(0.2))
+        for s in (pair.s1, pair.s2):
+            assert isinstance(s, WindowSmoother) and isinstance(s, OperatorSmoother)
+            dense = np.asarray(s)
+            assert s.shape == dense.shape == (300, 300) and s.ndim == 2
+            pattern = s > 0.0
+            assert issparse(pattern) and pattern.has_sorted_indices
+            assert np.array_equal(pattern.toarray(), dense > 0.0)
+            rows, cols = rng.integers(0, 300, 500), rng.integers(0, 300, 500)
+            assert np.array_equal(s[rows, cols], dense[rows, cols])
+            assert_allclose(s.sum(axis=1), dense.sum(axis=1), rtol=0, atol=1e-15)
+            assert s.min() == dense.min() == 0.0
+            z = rng.normal(size=300)
+            assert_allclose(s @ z, dense @ z, rtol=0, atol=1e-14)
+            block = rng.normal(size=(300, 4))
+            assert_allclose(s @ block, dense @ block, rtol=0, atol=1e-14)
+            with pytest.raises(TypeError):
+                s[:10, 10:]
+        # every window holds all n points: each entry is 1/n
+        wide = build_pair(data, Kernel.UNIFORM, ConstantBandwidth(50.0), ConstantBandwidth(50.0))
+        assert wide.s1.min() == np.asarray(wide.s1).min() == 1.0 / 300
+
+    def test_star_product_matches_dense(self):
+        rng = np.random.default_rng(29)
+        data = Dataset(y=np.zeros(120), u=rng.uniform(size=120), v=rng.uniform(size=120))
+        pair = build_pair(data, Kernel.UNIFORM, ConstantBandwidth(0.1), KNearestBandwidth(7))
+        dense = SmootherPair(as_dense(pair.s1), as_dense(pair.s2))
+        assert_allclose(pair.star_product(), dense.star_product(), rtol=0, atol=1e-14)
+
+    def test_pair_storage_matches_the_build(self):
+        rng = np.random.default_rng(30)
+        data = Dataset(y=np.zeros(50), u=rng.uniform(size=50), v=rng.uniform(size=50))
+        bw = KNearestBandwidth(5)
+        pair = build_pair(data, Kernel.UNIFORM, bw, ConstantBandwidth(0.4))
+        kind_u, kind_v, nbytes = smoothers.pair_storage(data, Kernel.UNIFORM, bw, ConstantBandwidth(0.4))
+        assert (kind_u, kind_v) == ("window", "window")
+        assert pair.order_u is data.sort_u and pair.order_v is data.sort_v
+        assert nbytes == sum(a.nbytes for a in vars(pair).values() if isinstance(a, np.ndarray))
+
+    def test_window_build_memory(self):
+        # O(n) bytes: the pair holds eight arrays of n, and the build a
+        # few float arrays of n beside them; a CSR build of these windows
+        # (h = 0.02, 4% fill) would hold 1.9 GB
+        n = 100_000
+        rng = np.random.default_rng(28)
+        data = Dataset(y=np.zeros(n), u=rng.uniform(size=n), v=rng.uniform(size=n))
+        bw = ConstantBandwidth(0.02)
+        tracemalloc.start()
+        try:
+            pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(pair, WindowPair)
+        assert peak < 160 * n
+
+    def test_overflowing_mass_names_the_lowest_row(self):
+        # K(0)/h overflows at h = 1e-320, so rows 300 and 550 have an
+        # infinite total; the error names the lowest in sample order,
+        # whatever their sorted positions, as build_smoother's does
+        rng = np.random.default_rng(31)
+        data = Dataset(y=np.zeros(600), u=rng.uniform(size=600), v=rng.uniform(size=600))
+        h = np.full(600, 0.01)
+        h[[300, 550]] = 1e-320
+        assert data.sort_u.tolist().index(550) < data.sort_u.tolist().index(300)
+        message = "row 300 has non-finite total kernel mass"
+        with pytest.raises(ValueError, match=message):
+            build_smoother(data.u, Kernel.UNIFORM, PerPointBandwidth(h))
+        with pytest.raises(ValueError, match=message):
+            build_pair(data, Kernel.UNIFORM, PerPointBandwidth(h), ConstantBandwidth(0.1))
+        with pytest.raises(ValueError, match=message):
+            build_pair(data, Kernel.UNIFORM, ConstantBandwidth(0.1), PerPointBandwidth(h))

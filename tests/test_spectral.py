@@ -20,7 +20,17 @@ from nwbackfit.kernels import (
     RateBandwidth,
 )
 from nwbackfit.simulate import BivariateNormal, IndependentUniform, SimSpec, generate, max_gap
-from nwbackfit.smoothers import Dataset, build_pair, build_smoother, center
+from nwbackfit.fitting import backfit_direct, backfit_iterative
+from nwbackfit.smoothers import (
+    Dataset,
+    PackedPair,
+    SmootherPair,
+    WindowPair,
+    as_dense,
+    build_pair,
+    build_smoother,
+    center,
+)
 from nwbackfit.spectral import (
     Verdict,
     certify,
@@ -343,13 +353,16 @@ class TestCertify:
 
     @pytest.mark.parametrize("n, zero_starts", [(20, 1), (5, 2)])
     def test_zero_product_on_a_start_vector(self, monkeypatch, n, zero_starts):
-        # every raw weight is K(0), so S2* S1* is zero, and its rounding
-        # may send ARPACK's seeded start vector to exact zeros (ARPACK's
-        # error -9).  The run restarts from a second seeded vector; when
-        # that too goes to zeros the radius is 0.  Neither forms S2* S1*
+        # every raw weight is K(0) (|t| <= 1e-9, so 1 - t^2 rounds to 1),
+        # so S2* S1* is zero, and the rounding of the packed pair's
+        # products may send ARPACK's seeded start vector to exact zeros
+        # (ARPACK's error -9).  The run restarts from a second seeded
+        # vector; when that too goes to zeros the radius is 0.  Neither
+        # forms S2* S1*
         data = generate(SimSpec(n=n, seed=59))
-        bw = ConstantBandwidth(1e6)
-        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        bw = ConstantBandwidth(1e9)
+        pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
+        assert isinstance(pair, PackedPair)
         starts = [np.random.default_rng(seed).standard_normal(n) for seed in (0, 1)]
         zeros = [not pair.apply_s2_star(pair.apply_s1_star(v0)).any() for v0 in starts]
         assert zeros == [True, zero_starts == 2]
@@ -359,13 +372,31 @@ class TestCertify:
             raise AssertionError("S2* S1* formed")
 
         monkeypatch.setattr(type(pair), "star_product", unformed)
-        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert cert.spectral.method == "power" and cert.spectral.fallback is None
         assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
         if zero_starts == 2:
             assert cert.spectral.rho_product == 0.0 and cert.spectral.iterations == 2
         else:
             assert cert.spectral.rho_product <= 1e-14 and cert.spectral.iterations > 2
+
+    def test_zero_window_product(self, monkeypatch):
+        # every uniform-kernel window holds all n points, so each smoother
+        # sends a vector to its mean, and both seeded starts go to exact
+        # zeros: the radius is 0 after two applications, unformed
+        data = generate(SimSpec(n=20, seed=59))
+        bw = ConstantBandwidth(1e6)
+        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        assert isinstance(pair, WindowPair)
+
+        def unformed(*args):
+            raise AssertionError("S2* S1* formed")
+
+        monkeypatch.setattr(WindowPair, "star_product", unformed)
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        assert cert.spectral.fallback is None
+        assert cert.spectral.rho_product == 0.0 and cert.spectral.iterations == 2
+        assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
 
     def test_spectral_route_when_gaps_fail(self):
         # u splits into two clusters at its bandwidth, but a huge v
@@ -598,24 +629,28 @@ class TestSpectralRoutes:
         assert cert.certified and cert.regular_s1 and cert.regular_s2
 
     @pytest.mark.parametrize(
-        "n, design, kernel, bw",
+        "n, design, kernel, bw, layout",
         [
-            (200, BivariateNormal(rho=0.5), Kernel.GAUSSIAN, RateBandwidth(0.2)),
-            (410, IndependentUniform(), Kernel.UNIFORM, ConstantBandwidth(0.02)),
+            (200, BivariateNormal(rho=0.5), Kernel.GAUSSIAN, RateBandwidth(0.2), PackedPair),
+            (410, IndependentUniform(), Kernel.EPANECHNIKOV, ConstantBandwidth(0.02), SmootherPair),
+            (410, IndependentUniform(), Kernel.UNIFORM, ConstantBandwidth(0.02), WindowPair),
         ],
-        ids=["dense-n200", "csr-n410"],
+        ids=["dense-n200", "csr-n410", "window-n410"],
     )
-    def test_default_route_never_forms_the_product(self, monkeypatch, n, design, kernel, bw):
+    def test_default_route_never_forms_the_product(
+        self, monkeypatch, n, design, kernel, bw, layout
+    ):
         # with no method given, a certificate whose ARPACK run converges
         # neither forms S2* S1* nor takes any dense eigenvalues
         data = generate(SimSpec(n=n, design=design, seed=72))
         pair = build_pair(data, kernel, bw, bw)
-        assert issparse(pair.s1) == (kernel is Kernel.UNIFORM)
+        assert type(pair) is layout
+        assert issparse(pair.s1) == (layout is SmootherPair)
 
         def refused(*args, **kwargs):
             raise AssertionError("the certificate formed S2* S1* or ran eigvals")
 
-        monkeypatch.setattr(smoothers.SmootherPair, "star_product", refused)
+        monkeypatch.setattr(layout, "star_product", refused)
         monkeypatch.setattr(np.linalg, "eigvals", refused)
         cert = certify(pair, kernel, bw, bw, data)
         assert cert.spectral.method == "power"
@@ -903,23 +938,61 @@ class TestSmootherArpackRoute:
         assert_diagnosis_matches_oracle(s, *diagnose(s))
 
     def test_csr_smoothers_stay_sparse(self, monkeypatch):
-        # n = 2000, uniform kernel at h = 0.03: CSR smoothers, regular, and
-        # a certified power-route certificate that never makes them dense
+        # n = 2000, Epanechnikov kernel at h = 0.03: CSR smoothers,
+        # regular, and a certified power-route certificate that never
+        # makes them dense
         data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
         bw = ConstantBandwidth(0.03)
-        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        pair = build_pair(data, Kernel.EPANECHNIKOV, bw, bw)
         assert issparse(pair.s1) and issparse(pair.s2)
 
         def refused(s):
             raise AssertionError("a CSR smoother was made dense")
 
         monkeypatch.setattr(smoothers, "as_dense", refused)
-        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert cert.certified
         assert cert.spectral.method == "power"
         assert cert.regular_s1 and cert.regular_s2
         monkeypatch.undo()
         assert_matches_oracle(cert, pair)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["regular", "two-clusters"])
+    def test_window_smoothers_stay_unformed(self, monkeypatch, split):
+        # n = 2000, uniform kernel at h = 0.03: a window pair, which the
+        # certificate and both fits read through products and entry
+        # reads alone.  Split u into two clusters by a 0.2 gap and S1 has
+        # two closed classes, read from the windows' CSR pattern, while v's
+        # smoother still joins them, so the product certifies
+        data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
+        if split:
+            data = Dataset(y=data.y, u=np.where(data.u < 0.5, data.u, data.u + 0.2), v=data.v)
+        bw = ConstantBandwidth(0.03)
+        pair = build_pair(data, Kernel.UNIFORM, bw, bw)
+        assert isinstance(pair, WindowPair)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a window smoother was formed")
+
+        with monkeypatch.context() as m:
+            for name in ("toarray", "__array__"):
+                m.setattr(smoothers.WindowSmoother, name, refused)
+            m.setattr(WindowPair, "star_product", refused)
+            cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+            fits = [solve(pair, data.y) for solve in (backfit_iterative, backfit_direct)]
+        assert cert.spectral.method == "power"
+        assert cert.regular_s1 is not split and cert.regular_s2
+        assert cert.spectral.rho_s1_star == (1.0 if split else None)
+        assert cert.verdict is (
+            Verdict.CERTIFIED_BY_SPECTRAL_RADIUS if split else Verdict.CERTIFIED_BY_GAP_CONDITIONS
+        )
+        assert_matches_oracle(cert, pair)
+        dense = SmootherPair(as_dense(pair.s1), as_dense(pair.s2))
+        assert abs(cert.spectral.rho_product - spectral_radius(dense.star_product())) <= 1e-12
+        for fit, solve in zip(fits, (backfit_iterative, backfit_direct)):
+            want = solve(dense, data.y)
+            assert np.abs(fit.m1_hat - want.m1_hat).max() <= 1e-12
+            assert np.abs(fit.m2_hat - want.m2_hat).max() <= 1e-12
 
     def test_not_certified_csr_certificate_stays_sparse(self, monkeypatch):
         # n = 1500, Epanechnikov at h = 0.01, u in two clusters split by
