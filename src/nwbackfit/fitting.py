@@ -148,8 +148,8 @@ def backfit_iterative(
     exhausted first.
     """
     y = _check_y(pair, y)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if sweep not in ("gauss-seidel", "jacobi"):
         raise ValueError(f"unknown sweep {sweep!r}; choose 'gauss-seidel' or 'jacobi'")
     if max_iter is None:

@@ -175,12 +175,16 @@ class GapBound:
         return {"n": self.n, "h": self.h, "exact": self.exact, "exponential": self.exponential}
 
 
-def gap_exceedance_bound(n: int, h: float) -> GapBound:
-    """Analytic bounds for the unit-interval uniform design."""
+def _check_gap_args(n: int, h: float) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
+
+
+def gap_exceedance_bound(n: int, h: float) -> GapBound:
+    """Analytic bounds for the unit-interval uniform design."""
+    _check_gap_args(n, h)
     exact = 0.0 if h > 1.0 else n * (1.0 - h) ** (n - 1)
     exponential = n * math.exp(-(n - 1) * h / 2.0)
     return GapBound(n=n, h=h, exact=exact, exponential=exponential)
@@ -188,6 +192,7 @@ def gap_exceedance_bound(n: int, h: float) -> GapBound:
 
 def uniform_max_gap_exceedance(n: int, h: float, replicates: int, seed: int = 0) -> float:
     """Empirical frequency of {max gap >= h} over uniform(0,1) samples."""
+    _check_gap_args(n, h)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     rng = np.random.default_rng(seed)

@@ -83,17 +83,16 @@ __all__ = [
 RHO_MARGIN = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GapReport:
     """Adjacent-gap kernel positivity check for one coordinate.
 
-    ``gaps[i] = x_(i+2) - x_(i+1)`` in sorted order (length n-1).
+    ``max_gap`` is the largest gap between adjacent order statistics.
     ``failing_indices`` are positions into the sorted sequence whose
     kernel evaluation at an adjacent gap is zero.
     """
 
     coordinate: str
-    gaps: np.ndarray
     max_gap: float
     condition_holds: bool
     failing_indices: list[int]
@@ -101,7 +100,6 @@ class GapReport:
     def to_dict(self) -> dict:
         return {
             "coordinate": self.coordinate,
-            "gaps": self.gaps.tolist(),
             "max_gap": self.max_gap,
             "condition_holds": self.condition_holds,
             "failing_indices": list(self.failing_indices),
@@ -225,7 +223,6 @@ def check_gap_conditions(
     ).tolist()
     return GapReport(
         coordinate=coordinate,
-        gaps=gaps,
         max_gap=float(gaps.max()),
         condition_holds=not failing_indices,
         failing_indices=failing_indices,

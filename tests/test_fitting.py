@@ -436,6 +436,10 @@ class TestIterative:
         data, pair = gaussian_problem(77)
         with pytest.raises(ValueError):
             backfit_iterative(pair, data.y, tol=0.0)
+        # inf would stop after one sweep and nan would run every sweep
+        for tol in (np.inf, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                backfit_iterative(pair, data.y, tol=tol)
         with pytest.raises(ValueError):
             backfit_iterative(pair, data.y, sweep="sor")
         with pytest.raises(ValueError):

@@ -323,6 +323,14 @@ class TestCliExitCodes:
         path, _ = sample_csv
         assert main(["certify", "--input", str(path), "--bandwidth", "rate:7"]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
+    def test_parse_error_bad_tol(self, sample_csv, tmp_path, capsys, tol):
+        path, _ = sample_csv
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(path), f"--tol={tol}", "--out", str(out)]) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
     @pytest.mark.parametrize("subcommand", ["fit", "certify"])
     def test_seed_only_on_simulate(self, sample_csv, tmp_path, subcommand):
         # fit and certify draw nothing at random, so they take no --seed
@@ -548,6 +556,13 @@ class TestCliCertify:
         }
         for spectral in (cert["spectral"], fit_cert["spectral"]):
             assert set(spectral) == keys
+        # the gap reports carry the check's result, not the n - 1 gaps
+        # that restate the input
+        gap_keys = {"coordinate", "max_gap", "condition_holds", "failing_indices"}
+        for c in (cert, fit_cert):
+            assert set(c["gap_u"]) == set(c["gap_v"]) == gap_keys
+        # a per-point list would take this n = 40 report past 2 KB
+        assert (out / "certificate.json").stat().st_size < 2048
 
     def _certificate(self, tmp_path, name, data, *flags):
         path = tmp_path / f"{name}.csv"

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg import eig
 from scipy.sparse import coo_array, csc_array, csr_array
 
-from nwbackfit.fitting import backfit_direct
+from nwbackfit.fitting import (
+    BackfitNonConvergenceError,
+    SingularSystemError,
+    backfit_direct,
+    backfit_iterative,
+)
 from nwbackfit.kernels import (
     ConstantBandwidth,
     Kernel,
@@ -469,3 +474,54 @@ def test_window_pair_matches_build_smoother(n, seed, kinds, ties, reach, tiny):
     assert cert.spectral.rho_s1_star == want.spectral.rho_s1_star
     assert cert.spectral.rho_s2_star == want.spectral.rho_s2_star
     assert cert.spectral.top_eigenvalue_simple == want.spectral.top_eigenvalue_simple
+
+
+def _settles(call):
+    """Run ``call``: its result, or None when it raises one of the
+    documented errors with a message; any other exception escapes."""
+    try:
+        return call()
+    except (ValueError, SingularSystemError, BackfitNonConvergenceError) as exc:
+        assert str(exc)
+        return None
+
+
+@st.composite
+def _tied_sample(draw):
+    """A sample of 2-12 points from few values, so that points repeat and
+    neighbours tie, with a knn k per coordinate of at most n (k = n, or
+    k at or above a value's multiplicity, leaves a zero bandwidth)."""
+    values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 3.0, 10.0])
+    u = draw(st.lists(values, min_size=2, max_size=12))
+    k = draw(st.tuples(*[st.integers(min_value=1, max_value=len(u))] * 2))
+    return u, k
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    sample=_tied_sample(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(ALL_KERNELS),
+)
+@example(sample=([0.0, 0.0], (1, 1)), seed=0, kernel=Kernel.UNIFORM)
+@example(sample=([0.0, 1.0], (1, 1)), seed=1, kernel=Kernel.GAUSSIAN)
+@example(sample=([0.5, 0.5, 0.5], (2, 1)), seed=2, kernel=Kernel.EPANECHNIKOV)
+@example(sample=([0.0, 0.25, 0.5], (1, 2)), seed=3, kernel=Kernel.TRIANGULAR)
+def test_knn_ties_give_a_verdict_or_a_clean_error(sample, seed, kernel):
+    # duplicated and tied samples under knn bandwidths, down to n = 2:
+    # each step returns, or raises one of the documented errors with a
+    # message, and nothing else
+    u, k = sample
+    n = len(u)
+    rng = np.random.default_rng(seed)
+    u = np.array(u)
+    # v repeats u's values in another order, so both coordinates tie
+    data = Dataset(y=rng.normal(size=n), u=u, v=rng.permutation(u))
+    bw_u, bw_v = KNearestBandwidth(k[0]), KNearestBandwidth(k[1])
+    pair = _settles(lambda: build_pair(data, kernel, bw_u, bw_v))
+    if pair is None:
+        return
+    cert = _settles(lambda: certify(pair, kernel, bw_u, bw_v, data))
+    assert cert is None or isinstance(cert.certified, bool)
+    _settles(lambda: backfit_iterative(pair, data.y))
+    _settles(lambda: backfit_direct(pair, data.y))

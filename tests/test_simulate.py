@@ -165,6 +165,18 @@ class TestUniformExceedance:
         with pytest.raises(ValueError):
             uniform_max_gap_exceedance(10, 0.5, 0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_points(self, n):
+        # as for the analytic bound: a max gap needs two points
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            uniform_max_gap_exceedance(n, 0.5, 10)
+
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.nan])
+    def test_needs_positive_h(self, h):
+        # h = -1 would report 1.0 and h = nan 0.0, silently
+        with pytest.raises(ValueError, match="h must be positive"):
+            uniform_max_gap_exceedance(10, h, 10)
+
 
 class TestRunMonteCarlo:
     def test_oversized_bandwidth_all_pass(self):

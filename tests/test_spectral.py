@@ -6,7 +6,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_array, csc_array, csr_array, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
@@ -68,7 +67,6 @@ class TestGapConditions:
         )
         assert not rep.condition_holds
         assert rep.failing_indices == [1, 2]  # both endpoints of the 0.3 to 2.0 gap
-        assert_allclose(rep.gaps, [0.3, 1.7])
         assert rep.max_gap == pytest.approx(1.7)
 
     def test_uniform_constant_bandwidth_reduces_to_max_gap(self):
@@ -94,8 +92,7 @@ class TestGapConditions:
     def test_unsorted_input_handled(self):
         a = check_gap_conditions(np.array([2.0, 0.0, 0.3]), Kernel.UNIFORM, ConstantBandwidth(1.0))
         b = check_gap_conditions(np.array([0.0, 0.3, 2.0]), Kernel.UNIFORM, ConstantBandwidth(1.0))
-        assert a.failing_indices == b.failing_indices
-        assert_allclose(a.gaps, b.gaps)
+        assert a == b
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
