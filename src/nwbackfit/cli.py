@@ -29,6 +29,7 @@ from .fitting import (
     SingularSystemError,
     backfit_direct,
     backfit_iterative,
+    check_stop_rule,
 )
 from .io import (
     DatasetFormatError,
@@ -108,6 +109,7 @@ def _pair_storage(data, kernel, bw) -> str:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    check_stop_rule(args.tol, args.max_iter)
     data, kernel, bw, pair = _load_problem(args)
     cert = certify(pair, kernel, bw, bw, data, method="power")
     if args.require_certificate and not cert.certified:

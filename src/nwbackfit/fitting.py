@@ -130,6 +130,14 @@ def default_max_iter(n: int) -> int:
     return 10 * n + 1000
 
 
+def check_stop_rule(tol: float, max_iter: int | None) -> None:
+    """Refuse a tol that is not positive and finite, or a max_iter (None: the default) below 1."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def backfit_iterative(
     pair: Pair,
     y: np.ndarray,
@@ -148,14 +156,11 @@ def backfit_iterative(
     exhausted first.
     """
     y = _check_y(pair, y)
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_stop_rule(tol, max_iter)
     if sweep not in ("gauss-seidel", "jacobi"):
         raise ValueError(f"unknown sweep {sweep!r}; choose 'gauss-seidel' or 'jacobi'")
     if max_iter is None:
         max_iter = default_max_iter(pair.n)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     alpha = float(y.mean())
     m1 = np.zeros(pair.n)

@@ -153,5 +153,5 @@ def dumps_report(obj: dict) -> str:
 
 
 def write_json_report(path: str | Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_report(obj))
+    """Write ``dumps_report(obj)``; a report that cannot be serialized leaves ``path`` as it was."""
+    Path(path).write_text(dumps_report(obj), encoding="utf-8")

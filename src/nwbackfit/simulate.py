@@ -41,9 +41,9 @@ __all__ = [
     "density_ratio_sup",
 ]
 
-# Replicates per block of uniform_max_gap_exceedance: one block holds this
-# many samples of n points at a time.
-EXCEEDANCE_CHUNK = 10_000
+# Values per block of uniform_max_gap_exceedance (8 MB), and at least one
+# sample; rows are drawn in stream order, so the block size leaves the result as is.
+EXCEEDANCE_BLOCK_VALUES = 2**20
 
 # Named component functions; the generator centers them in-sample, so
 # only the shape matters.
@@ -178,8 +178,8 @@ class GapBound:
 def _check_gap_args(n: int, h: float) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
 
 
 def gap_exceedance_bound(n: int, h: float) -> GapBound:
@@ -196,10 +196,11 @@ def uniform_max_gap_exceedance(n: int, h: float, replicates: int, seed: int = 0)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     rng = np.random.default_rng(seed)
+    rows = max(1, EXCEEDANCE_BLOCK_VALUES // n)
     count = 0
     done = 0
     while done < replicates:
-        m = min(EXCEEDANCE_CHUNK, replicates - done)
+        m = min(rows, replicates - done)
         x = rng.random((m, n))
         x.sort(axis=1)
         count += int((np.diff(x, axis=1).max(axis=1) >= h).sum())

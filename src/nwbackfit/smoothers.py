@@ -34,18 +34,19 @@ the totals.  Any other pair is a :class:`SmootherPair` of two matrices,
 dense or CSR.  Packed and window smoothers share one small base,
 :class:`OperatorSmoother`, through which the certificate reads them.
 
-Products with a vector (``@``) work on every storage, and so do the
-fitters and the matrix-free ARPACK route; only the routes that need the
-dense matrix itself (the formed product S2* S1*, which the dense
-fallbacks use, and :func:`center`, a reference for tests and demos)
-form it, through :func:`as_dense` or :meth:`star_product`.  ``center``
-applies the mean-removal projector C = I - 11^T/n, which enforces the
-zero-mean identification constraint on fitted component vectors.  The
-backfitting equations use the centered smoothers S* = C S; this module
-is the one place that knows how they are obtained from S: a pair stores
-S1 and S2 only, applies S1* and S2* to vectors and forms S2* S1* on
-demand, and ``center(s)`` forms one S* as a dense matrix.  Rows follow
-the original sample order; the sort permutations live on the dataset.
+Every storage answers ``s @ z`` for a vector z and for an n x m block z,
+dense or another smoother; the fitters and the matrix-free ARPACK route
+take only vectors.  Only the routes that need a dense matrix (the dense
+fallbacks' S2* S1* and :func:`center`, a reference for tests and demos)
+form one, through :func:`as_dense`.  ``center`` applies the mean-removal
+projector C = I - 11^T/n, which enforces the zero-mean identification
+constraint on fitted component vectors.  The backfitting equations use
+the centered smoothers S* = C S; this module is the one place that knows
+how they are obtained from S: every layout is a :class:`Pair`, which
+supplies S1 and S2 only, applies S1* and S2* to vectors and forms
+S2* S1* = C (S2 @ S1) on demand, and ``center(s)`` forms one S* as a
+dense matrix.  Rows follow the original sample order; the sort
+permutations live on the dataset.
 """
 
 from __future__ import annotations
@@ -132,8 +133,12 @@ class Dataset:
         return len(self.y)
 
 
-class _Pair:
-    """The centered smoothers' action, shared by both storages of a pair."""
+class Pair:
+    """The smoothers S1 (of u) and S2 (of v), which a layout supplies as ``s1`` and ``s2``.
+
+    The centered smoothers S* = C S are rank-one corrections of S and are
+    not stored; ``center(pair.s1)`` gives a dense S1* where one is wanted.
+    """
 
     @property
     def n(self) -> int:
@@ -141,34 +146,25 @@ class _Pair:
 
     def apply_s1_star(self, x: np.ndarray) -> np.ndarray:
         """S1* x, computed as S1 x - mean(S1 x)."""
-        return apply_star(self.s1, x)
+        return self._center(self.s1 @ x)
 
     def apply_s2_star(self, x: np.ndarray) -> np.ndarray:
         """S2* x, computed as S2 x - mean(S2 x)."""
-        return apply_star(self.s2, x)
+        return self._center(self.s2 @ x)
 
-
-@dataclass
-class SmootherPair(_Pair):
-    """Row-stochastic smoother matrices S1 (of u) and S2 (of v).
-
-    Each is a dense ndarray or a ``csr_array``, as :func:`build_smoother`
-    chose.  The centered smoothers S* = C S are rank-one corrections of S
-    and are not stored: the fitters apply them as S* x = S x - mean(S x), and
-    :meth:`star_product` forms S2* S1* when a dense route needs it.
-    ``center(pair.s1)`` gives a dense S1* where one is wanted.
-    """
-
-    s1: np.ndarray | csr_array
-    s2: np.ndarray | csr_array
+    @staticmethod
+    def _center(z: np.ndarray) -> np.ndarray:
+        # the reduction and division of z.mean(), without its Python wrappers
+        return z - np.add.reduce(z) / z.size
 
     def star_product(self) -> np.ndarray:
         """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
 
         C S2 C = C S2 because S2 is row-stochastic (S2 1 = 1), so the
-        product needs one centering instead of two centered copies.  Two
-        CSR smoothers multiply as sparse matrices before the result is
-        made dense.
+        product needs one centering, done in place, instead of two
+        centered copies.  S2 @ S1 is the block product S2's storage
+        answers; two CSR smoothers multiply as sparse matrices before the
+        result is made dense.
         """
         product = as_dense(self.s2 @ self.s1)
         product -= product.mean(axis=0)
@@ -176,7 +172,16 @@ class SmootherPair(_Pair):
 
 
 @dataclass
-class PackedPair(_Pair):
+class SmootherPair(Pair):
+    """S1 and S2 as two matrices, each a dense ndarray or a ``csr_array``, as
+    :func:`build_smoother` chose."""
+
+    s1: np.ndarray | csr_array
+    s2: np.ndarray | csr_array
+
+
+@dataclass
+class PackedPair(Pair):
     """S1 and S2 of one bandwidth per coordinate, in one n x n array.
 
     ``weights`` holds the raw kernel values K((u_i - u_j) / h_u) in its
@@ -185,8 +190,8 @@ class PackedPair(_Pair):
     the row totals of the two symmetric kernel matrices, so
     S1 = diag(total_u)^-1 K_u and S2 = diag(total_v)^-1 K_v.  ``s1`` and
     ``s2`` read as those smoothers (:class:`PackedSmoother`) without
-    forming them.  The pair applies S1* and S2* and forms S2* S1* as
-    :class:`SmootherPair` does.
+    forming them; S2 @ S1, the product :meth:`Pair.star_product` centers,
+    forms S1 and multiplies it by v's triangle with BLAS ``dsymm``.
     """
 
     weights: np.ndarray
@@ -199,28 +204,13 @@ class PackedPair(_Pair):
         self.s1 = PackedSmoother(self.weights, self.total_u, True, lowest)
         self.s2 = PackedSmoother(self.weights, self.total_v, False, lowest)
 
-    def star_product(self) -> np.ndarray:
-        """S2* S1*, formed as C (S2 S1) in one fresh dense n x n array.
-
-        S1 is formed once, and BLAS ``dsymm`` multiplies it by v's
-        symmetric kernel matrix from its triangle: (K_v S1)^T = S1^T K_v
-        takes both operands as Fortran views, so neither is copied.  The
-        process holds the pair's array, S1 and the product at the peak,
-        as a pair of two dense smoothers does.
-        """
-        s1 = self.s1.toarray()
-        product = dsymm(1.0, self.weights.T, s1.T, side=1, lower=1).T
-        del s1
-        product /= self.total_v[:, None]
-        product -= product.mean(axis=0)
-        return product
-
 
 class OperatorSmoother:
     """A smoother of a pair that holds less than its n x n matrix, read without forming it.
 
     It answers what the fitters and the certificate ask of a smoother:
-    ``shape`` and ``ndim``, ``s @ x`` for a vector x, ``s.sum(axis=1)``
+    ``shape`` and ``ndim``, ``s @ x`` for a vector x or an n x m block
+    (a dense array, or another smoother, which is formed), ``s.sum(axis=1)``
     (S 1), ``s.min()``, the entries ``s[rows, cols]`` for two integer
     arrays, and the positivity pattern ``s > 0``.  ``toarray()``, and so
     ``np.asarray(s)`` and :func:`as_dense`, form S.  A subclass gives
@@ -260,8 +250,8 @@ class PackedSmoother(OperatorSmoother):
     S = diag(total)^-1 K, with K the symmetric raw kernel matrix held in
     the lower (``lower=True``, u) or strict upper (v) triangle of the
     pair's array, sharing its diagonal.  ``s @ x`` is BLAS ``dsymv`` on
-    the array's Fortran view, then a division by the totals, and ``s > 0``
-    is a dense boolean n x n array.
+    the array's Fortran view for a vector, ``dsymm`` for a block, then a
+    division by the totals, and ``s > 0`` is a dense boolean n x n array.
     """
 
     def __init__(self, weights: np.ndarray, total: np.ndarray, lower: bool, lowest):
@@ -274,8 +264,14 @@ class PackedSmoother(OperatorSmoother):
         self._lowest = lowest  # the pair's smallest raw weight, on demand
         self.shape = weights.shape
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return dsymv(1.0, self._fortran, x, lower=self._blas_lower) / self._total
+    def __matmul__(self, x) -> np.ndarray:
+        if x.ndim == 1:
+            return dsymv(1.0, self._fortran, x, lower=self._blas_lower) / self._total
+        # (K X)^T = X^T K takes both operands as Fortran views of C-ordered
+        # arrays, so neither is copied; a smoother operand is formed once
+        product = dsymm(1.0, self._fortran, as_dense(x).T, side=1, lower=self._blas_lower).T
+        product /= self._total[:, None]
+        return product
 
     def min(self) -> float:
         """A lower bound on the smallest entry of S, exact when that entry is 0.
@@ -305,7 +301,7 @@ class PackedSmoother(OperatorSmoother):
 
 
 @dataclass
-class WindowPair(_Pair):
+class WindowPair(Pair):
     """S1 and S2 of the uniform kernel, held as windows of sorted positions.
 
     A uniform-kernel row weighs its members equally, so it is the mean
@@ -315,8 +311,8 @@ class WindowPair(_Pair):
     ``[lo_u[i], hi_u[i])`` of sorted positions and its count
     ``count_u[i]``, a float since it divides each product; likewise for
     v.  ``s1`` and ``s2`` read as the smoothers (:class:`WindowSmoother`)
-    without forming them.  The pair applies S1* and S2* as
-    :class:`SmootherPair` does.
+    without forming them; S2 @ S1, the product :meth:`Pair.star_product`
+    centers, forms S1 and takes S2's window means of its columns.
     """
 
     order_u: np.ndarray
@@ -332,12 +328,6 @@ class WindowPair(_Pair):
         self.s1 = WindowSmoother(self.order_u, self.lo_u, self.hi_u, self.count_u)
         self.s2 = WindowSmoother(self.order_v, self.lo_v, self.hi_v, self.count_v)
 
-    def star_product(self) -> np.ndarray:
-        """S2* S1*, formed as C (S2 S1): S1 formed, then S2 applied to its columns."""
-        product = self.s2 @ self.s1.toarray()
-        product -= product.mean(axis=0)
-        return product
-
 
 class WindowSmoother(OperatorSmoother):
     """One smoother of a :class:`WindowPair`, read without being formed.
@@ -346,23 +336,27 @@ class WindowSmoother(OperatorSmoother):
     elsewhere.  ``s @ z`` takes the prefix sums C of z in sorted order,
     with a leading 0, and reads row i's window mean as
     (C[hi[i]] - C[lo[i]]) / count[i]: O(n) for a vector, and column by
-    column for an n x m array.  Entries are read through the inverse
-    permutation, and ``s > 0`` is a boolean CSR pattern built from the
-    windows.
+    column for an n x m block or another smoother, which is formed first.
+    Entries are read through the inverse permutation, and ``s > 0`` is a
+    boolean CSR pattern built from the windows.
     """
 
     def __init__(self, order: np.ndarray, lo: np.ndarray, hi: np.ndarray, count: np.ndarray):
         self._order, self._lo, self._hi, self._count = order, lo, hi, count
         self.shape = (len(order), len(order))
 
-    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+    def __matmul__(self, z) -> np.ndarray:
+        if z.ndim == 1:
+            count = self._count
+        else:  # a block, or another smoother, formed once
+            z, count = as_dense(z), self._count[:, None]
         # take and the cumsum method skip the Python wrappers of z[order]
         # and np.cumsum, which cost as much as the arithmetic at n = 200
         prefix = np.zeros((len(z) + 1,) + z.shape[1:])
         z.take(self._order, axis=0).cumsum(axis=0, out=prefix[1:])
         means = prefix.take(self._hi, axis=0)
         means -= prefix.take(self._lo, axis=0)
-        means /= self._count if z.ndim == 1 else self._count[:, None]
+        means /= count
         return means
 
     def _rank(self) -> np.ndarray:
@@ -396,10 +390,6 @@ class WindowSmoother(OperatorSmoother):
         rank = self._rank()
         inside = (self._lo[:, None] <= rank) & (rank < self._hi[:, None])
         return inside / self._count[:, None]
-
-
-# the three layouts build_pair returns
-Pair = SmootherPair | PackedPair | WindowPair
 
 
 def _slabs(n: int):
@@ -806,13 +796,6 @@ def pair_storage(
         return "packed", "packed", 8 * n * n + 16 * n
     (kind_u, bytes_u), (kind_v, bytes_v) = (_storage(n, w) for w in windows)
     return kind_u, kind_v, bytes_u + bytes_v
-
-
-def apply_star(s: np.ndarray | csr_array, x: np.ndarray) -> np.ndarray:
-    """S* x = C S x for a smoother S, dense or CSR, computed as S x - mean(S x)."""
-    z = s @ x
-    # the reduction and division of z.mean(), without its Python wrappers
-    return z - np.add.reduce(z) / z.size
 
 
 def center(s: np.ndarray) -> np.ndarray:

@@ -233,9 +233,15 @@ class TestJsonReports:
         assert p.read_text() == s
         assert json.loads(s) == obj
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             dumps_report({"x": float("inf")})
+        # the report is serialized before its file is opened
+        p = tmp_path / "r.json"
+        p.write_text("kept\n")
+        with pytest.raises(ValueError):
+            write_json_report(p, {"x": float("nan")})
+        assert p.read_text() == "kept\n"
 
 
 class TestCliFit:
@@ -323,13 +329,31 @@ class TestCliExitCodes:
         path, _ = sample_csv
         assert main(["certify", "--input", str(path), "--bandwidth", "rate:7"]) == 2
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
-    def test_parse_error_bad_tol(self, sample_csv, tmp_path, capsys, tol):
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--tol=inf", "tol must be positive"),
+            ("--tol=nan", "tol must be positive"),
+            ("--tol=0", "tol must be positive"),
+            ("--tol=-1e-10", "tol must be positive"),
+            ("--max-iter=0", "max_iter must be >= 1"),
+        ],
+        ids=["inf", "nan", "0", "-1e-10", "max-iter-0"],
+    )
+    def test_parse_error_bad_tol(self, sample_csv, tmp_path, capsys, monkeypatch, flag, message):
+        # the stop rule is checked before the CSV is read, under either solver
         path, _ = sample_csv
-        out = tmp_path / "out"
-        assert main(["fit", "--input", str(path), f"--tol={tol}", "--out", str(out)]) == 2
-        assert "tol must be positive" in capsys.readouterr().err
-        assert not (out / "fit.json").exists()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the CSV was read before the stop rule was checked")
+
+        monkeypatch.setattr(cli, "read_dataset_csv", refused)
+        for solver in ("iterative", "direct"):
+            out = tmp_path / solver
+            argv = ["fit", "--input", str(path), flag, "--solver", solver, "--out", str(out)]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["fit", "certify"])
     def test_seed_only_on_simulate(self, sample_csv, tmp_path, subcommand):
@@ -759,3 +783,12 @@ class TestCliBound:
 
     def test_invalid_threshold(self):
         assert main(["bound", "--n", "100", "--h", "0.0"]) == 2
+
+    def test_infinite_threshold_writes_nothing(self, tmp_path, capsys):
+        # refused before any bound is printed or any file opened
+        out = tmp_path / "d"
+        assert main(["bound", "--n", "10", "--h", "inf", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "h must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not (out / "bound.json").exists()

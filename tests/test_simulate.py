@@ -1,11 +1,13 @@
 """Data generation, spacing statistics, analytic bounds, Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nwbackfit import simulate
 from nwbackfit.kernels import ConstantBandwidth, Kernel, RateBandwidth
 from nwbackfit.simulate import (
     BivariateNormal,
@@ -171,11 +173,40 @@ class TestUniformExceedance:
         with pytest.raises(ValueError, match="n must be >= 2"):
             uniform_max_gap_exceedance(n, 0.5, 10)
 
-    @pytest.mark.parametrize("h", [-1.0, 0.0, np.nan])
+    @pytest.mark.parametrize("h", [-1.0, 0.0, np.nan, np.inf])
     def test_needs_positive_h(self, h):
-        # h = -1 would report 1.0 and h = nan 0.0, silently
-        with pytest.raises(ValueError, match="h must be positive"):
+        # h = -1 would report 1.0 and h = nan 0.0, silently; an infinite h
+        # gives bounds that no JSON report can hold
+        with pytest.raises(ValueError, match="h must be positive and finite"):
             uniform_max_gap_exceedance(10, h, 10)
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            gap_exceedance_bound(10, h)
+
+    @pytest.mark.parametrize("budget", [75, 24], ids=["three-per-block", "one-per-block"])
+    def test_blocks_draw_one_stream(self, monkeypatch, budget):
+        # the samples drawn block by block are those of one draw, so the
+        # frequency at every replicate's own max gap matches a one-block
+        # reference; 10 samples of 25 points make blocks of 3, 3, 3 and 1
+        # samples, or ten of one (a budget below n takes one per block)
+        n, replicates, seed = 25, 10, 94
+        x = np.sort(np.random.default_rng(seed).random((replicates, n)), axis=1)
+        gaps = np.diff(x, axis=1).max(axis=1)
+        monkeypatch.setattr(simulate, "EXCEEDANCE_BLOCK_VALUES", budget)
+        for h in gaps:
+            want = float((gaps >= h).sum()) / replicates
+            assert uniform_max_gap_exceedance(n, float(h), replicates, seed=seed) == want
+
+    def test_block_memory(self):
+        # blocks hold about EXCEEDANCE_BLOCK_VALUES values, not a count of
+        # samples: one block of these 400 samples of 20,000 points and their
+        # gaps would hold 128 MB
+        tracemalloc.start()
+        try:
+            uniform_max_gap_exceedance(20_000, 1e-3, 400, seed=95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * simulate.EXCEEDANCE_BLOCK_VALUES
 
 
 class TestRunMonteCarlo:

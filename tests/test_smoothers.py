@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg.blas import dsymv
-from scipy.sparse import issparse
+from scipy.sparse import csr_array, issparse
 
 from nwbackfit import smoothers
 from nwbackfit.kernels import (
@@ -400,13 +400,22 @@ class TestBuildPair:
         assert np.abs(center(pair.s1)).max() <= 1e-14
         assert np.abs(center(pair.s2)).max() <= 1e-14
 
-    def test_star_matrices_match_center(self):
+    def test_star_matrices_match_center(self, monkeypatch):
         # the pair stores S1 and S2 only, as two matrices, packed in one
         # array or as windows; its centered apply and formed product agree
         # with the explicitly centered matrices
         rng = np.random.default_rng(43)
+
+        def check(pair, data):
+            x = rng.normal(size=data.n)
+            assert pair.n == data.n
+            assert_allclose(pair.apply_s1_star(x), center(pair.s1) @ x, rtol=0, atol=1e-14)
+            assert_allclose(pair.apply_s2_star(x), center(pair.s2) @ x, rtol=0, atol=1e-14)
+            assert_allclose(
+                pair.star_product(), center(pair.s2) @ center(pair.s1), rtol=0, atol=1e-14
+            )
+
         data = random_dataset(rng, 16)
-        x = rng.normal(size=data.n)
         windows = {f"{name}_{c}" for name in ("order", "lo", "hi", "count") for c in "uv"}
         for kernel in ALL_KERNELS:
             for bw in (ConstantBandwidth(0.9), RateBandwidth(0.2), KNearestBandwidth(3)):
@@ -417,12 +426,19 @@ class TestBuildPair:
                     assert set(vars(pair)) == {"s1", "s2"}
                 else:
                     assert set(vars(pair)) == {"weights", "total_u", "total_v", "s1", "s2"}
-                assert pair.n == data.n
-                assert_allclose(pair.apply_s1_star(x), center(pair.s1) @ x, rtol=0, atol=1e-14)
-                assert_allclose(pair.apply_s2_star(x), center(pair.s2) @ x, rtol=0, atol=1e-14)
-                assert_allclose(
-                    pair.star_product(), center(pair.s2) @ center(pair.s1), rtol=0, atol=1e-14
-                )
+                check(pair, data)
+        # a CSR pair (fill 0.015), and a mixed one: CSR S1, dense S2
+        data = random_dataset(rng, 200)
+        for bw_v, sparse in ((KNearestBandwidth(3), True), (KNearestBandwidth(150), False)):
+            pair = build_pair(data, Kernel.EPANECHNIKOV, KNearestBandwidth(3), bw_v)
+            assert issparse(pair.s1) and issparse(pair.s2) == sparse
+            check(pair, data)
+        # two CSR smoothers multiply as sparse matrices: only their product is formed
+        formed, toarray = [], csr_array.toarray
+        monkeypatch.setattr(csr_array, "toarray", lambda s, *a: formed.append(s) or toarray(s, *a))
+        pair = build_pair(data, Kernel.EPANECHNIKOV, KNearestBandwidth(3), KNearestBandwidth(3))
+        pair.star_product()
+        assert len(formed) == 1 and all(formed[0] is not s for s in (pair.s1, pair.s2))
 
     @pytest.mark.parametrize(
         "kernel, bw",
@@ -645,13 +661,38 @@ class TestWindowPair:
             assert s.min() == dense.min() == 0.0
             z = rng.normal(size=300)
             assert_allclose(s @ z, dense @ z, rtol=0, atol=1e-14)
-            block = rng.normal(size=(300, 4))
-            assert_allclose(s @ block, dense @ block, rtol=0, atol=1e-14)
             with pytest.raises(TypeError):
                 s[:10, 10:]
         # every window holds all n points: each entry is 1/n
         wide = build_pair(data, Kernel.UNIFORM, ConstantBandwidth(50.0), ConstantBandwidth(50.0))
         assert wide.s1.min() == np.asarray(wide.s1).min() == 1.0 / 300
+
+    @pytest.mark.parametrize(
+        "kernel, bw_u, bw_v, storage",
+        [
+            (Kernel.UNIFORM, ConstantBandwidth(0.05), RateBandwidth(0.2), WindowSmoother),
+            (Kernel.GAUSSIAN, ConstantBandwidth(0.05), RateBandwidth(0.2), PackedSmoother),
+            (Kernel.GAUSSIAN, KNearestBandwidth(40), KNearestBandwidth(40), np.ndarray),
+            (Kernel.EPANECHNIKOV, ConstantBandwidth(0.01), ConstantBandwidth(0.01), csr_array),
+        ],
+        ids=["window", "packed", "dense", "csr"],
+    )
+    def test_block_products(self, kernel, bw_u, bw_v, storage):
+        # every storage answers S @ Z for an n x m block Z, and for another
+        # smoother as Z, as the formed matrices multiply; S2 @ S1 is the
+        # product the pair's star_product centers
+        rng = np.random.default_rng(33)
+        data = Dataset(y=np.zeros(300), u=rng.normal(size=300), v=rng.uniform(size=300))
+        pair = build_pair(data, kernel, bw_u, bw_v)
+        csr = build_smoother(data.v, Kernel.EPANECHNIKOV, ConstantBandwidth(0.01))
+        assert issparse(csr)
+        for s in (pair.s1, pair.s2):
+            assert isinstance(s, storage)
+            dense = as_dense(s)
+            for z in (rng.normal(size=(300, 4)), pair.s1, pair.s2, csr):
+                got = as_dense(s @ z)
+                assert got.shape == (300, z.shape[1])
+                assert_allclose(got, dense @ as_dense(z), rtol=0, atol=1e-14)
 
     def test_star_product_matches_dense(self):
         rng = np.random.default_rng(29)
