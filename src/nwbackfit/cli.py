@@ -82,9 +82,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _load_problem(args: argparse.Namespace):
+    # a bad rule fails before the CSV is read; args keeps its text for the echo
+    bw = parse_bandwidth(args.bandwidth)
     data = read_dataset_csv(args.input)
     kernel = Kernel.from_name(args.kernel)
-    bw = parse_bandwidth(args.bandwidth)
     try:
         pair = build_pair(data, kernel, bw, bw)
     except MemoryError:
@@ -109,7 +110,15 @@ def _pair_storage(data, kernel, bw) -> str:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    # the iterative solver's flags default to None, so that the direct
+    # solver can refuse those given; their defaults are filled in here
+    flags = {"--tol": args.tol, "--max-iter": args.max_iter, "--sweep": args.sweep}
+    given = [flag for flag, value in flags.items() if value is not None]
+    args.tol = 1e-10 if args.tol is None else args.tol
+    args.sweep = args.sweep or "gauss-seidel"
     check_stop_rule(args.tol, args.max_iter)
+    if args.solver == "direct" and given:
+        raise ValueError(f"--solver direct does not read {', '.join(given)}")
     data, kernel, bw, pair = _load_problem(args)
     cert = certify(pair, kernel, bw, bw, data, method="power")
     if args.require_certificate and not cert.certified:
@@ -250,15 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit an additive model from a CSV file")
     p_fit.add_argument("--input", required=True, help="CSV file with header y,u,v")
     _add_model_flags(p_fit)
-    p_fit.add_argument("--tol", type=float, default=1e-10, help="iteration stop tolerance")
+    p_fit.add_argument("--tol", type=float, help="iteration stop tolerance (default: 1e-10)")
     p_fit.add_argument(
         "--max-iter", type=int, default=None, help="iteration cap (default: 10n + 1000)"
     )
     p_fit.add_argument(
         "--sweep",
         choices=["gauss-seidel", "jacobi"],
-        default="gauss-seidel",
-        help="update ordering for the iterative solver",
+        help="update ordering for the iterative solver (default: gauss-seidel)",
     )
     p_fit.add_argument(
         "--solver",

@@ -329,10 +329,15 @@ def parse_bandwidth(text: str) -> BandwidthSpec:
     """Parse a bandwidth rule string: '<float>', 'rate:<delta>' or 'knn:<k>'.
 
     'rate:<delta>' scales by the per-coordinate sample standard deviation.
+    A number that does not parse raises ``ValueError`` quoting the rule.
     """
-    text = text.strip()
-    if text.startswith("rate:"):
-        return RateBandwidth(delta=float(text[5:]))
-    if text.startswith("knn:"):
-        return KNearestBandwidth(k=int(text[4:]))
-    return ConstantBandwidth(h=float(text))
+    head, colon, number = text.strip().rpartition(":")
+    forms = {"": ConstantBandwidth, "rate:": RateBandwidth, "knn:": KNearestBandwidth}
+    try:
+        spec = forms[head + colon]
+        value = (int if spec is KNearestBandwidth else float)(number)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"bandwidth rule {text!r} is not <float>, rate:<delta> or knn:<k>"
+        ) from None
+    return spec(value)

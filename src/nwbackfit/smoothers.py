@@ -32,7 +32,7 @@ vectors of row totals.  Its smoothers (:class:`PackedSmoother`) are
 applied by BLAS ``dsymv`` on the array's Fortran view, then divided by
 the totals.  Any other pair is a :class:`SmootherPair` of two matrices,
 dense or CSR.  Packed and window smoothers share one small base,
-:class:`OperatorSmoother`, through which the certificate reads them.
+:class:`OperatorSmoother`, through which the certificate reads them as built.
 
 Every storage answers ``s @ z`` for a vector z and for an n x m block z,
 dense or another smoother; the fitters and the matrix-free ARPACK route
@@ -51,7 +51,6 @@ permutations live on the dataset.
 
 from __future__ import annotations
 
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -192,6 +191,8 @@ class PackedPair(Pair):
     ``s2`` read as those smoothers (:class:`PackedSmoother`) without
     forming them; S2 @ S1, the product :meth:`Pair.star_product` centers,
     forms S1 and multiplies it by v's triangle with BLAS ``dsymm``.
+    It is what :func:`build_pair` returns; hand-built matrices go in a
+    :class:`SmootherPair`, which the certificate validates.
     """
 
     weights: np.ndarray
@@ -199,10 +200,8 @@ class PackedPair(Pair):
     total_v: np.ndarray
 
     def __post_init__(self):
-        # the smallest raw weight, read once for both smoothers' min()
-        lowest = functools.cache(self.weights.min)
-        self.s1 = PackedSmoother(self.weights, self.total_u, True, lowest)
-        self.s2 = PackedSmoother(self.weights, self.total_v, False, lowest)
+        self.s1 = PackedSmoother(self.weights, self.total_u, True)
+        self.s2 = PackedSmoother(self.weights, self.total_v, False)
 
 
 class OperatorSmoother:
@@ -210,21 +209,20 @@ class OperatorSmoother:
 
     It answers what the fitters and the certificate ask of a smoother:
     ``shape`` and ``ndim``, ``s @ x`` for a vector x or an n x m block
-    (a dense array, or another smoother, which is formed), ``s.sum(axis=1)``
-    (S 1), ``s.min()``, the entries ``s[rows, cols]`` for two integer
-    arrays, and the positivity pattern ``s > 0``.  ``toarray()``, and so
-    ``np.asarray(s)`` and :func:`as_dense`, form S.  A subclass gives
-    ``shape``, ``@``, ``min()``, ``toarray()``, ``_entries(rows, cols)``
-    and ``_positive()``.
+    (a dense array, or another smoother, which is formed), the entries
+    ``s[rows, cols]`` for two integer arrays, and the positivity pattern
+    ``s > 0``.  ``toarray()``, and so ``np.asarray(s)`` and
+    :func:`as_dense`, form S.  A subclass gives ``shape``, ``@``,
+    ``toarray()``, ``_entries(rows, cols)`` and ``_positive()``.
+
+    Its build makes it row-stochastic, so the certificate does not check
+    it: each row is nonnegative weights over a total that
+    :func:`_check_total` accepted, and S 1 = 1 exactly (a packed total is
+    the ``dsymv`` that applies S, a window row count / count), or to a few
+    ulps for a packed S2 that takes S1's totals.
     """
 
     ndim = 2
-
-    def sum(self, axis: int) -> np.ndarray:
-        """Row sums (``axis=1``): S 1."""
-        if axis != 1:
-            raise ValueError("an operator smoother sums its rows only (axis=1)")
-        return self @ np.ones(self.shape[0])
 
     def __getitem__(self, key) -> np.ndarray:
         """Entries S[rows[k], cols[k]] for two integer arrays ``(rows, cols)``."""
@@ -254,14 +252,13 @@ class PackedSmoother(OperatorSmoother):
     division by the totals, and ``s > 0`` is a dense boolean n x n array.
     """
 
-    def __init__(self, weights: np.ndarray, total: np.ndarray, lower: bool, lowest):
+    def __init__(self, weights: np.ndarray, total: np.ndarray, lower: bool):
         # a view whose lower triangle holds K, for the reads below
         self._tri = weights if lower else weights.T
         # the C-ordered array's transpose is Fortran-ordered, so f2py
         # passes it to BLAS without a copy; u's triangle is its upper one
         self._fortran, self._blas_lower = weights.T, 0 if lower else 1
         self._total = total
-        self._lowest = lowest  # the pair's smallest raw weight, on demand
         self.shape = weights.shape
 
     def __matmul__(self, x) -> np.ndarray:
@@ -272,16 +269,6 @@ class PackedSmoother(OperatorSmoother):
         product = dsymm(1.0, self._fortran, as_dense(x).T, side=1, lower=self._blas_lower).T
         product /= self._total[:, None]
         return product
-
-    def min(self) -> float:
-        """A lower bound on the smallest entry of S, exact when that entry is 0.
-
-        The smallest raw weight of the pair's array over the largest row
-        total: S_ij = K_ij / total_i is not smaller when the weights are
-        nonnegative, and a NaN weight gives NaN.  The array is read once,
-        for the pair's two smoothers together.
-        """
-        return float(self._lowest() / self._total.max())
 
     def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._tri[np.maximum(rows, cols), np.minimum(rows, cols)] / self._total[rows]
@@ -312,7 +299,8 @@ class WindowPair(Pair):
     ``count_u[i]``, a float since it divides each product; likewise for
     v.  ``s1`` and ``s2`` read as the smoothers (:class:`WindowSmoother`)
     without forming them; S2 @ S1, the product :meth:`Pair.star_product`
-    centers, forms S1 and takes S2's window means of its columns.
+    centers, forms S1 and takes S2's window means of its columns.  It is
+    what :func:`build_pair` returns.
     """
 
     order_u: np.ndarray
@@ -364,11 +352,6 @@ class WindowSmoother(OperatorSmoother):
         rank = np.empty_like(self._order)
         rank[self._order] = np.arange(len(rank))
         return rank
-
-    def min(self) -> float:
-        """The smallest entry of S: 0 unless every window holds all n points."""
-        n = self.shape[0]
-        return 0.0 if (self._count < n).any() else 1.0 / n
 
     def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         col = self._rank()[cols]

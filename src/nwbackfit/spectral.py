@@ -33,11 +33,11 @@ swaps one eigenvalue 1 of S for 0.  So rho(S*) = 1 exactly when S has
 two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
 and the top eigenvalue 1 is simple exactly when S has one closed class;
 a regular smoother (route 1) has one, aperiodic.  The report says
-whether it is simple but does not restate it: every smoother passes a
-1e-9 check of its row sums, which is S 1 = 1.  Dense, sparse, packed
-and window smoothers take the same reads, a sparse one as CSR, a packed
-one from its triangle of the pair's array and a window one from its
-windows, neither formed.
+whether it is simple but does not restate it: S 1 = 1, to within the
+1e-9 check of a dense or sparse smoother's row sums, and by construction
+for a packed or window one, which is not re-checked.  All four take the
+same reads, a sparse one as CSR, a packed one from its triangle of the
+pair's array and a window one from its windows, neither formed.
 
 rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
 Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
@@ -117,14 +117,12 @@ class SpectralReport:
     meaning rho(S1*) < 1; a regular smoother's is None.  Likewise
     ``rho_s2_star``.  ``top_eigenvalue_simple`` is True exactly when S1
     has one closed class, which makes its top eigenvalue 1 simple; that
-    eigenvalue is 1 to within the 1e-9 row-sum check every smoother
-    passes, and is not reported.  ``iterations`` counts ARPACK's
-    applications of the product operator (0 when it did not answer),
-    and ``fallback`` says why ``eigvals`` of the formed product gave
-    ``rho_product`` instead: "n < 3", or "<exception class>: <message>"
-    for the ARPACK error; it is None when ARPACK converged.  ``method``
-    is derived from it: "power" when ARPACK answered, "dense" when the
-    fallback ran.
+    eigenvalue is 1 (see the module notes) and is not reported.
+    ``iterations`` counts ARPACK's applications of the product operator
+    (0 when it did not answer), and ``fallback`` says why ``eigvals`` of
+    the formed product gave ``rho_product`` instead: "n < 3", or
+    "<exception class>: <message>" for the ARPACK error; it is None when
+    ARPACK converged.
     """
 
     rho_s1_star: float | None
@@ -134,6 +132,8 @@ class SpectralReport:
     iterations: int
     fallback: str | None
 
+    # kept only for bench/tracing.py::_observe_certify, which reads it; the
+    # report restates it as ``fallback`` and leaves it out of to_dict()
     @property
     def method(self) -> str:
         return "power" if self.fallback is None else "dense"
@@ -144,7 +144,6 @@ class SpectralReport:
             "rho_s2_star": self.rho_s2_star,
             "rho_product": self.rho_product,
             "top_eigenvalue_simple": self.top_eigenvalue_simple,
-            "method": self.method,
             "iterations": self.iterations,
             "fallback": self.fallback,
         }
@@ -230,19 +229,20 @@ def check_gap_conditions(
 
 
 def _validate_stochastic(s) -> np.ndarray | csr_array | OperatorSmoother:
-    """``s`` as a float array, dense, CSR or operator, after checking it is row-stochastic.
+    """``s`` as a float array, dense or CSR, after checking it is row-stochastic.
 
     A sparse ``s`` becomes a ``csr_array``, sharing a float CSR input's
     arrays; one with unsorted or duplicate entries is copied, since the
     checks and reads below put it in canonical form in place.  Its
-    checks take O(nnz).  A smoother of a packed or window pair is read as
-    it is (:class:`~nwbackfit.smoothers.OperatorSmoother`): a packed one's
-    ``min()`` reads its triangle of the pair's array once and its row
-    sums are one ``dsymv``; a window one's take O(n).
+    checks take O(nnz).  A smoother of a packed or window pair
+    (:class:`~nwbackfit.smoothers.OperatorSmoother`) is returned as it
+    is: its build made it row-stochastic.
     """
+    if isinstance(s, OperatorSmoother):
+        return s
     if issparse(s):
         s = csr_array(s, dtype=float, copy=not getattr(s, "has_canonical_format", True))
-    elif not isinstance(s, OperatorSmoother):
+    else:
         s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
@@ -327,8 +327,9 @@ def check_regularity(
     adjacent-gap condition on the built weights.  When it cannot tell,
     the strong components of the graph decide (:func:`_closed_classes`),
     built in O(nnz) from a sparse ``s``.  Dense, sparse, packed and
-    window ``s`` take the same reads, after :func:`_validate_stochastic`;
-    a smoother of a packed or window pair is read without being formed.
+    window ``s`` take the same reads, after :func:`_validate_stochastic`,
+    which checks a dense or sparse ``s``; a smoother of a packed or window
+    pair is neither re-checked nor formed.
     When the read cannot tell, a packed smoother's graph is a dense
     boolean n x n array, as for a dense ``s``, and a window smoother's a
     boolean CSR array of its windows.

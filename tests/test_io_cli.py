@@ -2,8 +2,14 @@
 
 import argparse
 import csv
+import importlib
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +361,64 @@ class TestCliExitCodes:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("rule", ["knn:2.5", "rate:abc", "", "0x10"])
+    @pytest.mark.parametrize("subcommand", ["fit", "certify", "simulate"])
+    def test_parse_error_bad_bandwidth_rule(
+        self, sample_csv, tmp_path, capsys, monkeypatch, subcommand, rule
+    ):
+        # a rule whose number does not parse is refused before the CSV is
+        # read, quoted, with the forms a rule may take
+        path, _ = sample_csv
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the CSV was read before the bandwidth rule was parsed")
+
+        monkeypatch.setattr(cli, "read_dataset_csv", refused)
+        source = ["--n", "30"] if subcommand == "simulate" else ["--input", str(path)]
+        out = tmp_path / "out"
+        assert main([subcommand, *source, "--bandwidth", rule, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"bandwidth rule {rule!r} is not <float>, rate:<delta> or knn:<k>" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--tol=1e-3", "--tol=1e-10", "--max-iter=5", "--sweep=jacobi", "--sweep=gauss-seidel"],
+    )
+    def test_direct_solver_refuses_iterative_flags(
+        self, sample_csv, tmp_path, capsys, monkeypatch, flag
+    ):
+        # the direct solve reads none of them, so each is refused when
+        # given, at its default value too, before the CSV is read
+        path, _ = sample_csv
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the CSV was read before the solver flags were checked")
+
+        monkeypatch.setattr(cli, "read_dataset_csv", refused)
+        out = tmp_path / "out"
+        argv = ["fit", "--input", str(path), flag, "--solver", "direct", "--out", str(out)]
+        assert main(argv) == 2
+        name = flag.split("=")[0]
+        assert f"--solver direct does not read {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_flags_echo_their_defaults(self, sample_csv, tmp_path):
+        # the provenance echoes the iterative solver's defaults under
+        # either solver, and the iterative solver takes its flags
+        path, _ = sample_csv
+        defaults = {"tol": 1e-10, "max_iter": None, "sweep": "gauss-seidel"}
+        given = {"tol": 1e-9, "max_iter": None, "sweep": "jacobi"}
+        for solver, extra, want in (
+            ("direct", [], defaults),
+            ("iterative", ["--sweep", "jacobi", "--tol", "1e-9"], given),
+        ):
+            out = tmp_path / solver
+            argv = ["fit", "--input", str(path), "--solver", solver, *extra, "--out", str(out)]
+            assert main(argv) == 0
+            options = json.loads((out / "fit.json").read_text())["provenance"]["config"]["options"]
+            assert {k: options[k] for k in want} == want
+
     @pytest.mark.parametrize("subcommand", ["fit", "certify"])
     def test_seed_only_on_simulate(self, sample_csv, tmp_path, subcommand):
         # fit and certify draw nothing at random, so they take no --seed
@@ -566,7 +630,7 @@ class TestCliCertify:
         assert cert["spectral"]["top_eigenvalue_simple"] is True
         # the CLI always takes the matrix-free ARPACK route, with no option
         assert "method" not in report["provenance"]["config"]["options"]
-        assert cert["spectral"]["method"] == "power"
+        # fallback None says ARPACK answered; the report has no "method" restating it
         assert cert["spectral"]["fallback"] is None
         assert cert["spectral"]["rho_s1_star"] is None and cert["spectral"]["rho_s2_star"] is None
         assert "smoother_fallback" not in cert["spectral"]
@@ -575,8 +639,8 @@ class TestCliCertify:
         assert main(["fit", "--input", str(path), "--out", str(out)]) == 0
         fit_cert = json.loads((out / "fit.json").read_text())["certificate"]
         keys = {
-            "rho_s1_star", "rho_s2_star", "rho_product", "top_eigenvalue_simple", "method",
-            "iterations", "fallback",
+            "rho_s1_star", "rho_s2_star", "rho_product", "top_eigenvalue_simple", "iterations",
+            "fallback",
         }
         for spectral in (cert["spectral"], fit_cert["spectral"]):
             assert set(spectral) == keys
@@ -792,3 +856,38 @@ class TestCliBound:
         assert "h must be positive and finite" in captured.err
         assert captured.out == ""
         assert not (out / "bound.json").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["bound", "--n", "100", "--h", "0.1"], 0), (["fit"], 2)],
+        ids=["version", "bound", "fit-without-input"],
+    )
+    def test_python_m_nwbackfit(self, tmp_path, argv, code):
+        # ``python -m nwbackfit`` runs cli.main and exits with its code
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "nwbackfit", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        if argv == ["fit"]:
+            assert "--input" in proc.stderr
+        else:
+            assert proc.stderr == "" and proc.stdout
+
+    def test_console_script_target(self):
+        # the installed ``nwbackfit`` command is cli.main
+        text = (ROOT / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        target = re.search(r'^nwbackfit = "([\w.]+):(\w+)"$', scripts, re.MULTILINE)
+        assert target is not None
+        assert getattr(importlib.import_module(target[1]), target[2]) is main

@@ -303,6 +303,50 @@ def test_sorted_neighbour_read_agrees_with_the_graph(n, seed, kernel, kind, ties
 
 @settings(derandomize=True, deadline=None, database=None)
 @given(
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(ALL_KERNELS),
+    kind=st.sampled_from(["constant", "rate", "knn"]),
+    ties=st.booleans(),
+    same=st.booleans(),
+)
+@example(n=2, seed=0, kernel=Kernel.GAUSSIAN, kind="rate", ties=False, same=True)
+def test_operator_smoothers_are_row_stochastic(n, seed, kernel, kind, ties, same):
+    # the certificate takes packed and window smoothers as built, without
+    # checking their row sums: S 1 = 1 exactly, since a window row is
+    # count / count and a packed row's total is the dsymv that applies S.
+    # When u = v at one bandwidth, S2 takes S1's totals and is only close
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = np.cumsum(rng.exponential(size=n) ** 3)
+        return np.round(x) if ties else x
+
+    u = draw()
+    v = u.copy() if same else draw()
+    multiplicity = max(int(np.unique(x, return_counts=True)[1].max()) for x in (u, v))
+    if kind == "knn" and multiplicity < n:
+        bw = KNearestBandwidth(int(rng.integers(multiplicity, n)))
+    elif kind == "rate" and multiplicity < n:
+        bw = RateBandwidth(float(rng.uniform(0.05, 0.9)))
+    else:
+        bw = ConstantBandwidth(max(max_gap(u), max_gap(v), 1.0) * float(rng.uniform(0.05, 2.5)))
+    ones = np.ones(n)
+    window = build_pair(Dataset(y=np.zeros(n), u=u, v=v), Kernel.UNIFORM, bw, bw)
+    assert isinstance(window, WindowPair)
+    assert np.array_equal(window.s1 @ ones, ones) and np.array_equal(window.s2 @ ones, ones)
+    h_u, h_v = bw.resolve(u), bw.resolve(v)
+    if h_u.min() == h_u.max() and h_v.min() == h_v.max():
+        packed = _build_packed(u, v, kernel, h_u[0], h_v[0])
+        assert np.array_equal(packed.s1 @ ones, ones)
+        if same:
+            assert np.abs(packed.s2 @ ones - 1.0).max() <= 1e-14
+        else:
+            assert np.array_equal(packed.s2 @ ones, ones)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
     values=st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=30),
     scale=st.sampled_from([1.0, 0.1, 3e-9]),
     where=st.sampled_from(["point", "between", "below", "above"]),
