@@ -53,10 +53,12 @@ print(f"verdict: {cert.verdict.value}")
 print(f"  gap condition on u holds: {cert.gap_u.condition_holds} "
       f"(max gap {cert.gap_u.max_gap:.2f} vs bandwidth 1.0)")
 print(f"  S1 regular (irreducible + aperiodic): {cert.regular_s1}")
-# two closed classes make rho(S1*) = 1 exactly; the certificate reads that
-# from S1's graph, and the dense spectrum of the formed S1* agrees
-print(f"  rho(S1*) from the graph = {cert.spectral.rho_s1_star} "
-      f"(dense reference {spectral_radius(center(pair.s1)):.6f})")
+# the union of the two smoothers' positivity graphs has two closed classes,
+# which makes 1 an eigenvalue of S2* S1* (c - 1 of them), so the certificate
+# reports rho(S2* S1*) = 1 without an eigensolver; the dense spectrum of the
+# formed S1* shows S1 alone keeps its second unit eigenvalue as well
+print(f"  closed classes of the union graph = {cert.spectral.closed_classes} (needs 1)")
+print(f"  rho(S1*), dense = {spectral_radius(center(pair.s1)):.6f}")
 print(f"  rho(S2* S1*) = {cert.spectral.rho_product:.6f}  (needs < 1)")
 print(f"  notes: {cert.notes}")
 print()

@@ -1,50 +1,49 @@
 """Convergence certification for the backfitting iteration.
 
 The iteration m1 <- S1*(y - m2), m2 <- S2*(y - m1) converges exactly when
-the centered-smoother product S2* S1* has spectral radius below one.  Two
-sufficient routes are checked and reported:
+the centered-smoother product S2* S1* has spectral radius below one.  The
+certificate reports three facts:
 
 1. Adjacent-gap kernel positivity: every sorted sample point must place
    positive kernel mass on its neighbouring order statistics (both sides
    for interior points, one side at the extremes).  This makes each
    smoother matrix the transition matrix of a regular Markov chain
-   (irreducible, and aperiodic thanks to the positive diagonal), so by
-   Perron-Frobenius its unique unit eigenvalue pairs with the constant
-   eigenvector; centering removes exactly that eigenvalue, leaving all
-   moduli strictly below one.
+   (irreducible, and aperiodic thanks to the positive diagonal), the
+   paper's sufficient condition.
 
-2. The computed spectral radius of S2* S1* itself, which is the operative
-   test: it also certifies datasets the gap test misses, and a margin of
-   1e-8 below one guards against certifying systems that are singular to
-   floating-point noise.
+2. The number c of closed classes of G1 u G2, the union of the two
+   smoothers' positivity graphs (a closed class is a strong component
+   that no edge leaves).  S1 1 = S2 1 = 1 and centring acts as the
+   identity on R^n / span(1), so S2* S1* has the spectrum of the
+   stochastic S2 S1 with one eigenvalue 1 swapped for 0.  A
+   Nadaraya-Watson smoother has a positive diagonal, K(0)/h_i, so every
+   edge of G1 u G2 is an edge of the graph of S2 S1 and every edge of
+   that graph is a two-edge path in G1 u G2: the two graphs have the
+   same closed classes, all aperiodic.  Hence (Seneta, Non-negative
+   Matrices and Markov Chains, 2nd ed., 1981, ch. 1) S2* S1* has exactly
+   c - 1 eigenvalues equal to 1 and no other of modulus 1, and
+   backfitting converges iff c = 1.  Two disjoint sets closed under both
+   graphs are closed in S2 S1 whatever the diagonals hold, so c >= 2
+   makes 1 a repeated eigenvalue of S2 S1 and rho(S2* S1*) = 1 exactly
+   for any pair of stochastic matrices.  A regular smoother has a
+   strongly connected graph, which makes c = 1 without building the
+   union.
+
+3. rho(S2* S1*) itself, which is the operative test: a margin of 1e-8
+   below one guards against certifying systems that are singular to
+   floating-point noise.  It is computed only when c = 1.
 
 A verdict of NOT_CERTIFIED means "not certified by these tests", not
 "diverges".
 
-Solvers.  The verdict reads only rho(S2* S1*), the one computed radius.
-A smoother's other spectral facts are read from its positivity graph
-(Seneta, Non-negative Matrices and Markov Chains, 2nd ed., 1981, ch. 1;
-Meyer, Matrix Analysis and Applied Linear Algebra, 2000, section 8.4).
-The eigenvalues of modulus 1 of a stochastic S are 1, once per closed
-class (a strong component with no edge leaving it), and the other roots
-of unity of each periodic closed class; a transient block's radius is
-below 1.  S* = S - 1 (1^T S / n) is a rank-one (Brauer) deflation that
-swaps one eigenvalue 1 of S for 0.  So rho(S*) = 1 exactly when S has
-two or more closed classes or a periodic one, and rho(S*) < 1 otherwise,
-and the top eigenvalue 1 is simple exactly when S has one closed class;
-a regular smoother (route 1) has one, aperiodic.  The report says
-whether it is simple but does not restate it: S 1 = 1, to within the
-1e-9 check of a dense or sparse smoother's row sums, and by construction
-for a packed or window one, which is not re-checked.  All four take the
-same reads, a sparse one as CSR, a packed one from its triangle of the
-pair's array and a window one from its windows, neither formed.
-
-rho(S2* S1*) comes from :func:`_product_radius`: ARPACK (``eigs``;
-Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) asks the unformed
-operator x -> c(S2 c(S1 x)), c(z) = z - mean(z), for its eigenvalue of
-largest modulus, and for six when that run does not converge; an
-operator that sends two seeded vectors to exact zeros has eigenvalue 0
-(see :func:`_arpack`).  Only when ARPACK fails, or n < 3, does
+Solvers.  The verdict reads only rho(S2* S1*).  When c >= 2 it is 1.0
+and no eigensolver runs.  Otherwise it comes from
+:func:`_product_radius`: ARPACK (``eigs``; Lehoucq, Sorensen & Yang,
+ARPACK Users' Guide, 1998) asks the unformed operator
+x -> C(S2 C(S1 x)), C(z) = z - mean(z), for its eigenvalue of largest
+modulus, and for six when that run does not converge; an operator that
+sends two seeded vectors to exact zeros has eigenvalue 0 (see
+:func:`_arpack`).  Only when ARPACK fails, or n < 3, does
 ``numpy.linalg.eigvals`` of the formed S2* S1* take over, and the
 report's ``fallback`` says why.
 :func:`spectral_radius` of the formed product is the dense reference
@@ -110,25 +109,19 @@ class GapReport:
 class SpectralReport:
     """Spectral quantities of a smoother pair.
 
-    The smoothers' quantities are read from their positivity graphs (see
-    the module notes), and no smoother spectrum is computed.
-    ``rho_s1_star`` is 1.0 when S1 has two or more closed classes or a
-    periodic one, which makes rho(S1*) = 1 exactly, and None otherwise,
-    meaning rho(S1*) < 1; a regular smoother's is None.  Likewise
-    ``rho_s2_star``.  ``top_eigenvalue_simple`` is True exactly when S1
-    has one closed class, which makes its top eigenvalue 1 simple; that
-    eigenvalue is 1 (see the module notes) and is not reported.
+    ``closed_classes`` is c, the number of closed classes of the union of
+    the two smoothers' positivity graphs; S2* S1* of a Nadaraya-Watson
+    pair has exactly c - 1 eigenvalues equal to 1 (see the module notes).
+    When c >= 2, ``rho_product`` is exactly 1.0 and no eigensolver ran.
     ``iterations`` counts ARPACK's applications of the product operator
-    (0 when it did not answer), and ``fallback`` says why ``eigvals`` of
-    the formed product gave ``rho_product`` instead: "n < 3", or
-    "<exception class>: <message>" for the ARPACK error; it is None when
-    ARPACK converged.
+    (0 when it did not answer or did not run), and ``fallback`` says why
+    ``eigvals`` of the formed product gave ``rho_product`` instead:
+    "n < 3", or "<exception class>: <message>" for the ARPACK error; it
+    is None otherwise.
     """
 
-    rho_s1_star: float | None
-    rho_s2_star: float | None
+    closed_classes: int
     rho_product: float
-    top_eigenvalue_simple: bool
     iterations: int
     fallback: str | None
 
@@ -140,10 +133,8 @@ class SpectralReport:
 
     def to_dict(self) -> dict:
         return {
-            "rho_s1_star": self.rho_s1_star,
-            "rho_s2_star": self.rho_s2_star,
+            "closed_classes": self.closed_classes,
             "rho_product": self.rho_product,
-            "top_eigenvalue_simple": self.top_eigenvalue_simple,
             "iterations": self.iterations,
             "fallback": self.fallback,
         }
@@ -311,10 +302,7 @@ def _closed_classes(s: np.ndarray | csr_array | OperatorSmoother) -> tuple[int, 
 
 
 def check_regularity(
-    s: np.ndarray | csr_array | OperatorSmoother,
-    order: np.ndarray | None = None,
-    *,
-    classes: list | None = None,
+    s: np.ndarray | csr_array | OperatorSmoother, order: np.ndarray | None = None
 ) -> bool:
     """True iff the positivity graph of a stochastic matrix is regular.
 
@@ -332,12 +320,8 @@ def check_regularity(
     pair is neither re-checked nor formed.
     When the read cannot tell, a packed smoother's graph is a dense
     boolean n x n array, as for a dense ``s``, and a window smoother's a
-    boolean CSR array of its windows.
-
-    When ``classes`` is a list, the graph's :func:`_closed_classes` result
-    is appended to it, or None when the read alone showed S regular: a
-    certificate reads a non-regular smoother's eigenvalues of modulus 1
-    from it, without building the graph again.
+    boolean CSR array of its windows.  A certificate counts its closed
+    classes from the union of both smoothers' graphs, not from this one.
     """
     s = _validate_stochastic(s)
     n = s.shape[0]
@@ -346,10 +330,7 @@ def check_regularity(
     integer = np.issubdtype(order.dtype, np.integer)
     if not integer or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"order must be a permutation of 0..{n - 1}")
-    graph = None if _neighbours_and_loop(s, order) else _closed_classes(s)
-    if classes is not None:
-        classes.append(graph)
-    return graph is None or graph == (1, (1,))
+    return _neighbours_and_loop(s, order) or _closed_classes(s) == (1, (1,))
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -460,20 +441,6 @@ def _product_radius(pair: Pair) -> tuple[complex, int, str | None]:
     return vals[np.abs(vals).argmax()], 0, fallback
 
 
-def _unit_modulus(graph: tuple[int, tuple[int, ...]] | None) -> tuple[bool, float | None]:
-    """Whether a smoother's top eigenvalue 1 is simple, and rho(S*): 1.0, or None for < 1.
-
-    Read from the :func:`_closed_classes` result ``graph`` (see the module
-    notes); None stands for a smoother the sorted-neighbour read showed
-    regular, which has one closed class, aperiodic.
-    """
-    if graph is None:
-        return True, None
-    periods = graph[1]
-    unit = len(periods) > 1 or periods[-1] > 1
-    return len(periods) == 1, 1.0 if unit else None
-
-
 def certify(
     pair: Pair,
     kernel: Kernel,
@@ -490,11 +457,15 @@ def certify(
     a verdict other than NOT_CERTIFIED requires it below 1 - 1e-8.  When the
     adjacent-gap conditions also hold on both coordinates the verdict is
     CERTIFIED_BY_GAP_CONDITIONS (the human-meaningful sufficient
-    condition); otherwise CERTIFIED_BY_SPECTRAL_RADIUS.  A NOT_CERTIFIED
-    note bounds ||(I - S2* S1*)^-1||_2 from below (see the module notes).
+    condition); otherwise CERTIFIED_BY_SPECTRAL_RADIUS.  When the union of
+    the two positivity graphs has c >= 2 closed classes, rho(S2* S1*) is 1
+    exactly and no eigensolver runs.  A NOT_CERTIFIED note bounds
+    ||(I - S2* S1*)^-1||_2 from below (see the module notes).
     """
     if data.n != pair.n:
         raise ValueError(f"pair has n={pair.n} but dataset has n={data.n}")
+    if pair.s2.shape != (data.n, data.n):
+        raise ValueError(f"pair's S2 has shape {pair.s2.shape} but dataset has n={data.n}")
     if method != "power":
         raise ValueError(
             f"unknown method {method!r}; certify takes only 'power', and "
@@ -502,17 +473,22 @@ def certify(
         )
     gap_u = check_gap_conditions(data.u, kernel, bw_u, coordinate="u", order=data.sort_u)
     gap_v = check_gap_conditions(data.v, kernel, bw_v, coordinate="v", order=data.sort_v)
-    # the public check, which bench/tracing.py times, hands back each graph
-    graphs: list = []
-    regular_s1 = check_regularity(pair.s1, data.sort_u, classes=graphs)
-    regular_s2 = check_regularity(pair.s2, data.sort_v, classes=graphs)
-    simple, rho_s1_star = _unit_modulus(graphs[0])
-    lam, iterations, fallback = _product_radius(pair)
+    # the public check, which bench/tracing.py times
+    regular_s1 = check_regularity(pair.s1, data.sort_u)
+    regular_s2 = check_regularity(pair.s2, data.sort_v)
+    if regular_s1 or regular_s2:
+        classes = 1  # one strongly connected graph makes the union strongly connected
+    else:
+        # read as check_regularity reads them, leaving a non-canonical CSR input as it was
+        g1, g2 = (csr_array(_validate_stochastic(s) > 0.0) for s in (pair.s1, pair.s2))
+        classes = len(_closed_classes(g1 + g2)[1])
+    if classes == 1:
+        lam, iterations, fallback = _product_radius(pair)
+    else:
+        lam, iterations, fallback = 1.0, 0, None
     spectral = SpectralReport(
-        rho_s1_star=rho_s1_star,
-        rho_s2_star=_unit_modulus(graphs[1])[1],
+        closed_classes=classes,
         rho_product=float(np.abs(lam)),
-        top_eigenvalue_simple=simple,
         iterations=iterations,
         fallback=fallback,
     )

@@ -136,19 +136,22 @@ def lu_direct_oracle(pair, y) -> tuple[np.ndarray, np.ndarray]:
     return s1_star @ (y - m2), m2
 
 
-def smoother_extremes_oracle(s) -> tuple[complex, bool, float]:
-    """Oracle for a smoother's top eigenvalue, its simplicity and rho(S*).
+def closed_class_count(m) -> int:
+    """Oracle for the number of closed classes of a matrix's positivity graph.
 
-    All three come from the full nonsymmetric spectrum of S: the top
-    eigenvalue has the largest modulus, it is simple when no other
-    eigenvalue lies within 1e-8 of it, and rho(S*) is the largest modulus
-    left once the eigenvalue nearest 1 is removed (Brauer's deflation).
+    Reachability is the reflexive-transitive closure R of the boolean
+    pattern, by repeated squaring.  Node i is in a closed class when
+    everything it reaches reaches it back; the row R[i] of such a node is
+    its class, so the closed classes are the distinct rows of those nodes.
     """
-    eigs = np.linalg.eigvals(dense(s))
-    top = eigs[np.argmax(np.abs(eigs))]
-    simple = int(np.sum(np.abs(eigs - top) <= 1e-8)) == 1
-    rest = np.delete(eigs, np.argmin(np.abs(eigs - 1.0)))
-    return complex(top), simple, float(np.abs(rest).max(initial=0.0))
+    reach = (dense(m) > 0.0) | np.eye(m.shape[0], dtype=bool)
+    while True:
+        wider = (reach.astype(float) @ reach.astype(float)) > 0.0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    closed = (reach <= reach.T).all(axis=1)
+    return len({row.tobytes() for row in reach[closed]})
 
 
 def certify_oracle(pair, kernel, bw_u, bw_v, data) -> tuple[Verdict, float]:
@@ -272,6 +275,26 @@ def crossed_cluster_problem():
     v = np.concatenate([group(0.0, 0.5), group(10.0, 0.5), group(20.0, 0.2), group(20.3, 0.2)])
     data = Dataset(y=rng.normal(size=16), u=u, v=v)
     return data, Kernel.UNIFORM, ConstantBandwidth(1.0)
+
+
+@pytest.fixture
+def interleaved_cluster_data():
+    """Four groups, clustered one way on u and the crossing way on v.
+
+    On u the groups form the clusters {G1 G2} and {G3 G4}; on v they form
+    {G1 G3} and {G2 G4}.  A compact kernel at h = 1.0 bridges no gap, so
+    neither gap condition holds and each smoother has two closed classes,
+    but every group reaches every other through one coordinate or the
+    other: the union of the two positivity graphs has one closed class.
+    """
+    rng = np.random.default_rng(5)
+
+    def group(lo):
+        return rng.uniform(lo, lo + 0.5, 4)
+
+    u = np.concatenate([group(0.0), group(0.0), group(10.0), group(10.0)])
+    v = np.concatenate([group(0.0), group(10.0), group(0.0), group(10.0)])
+    return Dataset(y=rng.normal(size=16), u=u, v=v)
 
 
 @pytest.fixture

@@ -133,10 +133,8 @@ class TestSparseSmoothers:
                 assert got.verdict is want.verdict
                 assert got.regular_s1 == want.regular_s1 and got.regular_s2 == want.regular_s2
                 assert abs(got.spectral.rho_product - want.spectral.rho_product) <= 1e-12
-                assert got.spectral.top_eigenvalue_simple == want.spectral.top_eigenvalue_simple
-                # the smoothers' radii are read from their graphs: 1.0 or None
-                assert got.spectral.rho_s1_star == want.spectral.rho_s1_star
-                assert got.spectral.rho_s2_star == want.spectral.rho_s2_star
+                # c is read from the union of the smoothers' graphs
+                assert got.spectral.closed_classes == want.spectral.closed_classes
         for got, want in (
             (getattr(pairs[o], name), getattr(pairs["dense"], name))
             for o in others

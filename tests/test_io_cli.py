@@ -259,9 +259,8 @@ class TestCliFit:
         report = json.loads((out / "fit.json").read_text())
         assert report["provenance"]["package"] == "nwbackfit"
         assert report["certificate"]["verdict"] == "certified_by_gap_conditions"
-        # both smoothers are regular, so rho(S*) < 1 for each, as null
-        assert report["certificate"]["spectral"]["rho_s1_star"] is None
-        assert report["certificate"]["spectral"]["rho_s2_star"] is None
+        # both smoothers are regular, so the union graph has one closed class
+        assert report["certificate"]["spectral"]["closed_classes"] == 1
         assert "smoother_iterations" not in report["certificate"]["spectral"]
         cols = read_fit_curves_csv(out / "curves.csv")
         # JSON floats round-trip through repr, so agreement is exact
@@ -627,21 +626,17 @@ class TestCliCertify:
         assert cert["gap_u"]["condition_holds"] and cert["gap_v"]["condition_holds"]
         assert cert["regular_s1"] and cert["regular_s2"]
         assert cert["spectral"]["rho_product"] < 1.0
-        assert cert["spectral"]["top_eigenvalue_simple"] is True
+        assert cert["spectral"]["closed_classes"] == 1
         # the CLI always takes the matrix-free ARPACK route, with no option
         assert "method" not in report["provenance"]["config"]["options"]
         # fallback None says ARPACK answered; the report has no "method" restating it
         assert cert["spectral"]["fallback"] is None
-        assert cert["spectral"]["rho_s1_star"] is None and cert["spectral"]["rho_s2_star"] is None
         assert "smoother_fallback" not in cert["spectral"]
         # the spectral block's schema, in certificate.json and in fit.json's
         # certificate: a field added or dropped must be made here as well
         assert main(["fit", "--input", str(path), "--out", str(out)]) == 0
         fit_cert = json.loads((out / "fit.json").read_text())["certificate"]
-        keys = {
-            "rho_s1_star", "rho_s2_star", "rho_product", "top_eigenvalue_simple", "iterations",
-            "fallback",
-        }
+        keys = {"closed_classes", "rho_product", "iterations", "fallback"}
         for spectral in (cert["spectral"], fit_cert["spectral"]):
             assert set(spectral) == keys
         # the gap reports carry the check's result, not the n - 1 gaps

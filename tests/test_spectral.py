@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_array, csc_array, csr_array, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
@@ -37,17 +39,17 @@ from nwbackfit.spectral import (
     check_regularity,
     spectral_radius,
 )
-from nwbackfit.spectral import _product_radius, _unit_modulus
+from nwbackfit.spectral import _closed_classes, _product_radius
 
 from conftest import (
     ALL_KERNELS,
     assert_certify_matches_oracle,
     certify_oracle,
     brute_force_regular,
+    closed_class_count,
     gap_passing_constant,
     note_bound,
     random_stochastic,
-    smoother_extremes_oracle,
     two_cluster_dataset,
 )
 
@@ -335,7 +337,7 @@ class TestCertify:
         assert cert.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
         assert cert.certified
         assert cert.regular_s1 and cert.regular_s2
-        assert cert.spectral.top_eigenvalue_simple
+        assert cert.spectral.closed_classes == 1
 
     def test_huge_bandwidth_gives_zero_radius(self):
         spec = SimSpec(n=20, seed=59)
@@ -413,24 +415,25 @@ class TestCertify:
         assert cert.spectral.rho_product < 1e-8
 
     def test_two_cluster_not_certified(self, uniform_cluster_problem, route):
-        # the note bounds ||(I - S2* S1*)^-1||_2 from the eigenvalue the
-        # certificate found, on either route
+        # the union of the two graphs has two closed classes, which makes
+        # rho(S2* S1*) = 1 exactly before either route runs: ARPACK, which
+        # the dense route makes fail, is not asked, and the note's bound
+        # is infinite
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
         cert = certify(pair, kernel, bw, bw, data)
-        assert cert.spectral.method == route
+        assert cert.spectral.fallback is None and cert.spectral.iterations == 0
         assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert not cert.certified
         assert not cert.regular_s1 and not cert.regular_s2
-        assert cert.spectral.rho_s1_star == 1.0
-        assert cert.spectral.rho_product >= 1.0 - 1e-8
-        assert note_bound(cert.notes) > 1e12
+        assert cert.spectral.closed_classes == 2
+        assert cert.spectral.rho_product == 1.0
+        assert note_bound(cert.notes) == float("inf")
 
     def test_graph_built_once_per_non_regular_smoother(self, uniform_cluster_problem, monkeypatch):
-        # the regularity check's strong components also give the report
-        # its eigenvalues of modulus 1: each non-regular smoother's graph
-        # is built once per certificate
+        # each non-regular smoother's graph is built once, by its
+        # regularity check, and the union of the two once more, for c
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
         built = []
@@ -442,10 +445,11 @@ class TestCertify:
         monkeypatch.setattr(spectral, "_closed_classes", counting)
         cert = certify(pair, kernel, bw, bw, data)
         assert not cert.regular_s1 and not cert.regular_s2
-        assert cert.spectral.rho_s1_star == cert.spectral.rho_s2_star == 1.0
-        assert not cert.spectral.top_eigenvalue_simple
-        assert len(built) == 2
+        assert cert.spectral.closed_classes == 2
+        assert len(built) == 3
         assert built[0] is pair.s1 and built[1] is pair.s2
+        union = (as_dense(pair.s1) > 0.0) | (as_dense(pair.s2) > 0.0)
+        assert np.array_equal(built[2].toarray(), union)
 
     def test_verdict_invariants_sweep(self):
         for seed in range(12):
@@ -497,58 +501,45 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"^pair has n=10 but dataset has n={n_data}$"):
             certify(pair, Kernel.GAUSSIAN, bw, bw, data)
 
+    def test_s2_of_another_size(self, monkeypatch):
+        # a hand-built pair whose S2 does not match the dataset is refused
+        # before any read, naming S2, rather than failing in the read of
+        # its order
+        data = Dataset(y=np.zeros(3), u=np.arange(3.0), v=np.arange(3.0))
+        pair = SmootherPair(np.full((3, 3), 1.0 / 3.0), np.full((4, 4), 0.25))
 
-def diagnose(s):
-    """A smoother's graph diagnosis, as a certificate reports it: whether
-    its top eigenvalue is simple, and rho(S*) (1.0, or None for < 1)."""
-    graph = []
-    check_regularity(s, classes=graph)
-    return _unit_modulus(graph[0])
+        def unused(*args, **kwargs):
+            raise AssertionError("a check ran on a mismatched pair")
 
-
-def assert_diagnosis_matches_oracle(s, simple, rho_star):
-    """A smoother's graph diagnosis against the full-spectrum oracle.
-
-    Where the graph proves rho(S*) = 1 the oracle's radius is within
-    1e-12 of 1, and where it says < 1 (None) the oracle's is below
-    1 + 1e-12.  A top eigenvalue 1 the graph finds repeated (two or more
-    closed classes) is not simple in the oracle either, where the
-    oracle's top is 1 and not another root of unity of a periodic class.
-    The converse cannot be asked of the oracle, which calls a top
-    eigenvalue 1 with another within 1e-8 of it (a near-identity
-    smoother's) not simple.
-    """
-    want_top, want_simple, want_rho_star = smoother_extremes_oracle(s)
-    if rho_star is None:
-        assert want_rho_star < 1.0 + 1e-12
-    else:
-        assert rho_star == 1.0
-        assert abs(want_rho_star - 1.0) <= 1e-12
-    if not simple and abs(want_top - 1.0) <= 1e-8:
-        assert not want_simple
+        monkeypatch.setattr(spectral, "check_gap_conditions", unused)
+        monkeypatch.setattr(spectral, "check_regularity", unused)
+        bw = ConstantBandwidth(1.0)
+        with pytest.raises(ValueError, match=r"^pair's S2 has shape \(4, 4\) but dataset has n=3$"):
+            certify(pair, Kernel.UNIFORM, bw, bw, data)
 
 
 def assert_matches_oracle(cert, pair):
-    """A certificate's smoother fields: the graph's diagnosis of each
-    smoother, which the full-spectrum oracle confirms.
+    """A certificate's ``closed_classes`` against the product's graph.
 
-    A regular smoother's radius is None.
+    c is the number of closed classes of the union of the two positivity
+    graphs, which for smoothers with positive diagonals equals that of
+    the boolean pattern of S2 S1 (the block product the pair's storage
+    answers).  A regular smoother makes c = 1, and c >= 2 gives
+    rho_product = 1.0 exactly, with no operator application.
     """
-    smoothers = ((pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
-                 (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star))
-    for s, regular, rho_star in smoothers:
-        simple, want_rho_star = diagnose(s)
-        assert rho_star == want_rho_star
-        if regular:
-            assert rho_star is None and simple
-        assert_diagnosis_matches_oracle(s, simple, rho_star)
-    assert cert.spectral.top_eigenvalue_simple == diagnose(pair.s1)[0]
+    c = cert.spectral.closed_classes
+    assert c == len(_closed_classes(pair.s2 @ pair.s1)[1])
+    if cert.regular_s1 or cert.regular_s2:
+        assert c == 1
+    if c > 1:
+        assert cert.spectral.rho_product == 1.0 and cert.spectral.iterations == 0
+        assert cert.verdict is Verdict.NOT_CERTIFIED
 
 
 class TestSpectralRoutes:
     def test_centered_radii_match_centered_matrices(self, route):
-        # the graph's rho(S*) against the dense spectral_radius(center(s)),
-        # whichever route gave the product's radius
+        # regular pairs, c = 1, so the product's radius comes from the
+        # route under test; a regular smoother's dense rho(S*) is below 1
         rng = np.random.default_rng(62)
         for trial, kernel in enumerate(ALL_KERNELS):
             data = generate(SimSpec(n=35, design=BivariateNormal(rho=0.5), seed=62 + trial))
@@ -559,44 +550,45 @@ class TestSpectralRoutes:
                 pair = build_pair(data, kernel, bw_u, bw_v)
                 cert = certify(pair, kernel, bw_u, bw_v, data)
                 assert cert.spectral.method == route
+                assert cert.spectral.closed_classes == 1
                 assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data)
-                for s, regular, rho_star in (
-                    (pair.s1, cert.regular_s1, cert.spectral.rho_s1_star),
-                    (pair.s2, cert.regular_s2, cert.spectral.rho_s2_star),
-                ):
-                    want = spectral_radius(center(s))
-                    assert rho_star == diagnose(s)[1]
+                assert_matches_oracle(cert, pair)
+                for s, regular in ((pair.s1, cert.regular_s1), (pair.s2, cert.regular_s2)):
                     if regular:
-                        assert rho_star is None
-                    if rho_star is None:
-                        assert want < 1.0 + 1e-12
-                    else:
-                        assert abs(want - 1.0) <= 1e-12
+                        assert spectral_radius(center(s)) < 1.0 + 1e-12
 
     def test_knn_and_per_point_take_general_route(self):
-        # the graph route, which needs no symmetry of the smoother
+        # the graph route, which needs no symmetry of the smoother: the
+        # regularity check against the brute-force one, and the pair's c
+        # against its product's graph
         rng = np.random.default_rng(63)
-        x = rng.normal(size=40)
+        u, v = rng.normal(size=40), rng.normal(size=40)
+        data = Dataset(y=rng.normal(size=40), u=u, v=v)
         for kernel in ALL_KERNELS:
             for bw in (
                 KNearestBandwidth(8),
-                PerPointBandwidth(rng.uniform(1.0, 3.0, 40)),
+                PerPointBandwidth(rng.uniform(0.05, 3.0, 40)),
             ):
-                s = build_smoother(x, kernel, bw)
-                assert_diagnosis_matches_oracle(s, *diagnose(s))
+                pair = SmootherPair(build_smoother(u, kernel, bw), build_smoother(v, kernel, bw))
+                for s in (pair.s1, pair.s2):
+                    assert check_regularity(s) == brute_force_regular(s)
+                cert = certify(pair, kernel, bw, bw, data)
+                assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
+                assert_matches_oracle(cert, pair)
 
     def test_double_unit_eigenvalue_survives_centering(self, uniform_cluster_problem, route):
-        # two closed classes: S keeps a second unit eigenvalue after the
-        # constant vector's is deflated, so rho(S*) stays at 1, which the
-        # graph proves and the oracle confirms on either product route
+        # two closed classes of the union graph: S2 S1 has a double unit
+        # eigenvalue, and centering deflates one copy only, so
+        # rho(S2* S1*) = 1; the graph proves it without either route, and
+        # the dense spectrum shows the one unit eigenvalue left
         data, kernel, bw = uniform_cluster_problem
         pair = build_pair(data, kernel, bw, bw)
         cert = certify(pair, kernel, bw, bw, data)
-        assert cert.spectral.method == route
+        assert cert.spectral.fallback is None and cert.spectral.iterations == 0
         assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
-        assert not cert.spectral.top_eigenvalue_simple
-        assert cert.spectral.rho_s1_star == 1.0
-        assert cert.spectral.rho_s2_star == 1.0
+        assert cert.spectral.closed_classes == 2
+        vals = np.linalg.eigvals(pair.star_product())
+        assert np.sum(np.abs(vals - 1.0) <= 1e-6) == 1
         assert_matches_oracle(cert, pair)
 
     def test_one_nonsymmetric_solve_per_certificate(self, monkeypatch):
@@ -682,30 +674,30 @@ class TestArpackRoute:
         assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data, tol=0.0)
 
     def test_two_points_take_dense_route(self):
-        # with the uniform kernel each point lies outside the other's
-        # bandwidth, so S1 = S2 = I is not regular: two closed classes,
-        # read from the graph, give rho(S*) = 1 exactly
+        # the Gaussian pair of two points is regular, c = 1, and its
+        # radius comes from eigvals, since ARPACK needs n >= 3.  With the
+        # uniform kernel each point lies outside the other's bandwidth, so
+        # S1 = S2 = I: two closed classes, read from the graph, give
+        # rho(S2* S1*) = 1 exactly, and no eigensolver runs
         data = Dataset(y=np.array([0.0, 1.0]), u=np.array([0.0, 1.0]), v=np.array([0.5, 0.2]))
         for kernel, h in ((Kernel.GAUSSIAN, 0.8), (Kernel.UNIFORM, 0.2)):
             bw = ConstantBandwidth(h)
             pair = build_pair(data, kernel, bw, bw)
             cert = certify(pair, kernel, bw, bw, data)
-            assert cert.spectral.method == "dense"
-            assert cert.spectral.fallback == "n < 3"
-            assert cert.to_dict()["spectral"]["fallback"] == "n < 3"
             assert "method" not in cert.to_dict()["spectral"]
             assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data, tol=0.0)
             assert "smoother_fallback" not in cert.to_dict()["spectral"]
             if kernel is Kernel.UNIFORM:
                 assert not cert.regular_s1 and not cert.regular_s2
-                assert cert.spectral.rho_s1_star == 1.0
-                assert cert.spectral.rho_s2_star == 1.0
-                assert not cert.spectral.top_eigenvalue_simple
+                assert cert.spectral.closed_classes == 2
+                assert cert.spectral.fallback is None and cert.spectral.iterations == 0
                 assert cert.verdict is Verdict.NOT_CERTIFIED
             else:
                 assert cert.regular_s1 and cert.regular_s2
-                assert cert.spectral.rho_s1_star is None
-                assert cert.spectral.rho_s2_star is None
+                assert cert.spectral.closed_classes == 1
+                assert cert.spectral.method == "dense"
+                assert cert.spectral.fallback == "n < 3"
+                assert cert.to_dict()["spectral"]["fallback"] == "n < 3"
             assert_matches_oracle(cert, pair)
 
     def test_parity_sweep(self):
@@ -761,14 +753,15 @@ def parity_replicates():
 
 class TestSmootherArpackRoute:
     """Smoothers under the certificate's ARPACK route, which only the
-    product takes: a smoother's rho(S*) and simplicity are read from its
-    positivity graph."""
+    product takes, and only when the union of the two positivity graphs
+    has one closed class: the smoothers' part of the report is read from
+    their graphs."""
 
     def test_parity_sweep(self, monkeypatch):
-        # every smoother of the sweep (n >= 8), knn and per-point ones too:
-        # the smoother fields do not depend on how the product's radius was
-        # found (ARPACK, or eigvals after an ARPACK failure), reruns are
-        # bit-identical, and a regular smoother's radius is None; the
+        # every pair of the sweep (n >= 8), knn ones too: the graph's
+        # fields do not depend on how the product's radius was found
+        # (ARPACK, or eigvals after an ARPACK failure), reruns are
+        # bit-identical, and a pair with c >= 2 takes neither route; the
         # oracle checks are in TestArpackRoute.test_parity_sweep
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
@@ -783,21 +776,26 @@ class TestSmootherArpackRoute:
                 fallback = certify(pair, *problem)
             assert again.spectral == cert.spectral, i
             assert fallback.verdict is cert.verdict, i
-            assert fallback.spectral.method == "dense", i
+            if cert.spectral.closed_classes == 1:
+                assert fallback.spectral.method == "dense", i
+            else:
+                assert fallback.spectral == cert.spectral, i
             assert dataclasses.replace(
                 fallback.spectral, rho_product=0.0, iterations=0, fallback=None
             ) == dataclasses.replace(cert.spectral, rho_product=0.0, iterations=0), i
-            for regular, rho_star in (
-                (cert.regular_s1, cert.spectral.rho_s1_star),
-                (cert.regular_s2, cert.spectral.rho_s2_star),
-            ):
-                assert rho_star is None or (rho_star == 1.0 and not regular), i
+        # per-point bandwidths, for which build_pair keeps two smoothers
         rng = np.random.default_rng(69)
         for trial in range(48):
-            x = rng.normal(size=int(rng.integers(8, 41)))
-            h = max_gap(x) * rng.uniform(0.7, 2.5, len(x))
-            s = build_smoother(x, ALL_KERNELS[trial % 4], PerPointBandwidth(h))
-            assert_diagnosis_matches_oracle(s, *diagnose(s))
+            n = int(rng.integers(8, 41))
+            data = Dataset(y=rng.normal(size=n), u=rng.normal(size=n), v=rng.normal(size=n))
+            bw_u, bw_v = (
+                PerPointBandwidth(max_gap(x) * rng.uniform(0.7, 2.5, n)) for x in (data.u, data.v)
+            )
+            kernel = ALL_KERNELS[trial % 4]
+            pair = build_pair(data, kernel, bw_u, bw_v)
+            cert = certify(pair, kernel, bw_u, bw_v, data)
+            assert_certify_matches_oracle(cert, pair, kernel, bw_u, bw_v, data)
+            assert_matches_oracle(cert, pair)
 
     @pytest.mark.parametrize(
         "fixture",
@@ -817,10 +815,8 @@ class TestSmootherArpackRoute:
 
     def test_periodic_closed_classes(self):
         # matrices with a zero diagonal, which no smoother has.  A 3-cycle
-        # that two transient nodes feed: one closed class, of period 3,
-        # whose cube roots of unity keep rho(S*) at 1 while the top
-        # eigenvalue 1 stays simple.  And steps of 1 and 4 around a
-        # 300-cycle, one class of period 3
+        # that two transient nodes feed: one closed class, of period 3.
+        # And steps of 1 and 4 around a 300-cycle, one class of period 3
         m = np.zeros((5, 5))
         m[[0, 1, 2], [1, 2, 0]] = 1.0
         m[3, [0, 4]] = 0.5
@@ -833,21 +829,28 @@ class TestSmootherArpackRoute:
         assert spectral._closed_classes(csr_array(ring)) == (1, (3,))
         for s in (m, ring, csr_array(ring)):
             assert not check_regularity(s)
-            assert diagnose(s) == (True, 1.0)
-            assert_diagnosis_matches_oracle(s, *diagnose(s))
-        # two closed classes, one periodic, and a transient node
+        # three closed classes, one periodic, and a transient node
         both = np.zeros((5, 5))
         both[0, 1] = both[1, 0] = 1.0
         both[2, 2] = both[3, 3] = 1.0
         both[4, [0, 2, 4]] = 1.0 / 3.0
         assert spectral._closed_classes(both) == (4, (1, 1, 2))
-        assert diagnose(both) == (False, 1.0)
-        assert_diagnosis_matches_oracle(both, *diagnose(both))
-        # one aperiodic closed class fed by a transient node: rho(S*) < 1
+        assert closed_class_count(both) == 3
+        # one aperiodic closed class fed by a transient node
         leak = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.0, 0.8]])
         assert spectral._closed_classes(leak) == (2, (1,))
-        assert diagnose(leak) == (True, None)
-        assert_diagnosis_matches_oracle(leak, *diagnose(leak))
+        assert closed_class_count(leak) == 1
+        # as a hand-built pair, ``both`` has three closed classes closed
+        # under both of its matrices: 1 is a repeated eigenvalue of S2 S1
+        # whatever the diagonals hold, so rho(S2* S1*) = 1 with no
+        # eigensolver, as its dense spectrum confirms
+        pair = SmootherPair(both, both)
+        data = Dataset(y=np.zeros(5), u=np.arange(5.0), v=np.arange(5.0))
+        bw = ConstantBandwidth(2.0)
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
+        assert cert.spectral.closed_classes == 3 and cert.spectral.rho_product == 1.0
+        assert cert.spectral.iterations == 0 and cert.verdict is Verdict.NOT_CERTIFIED
+        assert np.abs(np.abs(np.linalg.eigvals(pair.star_product())).max() - 1.0) <= 1e-12
 
     def test_large_smoother_never_takes_eigvals(self, monkeypatch):
         data = generate(SimSpec(n=800, design=BivariateNormal(rho=0.5), seed=66))
@@ -861,16 +864,15 @@ class TestSmootherArpackRoute:
         cert = certify(pair, Kernel.GAUSSIAN, bw, bw, data)
         assert certify(pair, Kernel.GAUSSIAN, bw, bw, data).spectral == cert.spectral
         assert cert.regular_s1 and cert.regular_s2
-        assert cert.spectral.top_eigenvalue_simple
         as_json = cert.to_dict()["spectral"]
         assert "smoother_iterations" not in as_json and "smoother_fallback" not in as_json
-        assert as_json["rho_s1_star"] is None and as_json["rho_s2_star"] is None
+        assert as_json["closed_classes"] == 1
 
-    def test_arpack_failure_falls_back_to_eigvals(self, monkeypatch, uniform_cluster_problem):
-        # the non-regular smoothers of the two-cluster problem are
-        # diagnosed without ARPACK: with eigs failing, only the product's
-        # radius falls back to eigvals, and every smoother field stays
-        data, kernel, bw = uniform_cluster_problem
+    def test_arpack_failure_falls_back_to_eigvals(self, monkeypatch, near_critical_problem):
+        # the graph's fields need no ARPACK: on a pair with c = 1, with
+        # eigs failing, only the product's radius falls back to eigvals,
+        # and every other field stays
+        data, kernel, bw = near_critical_problem
         pair = build_pair(data, kernel, bw, bw)
         before = certify(pair, kernel, bw, bw, data)
         error = ArpackNoConvergence("no convergence", np.array([]), np.array([]))
@@ -888,8 +890,9 @@ class TestSmootherArpackRoute:
             iterations=0,
             fallback=cert.spectral.fallback,
         )
-        assert not cert.regular_s1 and not cert.regular_s2
-        assert cert.verdict is before.verdict is Verdict.NOT_CERTIFIED
+        assert cert.spectral.closed_classes == 1
+        assert cert.verdict is before.verdict is Verdict.CERTIFIED_BY_GAP_CONDITIONS
+        assert abs(cert.spectral.rho_product - before.spectral.rho_product) <= 1e-12
         assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data, tol=0.0)
 
     @pytest.mark.parametrize(
@@ -932,7 +935,7 @@ class TestSmootherArpackRoute:
         s = build_smoother(x, kernel, bw)
         assert issparse(s) == sparse
         assert check_regularity(s, np.argsort(x)) == check_regularity(s) == regular
-        assert_diagnosis_matches_oracle(s, *diagnose(s))
+        assert (len(_closed_classes(s)[1]) == 1) == regular
 
     def test_csr_smoothers_stay_sparse(self, monkeypatch):
         # n = 2000, Epanechnikov kernel at h = 0.03: CSR smoothers,
@@ -960,7 +963,8 @@ class TestSmootherArpackRoute:
         # certificate and both fits read through products and entry
         # reads alone.  Split u into two clusters by a 0.2 gap and S1 has
         # two closed classes, read from the windows' CSR pattern, while v's
-        # smoother still joins them, so the product certifies
+        # smoother is regular, which makes c = 1 without the union graph,
+        # so the product certifies
         data = generate(SimSpec(n=2000, design=IndependentUniform(), seed=70))
         if split:
             data = Dataset(y=data.y, u=np.where(data.u < 0.5, data.u, data.u + 0.2), v=data.v)
@@ -971,15 +975,25 @@ class TestSmootherArpackRoute:
         def refused(*args, **kwargs):
             raise AssertionError("a window smoother was formed")
 
+        graphs = []
+
+        def counting(s, closed_classes=spectral._closed_classes):
+            graphs.append(s)
+            return closed_classes(s)
+
         with monkeypatch.context() as m:
             for name in ("toarray", "__array__"):
                 m.setattr(smoothers.WindowSmoother, name, refused)
             m.setattr(WindowPair, "star_product", refused)
+            m.setattr(spectral, "_closed_classes", counting)
             cert = certify(pair, Kernel.UNIFORM, bw, bw, data)
             fits = [solve(pair, data.y) for solve in (backfit_iterative, backfit_direct)]
         assert cert.spectral.method == "power"
         assert cert.regular_s1 is not split and cert.regular_s2
-        assert cert.spectral.rho_s1_star == (1.0 if split else None)
+        assert cert.spectral.closed_classes == 1
+        assert len(_closed_classes(pair.s1)[1]) == (2 if split else 1)
+        # S1's own graph when split, and no union: regular S2 gives c = 1
+        assert graphs == ([pair.s1] if split else [])
         assert cert.verdict is (
             Verdict.CERTIFIED_BY_SPECTRAL_RADIUS if split else Verdict.CERTIFIED_BY_GAP_CONDITIONS
         )
@@ -993,10 +1007,10 @@ class TestSmootherArpackRoute:
 
     def test_not_certified_csr_certificate_stays_sparse(self, monkeypatch):
         # n = 1500, Epanechnikov at h = 0.01, u in two clusters split by
-        # a 0.2 gap and v following u within 0.002: both CSR smoothers
-        # have two closed classes, so rho(S*) = 1 from the graph and the
-        # product keeps an eigenvalue at 1; the note's bound comes from
-        # ARPACK's eigenvalue, not a formed product
+        # a 0.2 gap and v following u within 0.002: both CSR smoothers,
+        # and their union, have two closed classes, so rho(S2* S1*) = 1
+        # from the graph, with neither ARPACK nor a formed product, and
+        # the note's bound is infinite
         rng = np.random.default_rng(7)
         n = 1500
         u = rng.uniform(size=n)
@@ -1014,9 +1028,9 @@ class TestSmootherArpackRoute:
         cert = certify(pair, Kernel.EPANECHNIKOV, bw, bw, data)
         assert cert.verdict is Verdict.NOT_CERTIFIED
         assert cert.spectral.method == "power"
-        assert not cert.spectral.top_eigenvalue_simple
-        assert cert.spectral.rho_s1_star == 1.0 and cert.spectral.rho_s2_star == 1.0
-        assert note_bound(cert.notes) > 1e12
+        assert cert.spectral.closed_classes == 2
+        assert cert.spectral.rho_product == 1.0 and cert.spectral.iterations == 0
+        assert note_bound(cert.notes) == float("inf")
         monkeypatch.undo()
         want = spectral_radius(pair.star_product())
         assert abs(cert.spectral.rho_product - want) <= 1e-12
@@ -1026,7 +1040,7 @@ class TestSmootherArpackRoute:
         # knn:30, CSR smoothers with clustered spectra; both are regular,
         # and the certificate never makes them dense.  Split u into two
         # clusters by a 0.2 gap and S1 is no longer regular: its graph has
-        # two closed classes, so rho(S1*) = 1, read without a dense copy
+        # two closed classes, read without a dense copy
         rng = np.random.default_rng(71)
         n = 4000
         data = Dataset(y=rng.normal(size=n), u=rng.uniform(size=n), v=rng.uniform(size=n))
@@ -1045,10 +1059,9 @@ class TestSmootherArpackRoute:
         assert cert.certified
         assert cert.regular_s1 and cert.regular_s2
         assert cert.spectral.method == "power"
-        assert cert.spectral.rho_s1_star is None and cert.spectral.rho_s2_star is None
+        assert cert.spectral.closed_classes == 1
         assert not check_regularity(split, data.sort_u)
         assert spectral._closed_classes(split) == (2, (1, 1))
-        assert diagnose(split) == (False, 1.0)
 
 
 def failing_first_attempt(monkeypatch, spent):
@@ -1105,3 +1118,115 @@ class TestArpackRetry:
         assert applied.count(1) == 10 and applied.count(6) > 0
         assert applications == len(applied)
         assert abs(abs(lam) - spectral_radius(pair.star_product())) <= 1e-12
+
+
+class TestUnionGraph:
+    """c, the closed classes of the union of the two positivity graphs,
+    decides the product's unit eigenvalues: c - 1 of them."""
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["uniform_cluster_problem", "triangular_cluster_problem", "crossed_cluster_problem"],
+    )
+    def test_repeated_unit_eigenvalue_needs_no_eigensolve(self, fixture, request, monkeypatch):
+        # c >= 2: rho(S2* S1*) = 1 exactly, with no operator application,
+        # no formed product and no eigvals
+        data, kernel, bw = request.getfixturevalue(fixture)
+        pair = build_pair(data, kernel, bw, bw)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigensolver ran, or S2* S1* was formed")
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_arpack", refused)
+            m.setattr(type(pair), "star_product", refused)
+            m.setattr(np.linalg, "eigvals", refused)
+            cert = certify(pair, kernel, bw, bw, data)
+        assert cert.spectral.closed_classes == 2
+        assert cert.spectral.rho_product == 1.0 and cert.spectral.iterations == 0
+        assert cert.spectral.fallback is None
+        assert cert.verdict is Verdict.NOT_CERTIFIED
+        assert note_bound(cert.notes) == float("inf")
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
+
+    def test_union_leaves_non_canonical_csr_inputs_as_they_were(self):
+        # two block-diagonal CSR smoothers, neither regular, with each
+        # entry stored as two halves in descending column order: the union
+        # graph reads them as the regularity check does, on canonical
+        # copies, and finds the two blocks closed
+        rows = [0, 0, 0, 0, 1, 1, 2, 2, 3, 3]
+        cols = [1, 0, 1, 0, 1, 0, 3, 2, 3, 2]
+        data = [0.25, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+        indptr = np.searchsorted(rows, np.arange(5))
+        pair = SmootherPair(
+            *(csr_array((data, cols, indptr), shape=(4, 4)) for _ in range(2))
+        )
+        before = [(s.data.copy(), s.indices.copy(), s.indptr.copy()) for s in (pair.s1, pair.s2)]
+        sample = Dataset(y=np.zeros(4), u=np.arange(4.0), v=np.arange(4.0))
+        bw = ConstantBandwidth(1.0)
+        cert = certify(pair, Kernel.UNIFORM, bw, bw, sample)
+        assert not cert.regular_s1 and not cert.regular_s2
+        assert cert.spectral.closed_classes == 2 and cert.spectral.rho_product == 1.0
+        for s, arrays in zip((pair.s1, pair.s2), before):
+            for got, want in zip((s.data, s.indices, s.indptr), arrays):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [Kernel.UNIFORM, Kernel.EPANECHNIKOV])
+    def test_interleaved_clusters_certify(self, interleaved_cluster_data, kernel):
+        # the paper's weak condition at work: each smoother has two closed
+        # classes and neither gap condition holds, but the union graph has
+        # one closed class, and the product's radius certifies
+        data = interleaved_cluster_data
+        bw = ConstantBandwidth(1.0)
+        pair = build_pair(data, kernel, bw, bw)
+        cert = certify(pair, kernel, bw, bw, data)
+        assert not cert.gap_u.condition_holds and not cert.gap_v.condition_holds
+        assert not cert.regular_s1 and not cert.regular_s2
+        for s in (pair.s1, pair.s2):
+            assert len(_closed_classes(s)[1]) == 2
+        assert cert.spectral.closed_classes == 1
+        assert cert.verdict is Verdict.CERTIFIED_BY_SPECTRAL_RADIUS
+        assert_certify_matches_oracle(cert, pair, kernel, bw, bw, data)
+        assert_matches_oracle(cert, pair)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kernel=st.sampled_from(ALL_KERNELS),
+    kind=st.sampled_from(["constant", "rate", "knn"]),
+    clustered=st.booleans(),
+)
+@example(n=2, seed=0, kernel=Kernel.UNIFORM, kind="constant", clustered=False)
+@example(n=2, seed=1, kernel=Kernel.GAUSSIAN, kind="knn", clustered=True)
+@example(n=3, seed=2, kernel=Kernel.EPANECHNIKOV, kind="constant", clustered=True)
+@example(n=3, seed=3, kernel=Kernel.TRIANGULAR, kind="rate", clustered=False)
+def test_closed_classes_count_unit_eigenvalues(n, seed, kernel, kind, clustered):
+    # c equals the closed-class count of the boolean pattern of S2 S1, and
+    # one plus the number of eigenvalues of S2* S1* within 1e-6 of 1; no
+    # pair with c >= 2 is certified.  Clustered samples put u and v in two
+    # groups each, aligned or not, so that c >= 2 is common
+    rng = np.random.default_rng(seed)
+    if clustered:
+        u = rng.uniform(size=n) + 5.0 * (rng.random(n) < 0.5)
+        v = rng.uniform(size=n) + 5.0 * (rng.random(n) < 0.5)
+        data = Dataset(y=rng.normal(size=n), u=u, v=v)
+    else:
+        data = generate(SimSpec(n=n, design=BivariateNormal(rho=0.5), seed=seed))
+    if kind == "constant":
+        bw_u = ConstantBandwidth(max_gap(data.u) * float(rng.uniform(0.3, 2.5)))
+        bw_v = ConstantBandwidth(max_gap(data.v) * float(rng.uniform(0.3, 2.5)))
+    elif kind == "rate":
+        bw_u = bw_v = RateBandwidth(float(rng.uniform(0.1, 0.9)))
+    else:
+        bw_u = bw_v = KNearestBandwidth(int(rng.integers(1, min(5, n - 1) + 1)))
+    pair = build_pair(data, kernel, bw_u, bw_v)
+    cert = certify(pair, kernel, bw_u, bw_v, data)
+    c = cert.spectral.closed_classes
+    assert c == closed_class_count(pair.s2 @ pair.s1)
+    vals = np.linalg.eigvals(pair.star_product())
+    assert c == 1 + int(np.sum(np.abs(vals - 1.0) <= 1e-6))
+    if c > 1:
+        assert not cert.certified
+        assert cert.spectral.rho_product == 1.0 and cert.spectral.iterations == 0
